@@ -53,10 +53,6 @@ class NotRegular(PosetProdError):
     pass
 
 
-class NotApplicable(PosetProdError):
-    pass
-
-
 class NoSuchRank(PosetProdError):
     pass
 

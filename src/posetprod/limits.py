@@ -22,8 +22,6 @@ from .linalg import (
     FieldSpec,
     GradedLinearMap,
     GradedVectorSpace,
-    mat_id,
-    mat_mul,
     mat_zero,
     rank,
 )
@@ -43,6 +41,9 @@ class PosetDiagram:
             raise PreconditionFailed(f"no space for objects {sorted(missing)}")
         self.field = self.spaces[poset.base].field
         self.truncation = self.spaces[poset.base].truncation
+        self._lower_covers = {}
+        for a, b in poset.covers:
+            self._lower_covers.setdefault(b, []).append(a)
 
     @classmethod
     def constant(cls, poset: PointedPoset, space: GradedVectorSpace) -> "PosetDiagram":
@@ -76,21 +77,32 @@ class PosetDiagram:
 
     def composite(self, x, y) -> GradedLinearMap:
         """The structure map F(y) -> F(x) for x <= y, composed along a fixed
-        cover path (smallest next object first)."""
+        cover path (smallest next object first).
+
+        The path starts with the cover map below y and continues with the
+        composite of the rest of the path.  The result may be a cover map
+        of the diagram itself: do not mutate it.
+        """
+        return self._composite(x, y, {})
+
+    def _composite(self, x, y, memo: dict) -> GradedLinearMap:
+        # memo maps (x, y) to its composite; cochain_complex keeps one per call
+        key = (x, y)
+        if key in memo:
+            return memo[key]
         if not self.poset.leq(x, y):
             raise PreconditionFailed(f"{x!r} is not below {y!r}")
-        cur = y
-        acc = GradedLinearMap.identity(self.spaces[y])
-        down = {}
-        for a, b in self.poset.covers:
-            down.setdefault(b, []).append(a)
-        while cur != x:
+        if x == y:
+            acc = GradedLinearMap.identity(self.spaces[y])
+        else:
             nxt = min(
-                (u for u in down.get(cur, ()) if self.poset.leq(x, u)),
+                (u for u in self._lower_covers.get(y, ()) if self.poset.leq(x, u)),
                 key=str,
             )
-            acc = self.cover_maps[(nxt, cur)].compose(acc)
-            cur = nxt
+            acc = self.cover_maps[(nxt, y)]
+            if nxt != x:
+                acc = self._composite(x, nxt, memo).compose(acc)
+        memo[key] = acc
         return acc
 
 
@@ -112,9 +124,7 @@ def check_diagram(diagram: PosetDiagram) -> list[str]:
             problems.append(f"map on cover ({x}, {y}) uses field {f.field}")
     if problems:
         return problems
-    down = {}
-    for a, b in P.covers:
-        down.setdefault(b, []).append(a)
+    down = diagram._lower_covers
 
     def all_paths(x, y):
         # every composite along maximal cover chains from y down to x
@@ -174,6 +184,23 @@ def _weak_chains(objs, leq, n):
     return out
 
 
+def _nonzero_rows(mat):
+    return [[(j, v) for j, v in enumerate(row) if v != 0] for row in mat]
+
+
+def _product_is_zero(b_rows, a_rows, field: FieldSpec) -> bool:
+    """Whether B A vanishes, both given as rows of (column, value) pairs."""
+    zero = field.zero()
+    for brow in b_rows:
+        acc: dict = {}
+        for t, bv in brow:
+            for j, av in a_rows[t]:
+                acc[j] = field.add(acc.get(j, zero), field.mul(bv, av))
+        if any(v != 0 for v in acc.values()):
+            return False
+    return True
+
+
 def cochain_complex(
     diagram: PosetDiagram,
     objects=None,
@@ -186,6 +213,12 @@ def cochain_complex(
     ``objects`` restricts the chains to a subset of the poset (the order is
     inherited); by default all objects are used.  ``max_n`` caps the levels;
     for strict chains the complex stops by itself at the longest chain.
+
+    Each structure map F(x_1) -> F(x_0) is composed once per pair and kept,
+    as its non-zero entries, for the rest of the call; face deletions write
+    their signed identity diagonals straight into the differential.  With
+    ``check`` the product of consecutive differentials is formed from their
+    non-zero entries and must vanish.
     """
     P = diagram.poset
     field = diagram.field
@@ -216,47 +249,56 @@ def cochain_complex(
         for c in cs:
             F = diagram.spaces[c[0]]
             offs[c] = tuple(dims)
+            tag = ">".join(str(x) for x in c)
             for d in range(D + 1):
                 dims[d] += F.dims[d]
-                tag = ">".join(str(x) for x in c)
                 labels[d].extend((tag,) + l for l in F.labels[d])
         spaces.append(GradedVectorSpace(field, dims, [tuple(ls) for ls in labels]))
         offsets.append(offs)
 
+    composites: dict = {}
+    blocks: dict = {}
+
+    def push_block(x, y):
+        # non-zero entries of F(y) -> F(x), per degree and row
+        if (x, y) not in blocks:
+            f = diagram._composite(x, y, composites)
+            blocks[(x, y)] = [_nonzero_rows(m) for m in f.mats]
+        return blocks[(x, y)]
+
+    one = field.one()
     deltas = []
     for n in range(len(levels) - 1):
         src, tgt = spaces[n], spaces[n + 1]
         mats = [mat_zero(tgt.dims[d], src.dims[d], field) for d in range(D + 1)]
         for c in levels[n + 1]:
-            F0 = diagram.spaces[c[0]]
+            dims0 = diagram.spaces[c[0]].dims
             roffs = offsets[n + 1][c]
             for k in range(len(c)):
-                face = c[:k] + c[k + 1:]
-                if not weak and k == 0 and face not in offsets[n]:
+                coffs = offsets[n].get(c[:k] + c[k + 1:])
+                if coffs is None:
                     continue
-                if weak and face not in offsets[n]:
-                    continue
-                coffs = offsets[n][face]
+                # distinct faces of a weak chain can coincide, hence field.add
                 if k == 0:
-                    blk = diagram.composite(c[0], c[1]).mats
-                    sign = field.one()
+                    for d, nz_rows in enumerate(push_block(c[0], c[1])):
+                        m, r0, c0 = mats[d], roffs[d], coffs[d]
+                        for i, nz in enumerate(nz_rows):
+                            row = m[r0 + i]
+                            for j, v in nz:
+                                row[c0 + j] = field.add(row[c0 + j], v)
                 else:
-                    blk = [mat_id(F0.dims[d], field) for d in range(D + 1)]
-                    sign = field.conv(-1 if k % 2 else 1)
-                for d in range(D + 1):
-                    r0, c0 = roffs[d], coffs[d]
-                    for i, row in enumerate(blk[d]):
-                        for j, v in enumerate(row):
-                            if v != 0:
-                                # distinct faces of a weak chain can coincide
-                                mats[d][r0 + i][c0 + j] = field.add(
-                                    mats[d][r0 + i][c0 + j], field.mul(sign, v)
-                                )
+                    sign = one if k % 2 == 0 else field.neg(one)
+                    for d in range(D + 1):
+                        m, r0, c0 = mats[d], roffs[d], coffs[d]
+                        for i in range(dims0[d]):
+                            row = m[r0 + i]
+                            row[c0 + i] = field.add(row[c0 + i], sign)
         deltas.append(GradedLinearMap(src, tgt, mats))
 
     if check:
-        for a, b in zip(deltas, deltas[1:]):
-            if not b.compose(a).is_zero():
+        sparse = [[_nonzero_rows(m) for m in dl.mats] for dl in deltas]
+        for a, b in zip(sparse, sparse[1:]):
+            if not all(_product_is_zero(bd, ad, field) for ad, bd in zip(a, b)):
                 raise AssertionError("differential does not square to zero")
     return CochainComplex(levels, spaces, deltas)
 

@@ -58,7 +58,17 @@ class FieldSpec:
     # -- arithmetic -----------------------------------------------------
 
     def conv(self, x):
-        """Coerce an int, Fraction or 'a/b' string into the field."""
+        """Coerce an int, Fraction or 'a/b' string into the field.
+
+        A canonical element (a Fraction over Q, an int in 0..p-1 over F_p)
+        comes back unchanged, so re-converting the library's own matrices
+        costs one type check per entry.
+        """
+        if self.kind == "Q":
+            if type(x) is Fraction:
+                return x
+        elif type(x) is int and 0 <= x < self.p:
+            return x
         if isinstance(x, str):
             x = Fraction(x)
         if self.kind == "Q":
@@ -199,13 +209,13 @@ def rank(rows, ncols: int, field: FieldSpec) -> int:
     if not rows or ncols == 0:
         return 0
     nr = len(rows)
-    if field.kind == "Fp" and nr * ncols > 6400:
-        if field.p == 2:
-            return _rank_f2_packed(rows, ncols)
+    if nr * ncols <= 6400:
+        return len(rref(rows, ncols, field)[1])
+    if field.kind == "Fp" and field.p == 2:
+        return _rank_f2_packed(rows, ncols)
+    if field.kind == "Fp" and (field.p - 1) ** 2 < 2**63:
         return _rank_modp_numpy(rows, ncols, field.p)
-    if field.kind == "Q" and nr * ncols > 6400:
-        return _rank_q_sparse(rows, ncols)
-    return len(rref(rows, ncols, field)[1])
+    return _rank_sparse(rows, field)
 
 
 def kernel_basis(rows, ncols: int, field: FieldSpec):
@@ -248,6 +258,7 @@ def solve_matrix(A, B, field: FieldSpec):
 
 
 def _rank_modp_numpy(rows, ncols: int, p: int) -> int:
+    """Rank mod p in int64; exact only while (p - 1)**2 < 2**63."""
     M = np.array([[int(x) % p for x in r] for r in rows], dtype=np.int64)
     nr = M.shape[0]
     r = 0
@@ -301,17 +312,14 @@ def _rank_f2_packed(rows, ncols: int) -> int:
     return rank_
 
 
-def _rank_q_sparse(rows, ncols: int) -> int:
-    """Rank over Q by sparse fraction-free elimination on dict rows."""
+def _rank_sparse(rows, field: FieldSpec) -> int:
+    """Rank by sparse elimination on dict rows of canonical elements."""
     sparse = []
     for row in rows:
-        if isinstance(row, dict):
-            d = {j: Fraction(x) for j, x in row.items() if x != 0}
-        else:
-            d = {j: Fraction(x) for j, x in enumerate(row) if x != 0}
+        d = {j: v for j, x in enumerate(row) if x != 0 and (v := field.conv(x)) != 0}
         if d:
             sparse.append(d)
-    return sparse_rank(sparse, QQ)
+    return sparse_rank(sparse, field)
 
 
 def sparse_rank(rows: list[dict], field: FieldSpec) -> int:

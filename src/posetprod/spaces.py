@@ -151,14 +151,6 @@ class SimplicialMap:
     def identity(cls, space: FiniteSimplicialSet) -> "SimplicialMap":
         return cls(space, space, {c: (c, ()) for c in space.cores}, check=False)
 
-    def compose(self, other: "SimplicialMap") -> "SimplicialMap":
-        """self after other."""
-        return SimplicialMap(
-            other.source, self.target,
-            {c: self.apply(other.on_cores[c]) for c in other.source.cores},
-            check=False,
-        )
-
 
 # -- building spaces from abstract element universes ---------------------
 
@@ -224,30 +216,20 @@ def product_space(X: FiniteSimplicialSet, Y: FiniteSimplicialSet, n_max: int | N
     return _from_operators(elems, face_fn, deg_fn, n_max)
 
 
-def product_map(
-    f: SimplicialMap,
-    g: SimplicialMap,
-    src: FiniteSimplicialSet,
-    tgt: FiniteSimplicialSet,
-    tgt_express: dict,
-) -> SimplicialMap:
-    """The induced map between two product spaces built by product_space."""
-    on_cores = {}
-    for c, d in src.cores.items():
-        sx, sy = c
-        on_cores[c] = tgt_express[(d, (f.apply(sx), g.apply(sy)))]
-    return SimplicialMap(src, tgt, on_cores, check=False)
-
-
 class _UnionFind:
     def __init__(self):
         self.parent = {}
 
     def find(self, a):
-        p = self.parent.setdefault(a, a)
-        if p != a:
-            p = self.parent[a] = self.find(p)
-        return p
+        parent = self.parent
+        root = parent.setdefault(a, a)
+        while parent[root] != root:
+            root = parent[root]
+        while a != root:
+            nxt = parent[a]
+            parent[a] = root
+            a = nxt
+        return root
 
     def union(self, a, b):
         ra, rb = self.find(a), self.find(b)

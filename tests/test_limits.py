@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetprod.errors import PreconditionFailed
-from posetprod.fixtures import BASE, fix_a, fix_b, fix_e, random_poset_with
+from posetprod.fixtures import BASE, fix_a, fix_b, fix_e, random_pointed_poset, random_poset_with
 from posetprod.limits import (
     PosetDiagram,
     check_diagram,
@@ -19,6 +21,7 @@ from posetprod.linalg import (
     GradedVectorSpace,
     truncated_polynomial,
 )
+from posetprod.polytensor import build_T, random_surjective_collection
 from posetprod.poset import PointedPoset
 
 
@@ -154,6 +157,40 @@ def test_delta_squares_to_zero_on_seeded_diagrams():
         dia = PosetDiagram.indicator(P, gens, D=1)
         cochain_complex(dia, check=True)
         cochain_complex(dia, weak=True, max_n=3, check=True)
+
+
+def test_noncommuting_diagram_fails_the_square_check():
+    P = square_with_base()
+    unit = GradedVectorSpace.unit(QQ, 1)
+    one = GradedLinearMap.identity(unit)
+    maps = {c: one for c in P.covers}
+    maps[("a", "c")] = GradedLinearMap(unit, unit, [[[-1]], []])
+    dia = PosetDiagram(P, {x: unit for x in P.objects}, maps)
+    with pytest.raises(AssertionError, match="square to zero"):
+        cochain_complex(dia)
+    with pytest.raises(AssertionError, match="square to zero"):
+        cochain_complex(dia, weak=True, max_n=2)
+    cochain_complex(PosetDiagram(P, {x: unit for x in P.objects}, {c: one for c in P.covers}))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    poset=st.one_of(
+        st.just(fix_a()),  # its tensor diagrams can have lim^1 != 0
+        st.integers(0, 10**6).map(lambda s: random_pointed_poset(random.Random(s), max_objects=7)),
+    ),
+    seed=st.integers(0, 10**6),
+    field=st.sampled_from([QQ, FieldSpec.Fp(2), FieldSpec.Fp(101)]),
+    D=st.integers(0, 2),
+)
+def test_weak_equals_strict_on_random_tensor_diagrams(poset, seed, field, D):
+    col = random_surjective_collection(random.Random(seed), poset.vertices, D, field)
+    dia = build_T(poset, col)
+    strict = higher_limits(dia)
+    weak = higher_limits(dia, weak=True, max_n=len(strict))
+    n = max(len(strict), len(weak))
+    pad = lambda l: l + [(0,) * (D + 1)] * (n - len(l))
+    assert pad(strict) == pad(weak)
 
 
 def test_weak_equals_strict_on_seeded_indicators():

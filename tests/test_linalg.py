@@ -41,6 +41,23 @@ def test_fieldspec_parse_and_arith():
         f5.conv(Fraction(1, 5))
 
 
+def test_conv_returns_canonical_elements():
+    f5 = FieldSpec.Fp(5)
+    for x in (-7, -1, 0, 3, 5, 12, Fraction(-3, 2), Fraction(10), "4/3"):
+        y = f5.conv(x)
+        assert type(y) is int and 0 <= y < 5
+        assert f5.conv(y) is y
+    assert [f5.conv(x) for x in (-7, -1, 12, 5)] == [3, 4, 2, 0]
+    assert f5.conv(Fraction(-3, 2)) == 1
+    for x in (-7, 3, Fraction(2, 3), "-5/4"):
+        y = QQ.conv(x)
+        assert type(y) is Fraction
+        assert QQ.conv(y) is y
+    # bool is an int subclass but not a canonical element
+    assert type(f5.conv(True)) is int and f5.conv(True) == 1
+    assert type(QQ.conv(True)) is Fraction and QQ.conv(True) == 1
+
+
 def test_rref_and_rank_known_matrix():
     # difference matrix of the commuting square; one relation among the rows
     m = [[-1, 0, 1, 0], [-1, 0, 0, 1], [0, -1, 1, 0], [0, -1, 0, 1]]
@@ -206,6 +223,17 @@ def test_rank_agrees_over_q_and_large_prime():
         nr, nc = rng.randrange(1, 6), rng.randrange(1, 6)
         m = [[rng.randrange(-2, 3) for _ in range(nc)] for _ in range(nr)]
         assert rank(m, nc, QQ) == rank(m, nc, fp)
+
+
+def test_rank_above_threshold_at_a_prime_beyond_int64_products():
+    # (p - 1)**2 overflows int64, so this must not take the numpy route
+    p = 4294967311
+    fp = FieldSpec.Fp(p)
+    rng = random.Random(3)
+    m = [[rng.randrange(p) for _ in range(90)] for _ in range(89)]
+    m.append([(a + 2 * b) % p for a, b in zip(m[0], m[1])])
+    assert len(rref(m, 90, fp)[1]) == 89
+    assert rank(m, 90, fp) == 89
 
 
 def test_kron_block_convention():

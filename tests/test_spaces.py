@@ -8,6 +8,7 @@ from posetprod.linalg import F2, QQ, FieldSpec
 from posetprod.spaces import (
     FiniteSimplicialSet,
     SimplicialMap,
+    _UnionFind,
     circle_space,
     colimit_space,
     disk_space,
@@ -193,3 +194,15 @@ def test_insufficient_truncation_on_colimits():
     space, _ = polyhedral_product_space(fix_e(), "circle-point", 2, via="colim")
     with pytest.raises(InsufficientTruncation):
         homology(space, 2)
+
+
+def test_union_find_handles_long_parent_chains():
+    uf = _UnionFind()
+    # names sort downwards, so each union hangs the old root below the new one
+    names = [f"{9999 - i:04d}" for i in range(5000)]
+    for prev, new in zip(names, names[1:]):
+        uf.union(new, prev)
+    assert uf.parent[names[0]] == names[1]
+    assert uf.find(names[0]) == names[-1]
+    assert uf.parent[names[0]] == names[-1]
+    assert {uf.find(n) for n in names} == {names[-1]}
