@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionFailed
+from .errors import PreconditionFailed, UnknownObject
 from .linalg import (
     QQ,
     FieldSpec,
@@ -57,6 +57,8 @@ class PosetDiagram:
         identity maps inside the up-set."""
         up: set = set()
         for g in generators:
+            if g not in poset.objects:
+                raise UnknownObject(f"up-set generator {g!r} is not an object")
             up |= poset.up_set(g)
         unit = GradedVectorSpace.unit(field, D)
         zero = GradedVectorSpace.zero_space(field, D)

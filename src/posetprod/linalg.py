@@ -4,15 +4,19 @@ Vector spaces are graded with a hard truncation degree D; maps are
 degree-preserving and stored as one dense matrix per degree (rows index the
 target basis).  All arithmetic is exact: Fraction entries over Q, canonical
 representatives 0..p-1 over F_p.
+
+Rank, kernel bases and linear solves all go through one sparse elimination,
+``_echelon``: it keeps only the non-zero entries of each row, pivots on the
+leading column with monic pivot rows, and back-substitutes to the reduced
+row echelon form when a kernel or a solution is asked for.  Its inner loop is
+plain Fraction arithmetic over Q and int arithmetic mod p over F_p.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from itertools import compress
 
 from .errors import MixedFields, MixedTruncation
 
@@ -125,10 +129,6 @@ def mat_id(n: int, field: FieldSpec):
     return m
 
 
-def mat_conv(rows, field: FieldSpec):
-    return [[field.conv(x) for x in row] for row in rows]
-
-
 def mat_mul(A, B, field: FieldSpec):
     n, k = len(A), len(B)
     m = len(B[0]) if B else 0
@@ -178,198 +178,96 @@ def kron(A, B, field: FieldSpec):
     return out
 
 
-def rref(rows, ncols: int, field: FieldSpec):
-    """Reduced row echelon form; returns (reduced rows, pivot column list)."""
-    R = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
+def _subtract(r: dict, f, piv: dict, p):
+    """r -= f * piv in place on dict rows, dropping entries that vanish."""
+    for k, v in piv.items():
+        nv = r.get(k, 0) - f * v
+        if p is not None:
+            nv %= p
+        if nv:
+            r[k] = nv
+        else:
+            del r[k]
+
+
+def _echelon(rows, ncols: int, field: FieldSpec, reduced: bool = False) -> dict:
+    """The one elimination routine behind rank, kernel_basis and solve_matrix.
+
+    Reads the dense rows into dicts {column: value}, converting only the
+    non-zero entries, then eliminates column by column: the rows whose
+    leading column is c are reduced by the shortest of them, made monic as
+    the pivot row of c.  Returns {pivot column: pivot row}.  With ``reduced``
+    each pivot column is also cleared from the other pivot rows, which gives
+    the reduced row echelon form; that form is unique, so it does not depend
+    on the choice of pivot rows.
+    """
+    conv = field.conv
+    p = field.p
+    heads: dict[int, list[dict]] = {}
+    for row in rows:
+        r = {j: v for j in compress(range(ncols), row) if (v := conv(row[j]))}
+        if r:
+            heads.setdefault(min(r), []).append(r)
+    pivots: dict[int, dict] = {}
     for c in range(ncols):
-        pr = None
-        for i in range(r, len(R)):
-            if R[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
+        bucket = heads.pop(c, None)
+        if bucket is None:
             continue
-        R[r], R[pr] = R[pr], R[r]
-        inv = field.inv(R[r][c])
-        R[r] = [field.mul(inv, x) for x in R[r]]
-        for i in range(len(R)):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(R):
-            break
-    return R, pivots
+        first = min(bucket, key=len)
+        if p is None:
+            inv = 1 / first[c]
+            piv = {k: v * inv for k, v in first.items()}
+        else:
+            inv = pow(first[c], -1, p)
+            piv = {k: v * inv % p for k, v in first.items()}
+        pivots[c] = piv
+        for r in bucket:
+            if r is not first:
+                _subtract(r, r[c], piv, p)
+                if r:
+                    heads.setdefault(min(r), []).append(r)
+    if reduced:
+        for c in sorted(pivots, reverse=True):
+            r = pivots[c]
+            for k in [k for k in r if k != c and k in pivots]:
+                _subtract(r, r[k], pivots[k], p)
+    return pivots
 
 
 def rank(rows, ncols: int, field: FieldSpec) -> int:
-    if not rows or ncols == 0:
-        return 0
-    nr = len(rows)
-    if nr * ncols <= 6400:
-        return len(rref(rows, ncols, field)[1])
-    if field.kind == "Fp" and field.p == 2:
-        return _rank_f2_packed(rows, ncols)
-    if field.kind == "Fp" and (field.p - 1) ** 2 < 2**63:
-        return _rank_modp_numpy(rows, ncols, field.p)
-    return _rank_sparse(rows, field)
+    return len(_echelon(rows, ncols, field))
 
 
 def kernel_basis(rows, ncols: int, field: FieldSpec):
-    """Basis of the right kernel as a list of length-ncols vectors."""
-    if ncols == 0:
-        return []
-    if not rows:
-        return [
-            [field.one() if j == i else field.zero() for j in range(ncols)]
-            for i in range(ncols)
-        ]
-    R, pivots = rref(rows, ncols, field)
-    pivset = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
-        v = [field.zero()] * ncols
-        v[free] = field.one()
-        for i, p in enumerate(pivots):
-            v[p] = field.neg(R[i][free])
-        basis.append(v)
-    return basis
+    """Basis of the right kernel as a list of length-ncols vectors, one per
+    free column of the reduced row echelon form, in column order."""
+    R = _echelon(rows, ncols, field, reduced=True)
+    basis = {j: [field.zero()] * ncols for j in range(ncols) if j not in R}
+    for j, v in basis.items():
+        v[j] = field.one()
+    for c, r in R.items():
+        for j, x in r.items():
+            if j != c:
+                basis[j][c] = field.neg(x)
+    return list(basis.values())
 
 
 def solve_matrix(A, B, field: FieldSpec):
-    """One solution X of A X = B, or None.  A is n x m, B is n x k."""
+    """One solution X of A X = B, or None.  A is n x m, B is n x k; the free
+    unknowns of the reduced row echelon form are set to zero."""
     n = len(A)
     m = len(A[0]) if A else 0
     k = len(B[0]) if B else 0
     aug = [list(A[i]) + list(B[i]) for i in range(n)]
-    R, pivots = rref(aug, m + k, field)
-    if any(p >= m for p in pivots):
+    R = _echelon(aug, m + k, field, reduced=True)
+    if any(c >= m for c in R):
         return None
     X = mat_zero(m, k, field)
-    for i, p in enumerate(pivots):
-        for j in range(k):
-            X[p][j] = R[i][m + j]
+    for c, r in R.items():
+        for j, x in r.items():
+            if j >= m:
+                X[c][j - m] = x
     return X
-
-
-def _rank_modp_numpy(rows, ncols: int, p: int) -> int:
-    """Rank mod p in int64; exact only while (p - 1)**2 < 2**63."""
-    M = np.array([[int(x) % p for x in r] for r in rows], dtype=np.int64)
-    nr = M.shape[0]
-    r = 0
-    for c in range(ncols):
-        if r == nr:
-            break
-        col = M[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            M[[r, i]] = M[[i, r]]
-        inv = pow(int(M[r, c]), -1, p)
-        M[r, c:] = (M[r, c:] * inv) % p
-        below = M[r + 1:, c]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            idx = r + 1 + hit
-            M[idx, c:] = (M[idx, c:] - np.outer(M[idx, c], M[r, c:])) % p
-        r += 1
-    return r
-
-
-def _rank_f2_packed(rows, ncols: int) -> int:
-    nwords = (ncols + 63) // 64
-    packed = []
-    for row in rows:
-        w = [0] * nwords
-        for j, x in enumerate(row):
-            if int(x) & 1:
-                w[j >> 6] |= 1 << (j & 63)
-        packed.append(w)
-    rank_ = 0
-    pivot_rows: list[list[int]] = []
-    pivot_cols: list[int] = []
-    for row in packed:
-        for pc, pr in zip(pivot_cols, pivot_rows):
-            if row[pc >> 6] >> (pc & 63) & 1:
-                for t in range(nwords):
-                    row[t] ^= pr[t]
-        col = None
-        for t in range(nwords):
-            if row[t]:
-                col = (t << 6) + (row[t] & -row[t]).bit_length() - 1
-                break
-        if col is not None:
-            pivot_rows.append(row)
-            pivot_cols.append(col)
-            rank_ += 1
-    return rank_
-
-
-def _rank_sparse(rows, field: FieldSpec) -> int:
-    """Rank by sparse elimination on dict rows of canonical elements."""
-    sparse = []
-    for row in rows:
-        d = {j: v for j, x in enumerate(row) if x != 0 and (v := field.conv(x)) != 0}
-        if d:
-            sparse.append(d)
-    return sparse_rank(sparse, field)
-
-
-def sparse_rank(rows: list[dict], field: FieldSpec) -> int:
-    """Rank of a matrix given as dict rows {col: value}; destroys input."""
-    rows = [dict(r) for r in rows if r]
-    by_col: dict[int, set[int]] = {}
-    alive = set(range(len(rows)))
-    for i, r in enumerate(rows):
-        for c in r:
-            by_col.setdefault(c, set()).add(i)
-    rank_ = 0
-    while alive:
-        # pick the pivot with the shortest row, then fewest column entries
-        best = None
-        for i in alive:
-            r = rows[i]
-            ln = len(r)
-            if best is None or ln < best[0]:
-                c = min(r, key=lambda col: (len(by_col.get(col, ())), col))
-                best = (ln, i, c)
-                if ln == 1:
-                    break
-        _, pi, pc = best
-        prow = rows[pi]
-        alive.discard(pi)
-        rank_ += 1
-        pval = prow[pc]
-        targets = [i for i in by_col.get(pc, ()) if i in alive]
-        for i in targets:
-            r = rows[i]
-            f = field.div(r[pc], pval)
-            for c, v in prow.items():
-                nv = field.sub(r.get(c, field.zero()), field.mul(f, v))
-                if nv == 0:
-                    if c in r:
-                        del r[c]
-                        s = by_col.get(c)
-                        if s:
-                            s.discard(i)
-                else:
-                    if c not in r:
-                        by_col.setdefault(c, set()).add(i)
-                    r[c] = nv
-            if not r:
-                alive.discard(i)
-        for c in prow:
-            s = by_col.get(c)
-            if s:
-                s.discard(pi)
-    return rank_
 
 
 # -- graded structures ---------------------------------------------------

@@ -148,6 +148,16 @@ def test_error_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+def test_limits_unknown_upset_generator_is_a_typed_refusal(capsys):
+    # exit 1 means "a verification came out false"; a bad input is exit 2
+    code = main(["limits", "fix-a", "--upset", "zz"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "'zz' is not an object" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "posetprod.cli", "fvector", "fix-b"],

@@ -2,6 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import GF
+from sympy import QQ as SYMPY_QQ
+from sympy.polys.matrices import DomainMatrix
 
 from posetprod.errors import MixedFields, MixedTruncation
 from posetprod.linalg import (
@@ -10,17 +15,13 @@ from posetprod.linalg import (
     FieldSpec,
     GradedLinearMap,
     GradedVectorSpace,
-    _rank_f2_packed,
-    _rank_modp_numpy,
     find_section,
     kernel_basis,
     kron,
     mat_id,
     mat_mul,
     rank,
-    rref,
     solve_matrix,
-    sparse_rank,
     tensor_collection,
     tensor_maps,
     truncated_polynomial,
@@ -86,20 +87,125 @@ def test_solve_matrix():
     assert mat_mul([[1, 1]], X, QQ) == [[5]]
 
 
-def test_fast_rank_paths_agree_with_generic():
+def _sympy_matrix(rows, ncols: int, field: FieldSpec) -> DomainMatrix:
+    """The same matrix as a sympy DomainMatrix over QQ or GF(p)."""
+    if field.kind == "Q":
+        dom = SYMPY_QQ
+        rows = [[dom(x.numerator, x.denominator) for x in map(field.conv, row)] for row in rows]
+    else:
+        dom = GF(field.p)
+        rows = [[dom(x) for x in map(field.conv, row)] for row in rows]
+    return DomainMatrix(rows, (len(rows), ncols), dom)
+
+
+def _conv(rows, field: FieldSpec):
+    return [[field.conv(x) for x in row] for row in rows]
+
+
+def _canonical(rows, field: FieldSpec) -> bool:
+    # conv returns exactly the canonical elements unchanged
+    return all(field.conv(x) is x for row in rows for x in row)
+
+
+def _from_sympy(x, field: FieldSpec):
+    if field.kind == "Q":
+        return Fraction(int(x.numerator), int(x.denominator))
+    return int(x)
+
+
+def _sympy_kernel_basis(rows, ncols: int, field: FieldSpec):
+    """Kernel basis read off sympy's reduced row echelon form: one vector per
+    free column, with the negated entries of that column at the pivots."""
+    R, pivots = _sympy_matrix(rows, ncols, field).rref()
+    R = R.to_list()
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [field.zero()] * ncols
+        v[free] = field.one()
+        for i, p in enumerate(pivots):
+            v[p] = field.neg(_from_sympy(R[i][free], field))
+        basis.append(v)
+    return basis
+
+
+def test_rank_agrees_with_sympy_over_q_f2_and_f1009():
     rng = random.Random(7)
+    f1009 = FieldSpec.Fp(1009)
     for _ in range(40):
         nr = rng.randrange(1, 8)
         nc = rng.randrange(1, 8)
         m = [[rng.randrange(-2, 3) for _ in range(nc)] for _ in range(nr)]
-        r_q = len(rref(m, nc, QQ)[1])
+        r_q = rank(m, nc, QQ)
+        assert r_q == _sympy_matrix(m, nc, QQ).rank()
         # entries are tiny so no minor can vanish mod a large prime
-        assert _rank_modp_numpy(m, nc, 1009) == r_q
-        rows = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in m]
-        assert sparse_rank(rows, QQ) == r_q
-        r2 = _rank_f2_packed([[x % 2 for x in row] for row in m], nc)
-        assert r2 == len(rref([[x % 2 for x in row] for row in m], nc, F2)[1])
+        assert rank(m, nc, f1009) == _sympy_matrix(m, nc, f1009).rank() == r_q
+        r2 = rank(m, nc, F2)
+        assert r2 == _sympy_matrix(m, nc, F2).rank()
         assert r2 <= r_q
+
+
+@st.composite
+def _linear_systems(draw):
+    field = draw(st.sampled_from([QQ, F2, FieldSpec.Fp(101), FieldSpec.Fp(4294967311)]))
+    nr, nc, k = draw(st.integers(0, 6)), draw(st.integers(1, 6)), draw(st.integers(0, 3))
+    entry = st.one_of(st.integers(-2, 2), st.integers(-10**12, 10**12))
+    A = [[draw(entry) for _ in range(nc)] for _ in range(nr)]
+    if nr >= 2 and draw(st.booleans()):
+        A.append([a - 2 * b for a, b in zip(A[0], A[1])])
+    if draw(st.booleans()):
+        # B = A X0 has a solution whatever the rank of A
+        X0 = [[draw(entry) for _ in range(k)] for _ in range(nc)]
+        B = mat_mul(_conv(A, field), _conv(X0, field), field)
+    else:
+        B = [[draw(entry) for _ in range(k)] for _ in A]
+    return field, A, nc, B, k
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_linear_systems())
+def test_rank_kernel_and_solve_match_sympy(system):
+    field, A, nc, B, k = system
+    M = _sympy_matrix(A, nc, field)
+    assert rank(A, nc, field) == M.rank()
+    kb = kernel_basis(A, nc, field)
+    assert kb == _sympy_kernel_basis(A, nc, field)
+    assert _canonical(kb, field)
+    if not A:
+        return
+    X = solve_matrix(A, B, field)
+    solvable = M.rank() == M.hstack(_sympy_matrix(B, k, field)).rank()
+    assert (X is not None) == solvable
+    if X is not None:
+        assert _canonical(X, field)
+        assert mat_mul(_conv(A, field), X, field) == _conv(B, field)
+
+
+def test_non_canonical_entries_are_converted_first():
+    f5 = FieldSpec.Fp(5)
+    # 5 is zero in F_5, whatever the size of the matrix
+    assert rank([[5]], 1, f5) == 0
+    assert rank([[5] * 100 for _ in range(100)], 100, f5) == 0
+    assert kernel_basis([[5, 10]], 2, f5) == [[1, 0], [0, 1]]
+    assert solve_matrix([[5]], [[1]], f5) is None
+    assert solve_matrix([[5]], [[5]], f5) == [[0]]
+    # -1 is 4 in F_5
+    assert rank([[-1, 2]], 2, f5) == 1
+    assert kernel_basis([[-1, 2]], 2, f5) == [[2, 1]]
+    assert solve_matrix([[-1]], [[1]], f5) == [[4]]
+    # 1/2 is 3 in F_5
+    assert rank([[Fraction(1, 2), 1]], 2, f5) == 1
+    assert kernel_basis([[Fraction(1, 2), 1]], 2, f5) == [[3, 1]]
+    assert solve_matrix([[Fraction(1, 2)]], [[1]], f5) == [[2]]
+    assert _canonical(kernel_basis([[-1, 2]], 2, f5) + kernel_basis([[Fraction(1, 2), 1]], 2, f5), f5)
+    assert _canonical(solve_matrix([[-1]], [[1]], f5) + solve_matrix([[Fraction(1, 2)]], [[1]], f5), f5)
+    # plain ints over Q come back as Fractions
+    assert rank([[2, 4], [1, 2]], 2, QQ) == 1
+    kb = kernel_basis([[2, 4]], 2, QQ)
+    assert kb == [[-2, 1]] and _canonical(kb, QQ)
+    X = solve_matrix([[2]], [[1]], QQ)
+    assert X == [[Fraction(1, 2)]] and _canonical(X, QQ)
 
 
 def test_graded_space_and_mixing_errors():
@@ -225,14 +331,14 @@ def test_rank_agrees_over_q_and_large_prime():
         assert rank(m, nc, QQ) == rank(m, nc, fp)
 
 
-def test_rank_above_threshold_at_a_prime_beyond_int64_products():
-    # (p - 1)**2 overflows int64, so this must not take the numpy route
+def test_rank_at_a_prime_beyond_int64_products():
+    # (p - 1)**2 overflows int64, the width of a machine-integer elimination
     p = 4294967311
     fp = FieldSpec.Fp(p)
     rng = random.Random(3)
     m = [[rng.randrange(p) for _ in range(90)] for _ in range(89)]
     m.append([(a + 2 * b) % p for a, b in zip(m[0], m[1])])
-    assert len(rref(m, 90, fp)[1]) == 89
+    assert _sympy_matrix(m, 90, fp).rank() == 89
     assert rank(m, 90, fp) == 89
 
 
