@@ -3,14 +3,21 @@
 Simplices are pairs (core, word): a nondegenerate core plus a strictly
 decreasing tuple of degeneracy indices applied to it, so every simplex has
 one canonical name.  Faces and degeneracies push through the word with the
-usual index shuffles.  Spaces are truncated: cores live in dimensions up to
-n_max, and homology above n_max - 1 is refused unless the space is marked
-complete (no cores could exist higher up).
+usual index shuffles.  Spaces hold their nondegenerate simplices (the cores)
+only.  A simplex of a product is a tuple of factor simplices, and it is
+degenerate exactly at the indices that all their words share
+(Eilenberg-Zilber; May 1967), so products, colimits and homotopy colimits
+list their cores directly and never enumerate a degenerate simplex.  Spaces
+are truncated: cores live in dimensions up to n_max, and homology above
+n_max - 1 is refused unless the space is marked complete (no cores could
+exist higher up).
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from collections.abc import Mapping
+from functools import cached_property
+from itertools import combinations, product
 
 from .errors import InsufficientTruncation, PreconditionFailed
 from .linalg import QQ, FieldSpec, rank
@@ -22,7 +29,7 @@ class FiniteSimplicialSet:
 
     def __init__(self, cores: dict, faces: dict, n_max: int, complete: bool = False, check: bool = True):
         self.cores = dict(cores)
-        self.core_faces = {c: tuple(tuple(s) if not isinstance(s, tuple) else s for s in fs) for c, fs in faces.items()}
+        self.core_faces = {c: tuple(map(tuple, fs)) for c, fs in faces.items()}
         self.n_max = n_max
         self.complete = complete
         for c, d in self.cores.items():
@@ -69,11 +76,15 @@ class FiniteSimplicialSet:
         inner = self.degenerate(rest, i)
         return (inner[0], (j + 1,) + inner[1])
 
+    @cached_property
+    def _str_order(self) -> list:
+        return sorted(self.cores, key=str)
+
     def simplices(self, n: int):
         """All simplices of dimension n, degenerate ones included."""
         out = []
-        for c, m in sorted(self.cores.items(), key=lambda kv: str(kv[0])):
-            k = n - m
+        for c in self._str_order:
+            k = n - self.cores[c]
             if k < 0:
                 continue
             for idx in combinations(range(n - 1, -1, -1), k):
@@ -81,21 +92,18 @@ class FiniteSimplicialSet:
         return out
 
     def nondegenerate(self, n: int):
-        return sorted((c for c, m in self.cores.items() if m == n), key=str)
-
-    def as_simplex(self, core):
-        return (core, ())
+        return [c for c in self._str_order if self.cores[c] == n]
 
     def _check_identities(self):
         for c, d in self.cores.items():
             if d < 2:
                 continue
-            s = (c, ())
+            # twice[j][i] = d_i d_j c; a face that is a core lists its faces already
+            twice = [self.core_faces[f] if not w else [self.face((f, w), i) for i in range(d)]
+                     for f, w in self.core_faces[c]]
             for j in range(d + 1):
                 for i in range(j):
-                    left = self.face(self.face(s, j), i)
-                    right = self.face(self.face(s, i), j - 1)
-                    if left != right:
+                    if twice[j][i] != twice[i][j - 1]:
                         raise PreconditionFailed(
                             f"face identity fails on core {c!r}: d_{i} d_{j} != d_{j-1} d_{i}"
                         )
@@ -147,52 +155,96 @@ class SimplicialMap:
             img = self.target.degenerate(img, j)
         return img
 
-    @classmethod
-    def identity(cls, space: FiniteSimplicialSet) -> "SimplicialMap":
-        return cls(space, space, {c: (c, ()) for c in space.cores}, check=False)
+
+# -- canonical names: pure index shuffling, no face data needed -------------
 
 
-# -- building spaces from abstract element universes ---------------------
+def _peel(word, common):
+    """What is left of ``word`` after d_j for every j in ``common`` (all
+    letters of it), largest first."""
+    return tuple(j - sum(c < j for c in common) for j in word if j not in common)
 
 
-def _from_operators(elems_by_dim, face_fn, deg_fn, n_max: int, name=lambda e: e):
-    """Assemble a simplicial set out of per-dimension element lists with
-    face/degeneracy callbacks.
+def _canonical(parts):
+    """Canonical simplex of a product named by one same-dimensional simplex
+    per factor: the indices in every factor's word are peeled off into the
+    product's word, and what is left is a core."""
+    common = set(parts[0][1]).intersection(*[w for _, w in parts[1:]])
+    if not common:
+        return (parts, ())
+    return tuple((c, _peel(w, common)) for c, w in parts), tuple(sorted(common, reverse=True))
 
-    Returns (space, express) where express maps every element to its
-    canonical (core, word) simplex.
-    """
-    express: dict = {}
-    cores: dict = {}
-    faces: dict = {}
 
+def _canonical_chain(chain, simp):
+    """Canonical simplex of a homotopy colimit named by (chain, simplex): it
+    is degenerate at i when the chain repeats there and i is in the word."""
+    core, word = simp
+    common = {j for j in word if chain[j] == chain[j + 1]}
+    if not common:
+        return ((chain, simp), ())
+    kept = tuple(x for j, x in enumerate(chain) if j not in common)
+    return (kept, (core, _peel(word, common))), tuple(sorted(common, reverse=True))
+
+
+class _Express(Mapping):
+    """Read-only map from every simplex that ``keys()`` lists to its
+    canonical name ``value(key)``, computed on demand."""
+
+    def __init__(self, keys, value):
+        self._keys = keys
+        self._value = value
+
+    @cached_property
+    def _keyset(self):
+        return frozenset(self._keys())
+
+    def __getitem__(self, key):
+        if key not in self._keyset:
+            raise KeyError(key)
+        return self._value(key)
+
+    def __iter__(self):
+        return self._keys()
+
+    def __len__(self):
+        return len(self._keyset)
+
+
+# -- products, colimits and homotopy colimits -------------------------------
+
+
+def _product(factors, n_max: int) -> FiniteSimplicialSet:
+    """X1 x ... x Xk on its cores: the tuples of same-dimensional factor
+    simplices whose words have no index in common."""
+    cores, faces = {}, {}
     for n in range(n_max + 1):
-        for e in elems_by_dim[n]:
-            if n == 0:
-                express[(0, e)] = (name(e), ())
-                cores[name(e)] = 0
+        # each n-simplex of each factor, with its word as a bit mask and its faces
+        tables = {
+            F: {s: (sum(1 << j for j in s[1]), tuple(F.face(s, i) for i in range(n + 1)) if n else ())
+                for s in F.simplices(n)}
+            for F in set(factors)
+        }
+        rows = [tables[F] for F in factors]
+        # room[i]: how many indices factors i, i+1, ... can still keep out of the common word
+        room = [0] * (len(factors) + 1)
+        for i in range(len(factors) - 1, -1, -1):
+            room[i] = room[i + 1] + max((n - len(s[1]) for s in rows[i]), default=0)
+        partial = [((), (1 << n) - 1)]
+        for i, row in enumerate(rows):
+            partial = [
+                (parts + (s,), common & mask)
+                for parts, common in partial
+                for s, (mask, _) in row.items()
+                if (common & mask).bit_count() <= room[i + 1]
+            ]
+        for parts, common in partial:
+            if common:
                 continue
-            top = None
-            for i in range(n - 1, -1, -1):
-                if deg_fn(n - 1, face_fn(n, e, i), i) == e:
-                    top = i
-                    break
-            if top is None:
-                cores[name(e)] = n
-                express[(n, e)] = (name(e), ())
-            else:
-                c, w = express[(n - 1, face_fn(n, e, top))]
-                if w and top <= w[0]:
-                    raise AssertionError("degeneracy word is not decreasing")
-                express[(n, e)] = (c, (top,) + w)
-    for n in range(1, n_max + 1):
-        for e in elems_by_dim[n]:
-            if express[(n, e)][1]:
-                continue
-            c = name(e)
-            faces[c] = tuple(express[(n - 1, face_fn(n, e, i))] for i in range(n + 1))
-    space = FiniteSimplicialSet(cores, faces, n_max)
-    return space, express
+            cores[parts] = n
+            if n:
+                # zip turns the factors' face lists into the product's faces
+                faces[parts] = tuple(map(_canonical, zip(*(row[s][1] for row, s in zip(rows, parts)))))
+    return FiniteSimplicialSet(cores, faces, n_max)
 
 
 def product_space(X: FiniteSimplicialSet, Y: FiniteSimplicialSet, n_max: int | None = None):
@@ -202,18 +254,13 @@ def product_space(X: FiniteSimplicialSet, Y: FiniteSimplicialSet, n_max: int | N
         n_max = min(X.n_max, Y.n_max)
     if n_max > min(X.n_max, Y.n_max):
         raise PreconditionFailed("product truncation exceeds a factor truncation")
-    elems = [
-        [(s, t) for s in X.simplices(n) for t in Y.simplices(n)]
-        for n in range(n_max + 1)
-    ]
 
-    def face_fn(n, e, i):
-        return (X.face(e[0], i), Y.face(e[1], i))
+    def keys():
+        for n in range(n_max + 1):
+            for pair in product(X.simplices(n), Y.simplices(n)):
+                yield (n, pair)
 
-    def deg_fn(n, e, i):
-        return (X.degenerate(e[0], i), Y.degenerate(e[1], i))
-
-    return _from_operators(elems, face_fn, deg_fn, n_max)
+    return _product((X, Y), n_max), _Express(keys, lambda key: _canonical(key[1]))
 
 
 class _UnionFind:
@@ -240,68 +287,72 @@ class _UnionFind:
 
 
 def colimit_space(P: PointedPoset, spaces: dict, maps: dict, n_max: int):
-    """Coequalize the spaces along the cover maps, dimension by dimension.
+    """Coequalize the spaces along the cover maps.
 
     ``maps`` sends each cover (x, y) to a SimplicialMap spaces[x] ->
-    spaces[y].  Returns (space, express) with express keyed by
-    (dim, (object, simplex)).
+    spaces[y].  Each must send cores to pairwise distinct cores, which makes
+    it injective; otherwise PreconditionFailed.  Along injective maps a
+    class of simplices is nondegenerate exactly when its members are, so
+    the union-find runs over the cores (x, (c, ())) only, and each class is
+    named by its str-least member.  Returns (space, lookup) with lookup
+    keyed by (dim, (object, simplex)).
     """
-    uf = _UnionFind()
-    for n in range(n_max + 1):
-        for x in sorted(P.objects, key=str):
-            for s in spaces[x].simplices(n):
-                uf.find((x, s))
     for (x, y), f in maps.items():
+        images = [f.on_cores[c] for c in spaces[x].cores]
+        if any(word or img not in spaces[y].cores for img, word in images) or len(set(images)) != len(images):
+            raise PreconditionFailed(f"the map over {x!r} < {y!r} does not send cores to distinct cores")
+    uf = _UnionFind()
+    for (x, y), f in maps.items():
+        for c in spaces[x].cores:
+            uf.union((x, (c, ())), (y, f.on_cores[c]))
+    rep = {(x, c): uf.find((x, (c, ()))) for x in P.objects for c in spaces[x].cores}
+    cores, faces = {}, {}
+    for (x, c), r in rep.items():
+        d = spaces[x].cores[c]
+        if r == (x, (c, ())) and d <= n_max:
+            cores[r] = d
+            if d:
+                faces[r] = tuple((rep[(x, f)], w) for f, w in spaces[x].core_faces[c])
+
+    def keys():
         for n in range(n_max + 1):
-            for s in spaces[x].simplices(n):
-                uf.union((x, s), (y, f.apply(s)))
+            for x in P.objects:
+                for s in spaces[x].simplices(n):
+                    yield (n, (x, s))
 
-    classes_by_dim = []
-    for n in range(n_max + 1):
-        reps = set()
-        for x in P.objects:
-            for s in spaces[x].simplices(n):
-                reps.add(uf.find((x, s)))
-        classes_by_dim.append(sorted(reps, key=str))
+    def value(key):
+        _, (x, (c, word)) = key
+        return (rep[(x, c)], word)
 
-    def face_fn(n, rep, i):
-        x, s = rep
-        return uf.find((x, spaces[x].face(s, i)))
-
-    def deg_fn(n, rep, i):
-        x, s = rep
-        return uf.find((x, spaces[x].degenerate(s, i)))
-
-    space, express = _from_operators(classes_by_dim, face_fn, deg_fn, n_max)
-    lookup = {
-        (n, (x, s)): express[(n, uf.find((x, s)))]
-        for n in range(n_max + 1)
-        for x in P.objects
-        for s in spaces[x].simplices(n)
-    }
-    return space, lookup
-
-
-def _transport(P: PointedPoset, maps: dict, x, y, simp):
-    """Push a simplex of spaces[x] up to spaces[y] along a fixed cover path."""
-    if x == y:
-        return simp
-    up = {}
-    for a, b in P.covers:
-        up.setdefault(a, []).append(b)
-    cur, s = x, simp
-    while cur != y:
-        nxt = min((b for b in up.get(cur, ()) if P.leq(b, y)), key=str)
-        s = maps[(cur, nxt)].apply(s)
-        cur = nxt
-    return s
+    return FiniteSimplicialSet(cores, faces, n_max), _Express(keys, value)
 
 
 def hocolim_space(P: PointedPoset, spaces: dict, maps: dict, n_max: int):
     """Diagonal of the simplicial replacement: an n-simplex is a weakly
     increasing chain of n+1 objects plus an n-simplex of the space at the
-    chain's first object; the zeroth face pushes along the first hop."""
+    chain's first object; the zeroth face pushes along the first hop.  It
+    is degenerate at i exactly when the chain repeats there and i is in the
+    simplex's word, so each chain pairs with the simplices whose words
+    avoid its repeats.  Returns (space, express) with express keyed by
+    (dim, (chain, simplex))."""
     objs = sorted(P.objects, key=str)
+    up = {}
+    for a, b in P.covers:
+        up.setdefault(a, []).append(b)
+    # the path from x up to y takes the str-least cover still below y
+    hop = {(x, y): min((b for b in up[x] if P.leq(b, y)), key=str)
+           for x in objs for y in P.up_set(x) if y != x}
+
+    def face(c, simp, i):
+        if i:
+            return _canonical_chain(c[:i] + c[i + 1:], spaces[c[0]].face(simp, i))
+        x, y = c[0], c[1]
+        while x != y:
+            nxt = hop[(x, y)]
+            simp = maps[(x, nxt)].apply(simp)
+            x = nxt
+        return _canonical_chain(c[1:], spaces[y].face(simp, 0))
+
     chains = [[(x,) for x in objs]]
     for n in range(1, n_max + 1):
         longer = []
@@ -310,25 +361,26 @@ def hocolim_space(P: PointedPoset, spaces: dict, maps: dict, n_max: int):
                 if P.leq(c[-1], x):
                     longer.append(c + (x,))
         chains.append(longer)
-    elems = [
-        [(c, s) for c in chains[n] for s in spaces[c[0]].simplices(n)]
-        for n in range(n_max + 1)
-    ]
+    cores, faces = {}, {}
+    for n, level in enumerate(chains):
+        for c in level:
+            free = [i for i in range(n - 1, -1, -1) if c[i] != c[i + 1]]
+            for core, m in spaces[c[0]].cores.items():
+                if m > n:
+                    continue
+                for word in combinations(free, n - m):
+                    simp = (c, (core, word))
+                    cores[simp] = n
+                    if n:
+                        faces[simp] = tuple(face(c, simp[1], i) for i in range(n + 1))
 
-    def face_fn(n, e, i):
-        c, s = e
-        cc = c[:i] + c[i + 1:]
-        if i == 0:
-            moved = _transport(P, maps, c[0], c[1], s)
-            return (cc, spaces[c[1]].face(moved, 0))
-        return (cc, spaces[c[0]].face(s, i))
+    def keys():
+        for n, level in enumerate(chains):
+            for c in level:
+                for s in spaces[c[0]].simplices(n):
+                    yield (n, (c, s))
 
-    def deg_fn(n, e, i):
-        c, s = e
-        cc = c[:i + 1] + c[i:]
-        return (cc, spaces[c[0]].degenerate(s, i))
-
-    return _from_operators(elems, face_fn, deg_fn, n_max)
+    return FiniteSimplicialSet(cores, faces, n_max), _Express(keys, lambda key: _canonical_chain(*key[1]))
 
 
 # -- homology -------------------------------------------------------------
@@ -343,8 +395,7 @@ def boundary_matrices(X: FiniteSimplicialSet, upto: int, field: FieldSpec = QQ):
         idx = {c: k for k, c in enumerate(bases[n - 1])}
         rows = [[field.zero()] * len(bases[n]) for _ in range(len(bases[n - 1]))]
         for col, c in enumerate(bases[n]):
-            for i in range(n + 1):
-                f_core, f_word = X.face((c, ()), i)
+            for i, (f_core, f_word) in enumerate(X.core_faces[c]):
                 if f_word:
                     continue
                 r = idx[f_core]
@@ -439,33 +490,6 @@ def pair_spaces(name: str, n_max: int):
 PAIR_NAMES = ("circle-point", "disk2-circle", "interval-endpoints", "point-point")
 
 
-def _fold_products(factors, n_max: int):
-    """Left fold of product_space over a list of spaces.
-
-    Returns (space, locate) where locate maps a tuple of factor simplices
-    and a dimension to the folded simplex.
-    """
-    if not factors:
-        space = point_space(n_max)
-        return space, lambda n, parts: ("v", tuple(range(n - 1, -1, -1)))
-    if len(factors) == 1:
-        X = factors[0]
-        return X, lambda n, parts: parts[0]
-    acc, acc_express = product_space(factors[0], factors[1], n_max)
-    folds = [acc_express]
-    for nxt in factors[2:]:
-        acc, ex = product_space(acc, nxt, n_max)
-        folds.append(ex)
-
-    def locate(n, parts):
-        cur = folds[0][(n, (parts[0], parts[1]))]
-        for ex, part in zip(folds[1:], parts[2:]):
-            cur = ex[(n, (cur, part))]
-        return cur
-
-    return acc, locate
-
-
 def polyhedral_product_space(
     P: PointedPoset,
     pair: str | tuple,
@@ -478,7 +502,8 @@ def polyhedral_product_space(
     Each object x carries the product over all vertices, with the big space
     on the vertices below x and the small one elsewhere; cover maps include
     the small factor into the big one.  ``vertex_order`` fixes the factor
-    order; any permutation gives an isomorphic space.
+    order; any permutation gives an isomorphic space.  The colimit needs an
+    injective inclusion (see ``colimit_space``).
     """
     if isinstance(pair, str):
         X, A, inc = pair_spaces(pair, n_max)
@@ -491,58 +516,26 @@ def polyhedral_product_space(
         if set(verts) != set(P.vertices) or len(verts) != len(P.vertices):
             raise PreconditionFailed("vertex_order must permute the vertices")
     spaces = {}
-    locates = {}
     for x in sorted(P.objects, key=str):
         vx = P.vertex_set(x)
-        factors = [X if v in vx else A for v in verts]
-        spaces[x], locates[x] = _fold_products(factors, n_max)
+        spaces[x] = _product([X if v in vx else A for v in verts], n_max)
     maps = {}
-    idX = SimplicialMap.identity(X)
-    idA = SimplicialMap.identity(A)
     for x, y in P.covers:
         vx, vy = P.vertex_set(x), P.vertex_set(y)
-        fs = [idX if v in vx else (inc if v in vy else idA) for v in verts]
-        src, tgt = spaces[x], spaces[y]
-        loc = locates[y]
+        # factors whose vertex joins V(y) go through the inclusion; the rest stay put
+        grown = [k for k, v in enumerate(verts) if v in vy and v not in vx]
         on_cores = {}
-        for c, d in src.cores.items():
-            parts = _unfold_simplex((c, ()), len(verts))
-            imgs = [f.apply(p) for f, p in zip(fs, parts)]
-            on_cores[c] = loc(d, imgs)
-        maps[(x, y)] = SimplicialMap(src, tgt, on_cores, check=False)
+        for parts in spaces[x].cores:
+            img = list(parts)
+            for k in grown:
+                img[k] = inc.apply(parts[k])
+            on_cores[parts] = _canonical(tuple(img))
+        maps[(x, y)] = SimplicialMap(spaces[x], spaces[y], on_cores, check=False)
     if via == "colim":
         return colimit_space(P, spaces, maps, n_max)
     if via == "hocolim":
         return hocolim_space(P, spaces, maps, n_max)
     raise PreconditionFailed(f"via must be colim or hocolim, not {via!r}")
-
-
-def _unfold_simplex(simp, n_factors: int):
-    """Invert the left fold: a simplex of ((X1 x X2) x ...) x Xk splits into
-    the list of factor simplices.  Degeneracy words act componentwise."""
-    if n_factors <= 1:
-        return [simp]
-    core, word = simp
-    sx, sy = core
-    left = _apply_word(sx, word)
-    right = _apply_word(sy, word)
-    return _unfold_simplex(left, n_factors - 1) + [right]
-
-
-def _apply_word(simp, word):
-    """Apply a degeneracy word to a canonical simplex, re-canonicalizing.
-    Pure index shuffling; needs no face data."""
-    core, w = simp
-    for j in reversed(word):
-        w = _insert_degeneracy(w, j)
-    return (core, w)
-
-
-def _insert_degeneracy(word, i):
-    if not word or i > word[0]:
-        return (i,) + word
-    j = word[0]
-    return (j + 1,) + _insert_degeneracy(word[1:], i)
 
 
 # -- comparison with the cochain side --------------------------------------

@@ -1,0 +1,272 @@
+"""The all-simplices construction of products, colimits and homotopy
+colimits, kept as an independent oracle for ``posetprod.spaces``.
+
+It lists every simplex of every dimension, degenerate ones included, and
+finds the nondegenerate ones by searching for an index i with
+s_i d_i e == e.  Blocks of a polyhedral product are left folds of 2-factor
+products.  This is slow ((n+1)^k simplices of dimension n in a product of k
+circles), so the tests use it on small inputs only.
+"""
+
+from posetprod.errors import PreconditionFailed
+from posetprod.poset import PointedPoset
+from posetprod.spaces import FiniteSimplicialSet, SimplicialMap, _UnionFind, pair_spaces, point_space
+
+
+def _from_operators(elems_by_dim, face_fn, deg_fn, n_max: int, name=lambda e: e):
+    """Assemble a simplicial set out of per-dimension element lists with
+    face/degeneracy callbacks.
+
+    Returns (space, express) where express maps every element to its
+    canonical (core, word) simplex.
+    """
+    express: dict = {}
+    cores: dict = {}
+    faces: dict = {}
+
+    for n in range(n_max + 1):
+        for e in elems_by_dim[n]:
+            if n == 0:
+                express[(0, e)] = (name(e), ())
+                cores[name(e)] = 0
+                continue
+            top = None
+            for i in range(n - 1, -1, -1):
+                if deg_fn(n - 1, face_fn(n, e, i), i) == e:
+                    top = i
+                    break
+            if top is None:
+                cores[name(e)] = n
+                express[(n, e)] = (name(e), ())
+            else:
+                c, w = express[(n - 1, face_fn(n, e, top))]
+                if w and top <= w[0]:
+                    raise AssertionError("degeneracy word is not decreasing")
+                express[(n, e)] = (c, (top,) + w)
+    for n in range(1, n_max + 1):
+        for e in elems_by_dim[n]:
+            if express[(n, e)][1]:
+                continue
+            c = name(e)
+            faces[c] = tuple(express[(n - 1, face_fn(n, e, i))] for i in range(n + 1))
+    space = FiniteSimplicialSet(cores, faces, n_max)
+    return space, express
+
+
+def product_space(X: FiniteSimplicialSet, Y: FiniteSimplicialSet, n_max: int | None = None):
+    """Dimension-wise pairs; returns (space, express) with express keyed by
+    (dim, (simplex of X, simplex of Y))."""
+    if n_max is None:
+        n_max = min(X.n_max, Y.n_max)
+    if n_max > min(X.n_max, Y.n_max):
+        raise PreconditionFailed("product truncation exceeds a factor truncation")
+    elems = [
+        [(s, t) for s in X.simplices(n) for t in Y.simplices(n)]
+        for n in range(n_max + 1)
+    ]
+
+    def face_fn(n, e, i):
+        return (X.face(e[0], i), Y.face(e[1], i))
+
+    def deg_fn(n, e, i):
+        return (X.degenerate(e[0], i), Y.degenerate(e[1], i))
+
+    return _from_operators(elems, face_fn, deg_fn, n_max)
+
+
+def colimit_space(P: PointedPoset, spaces: dict, maps: dict, n_max: int):
+    """Coequalize the spaces along the cover maps, dimension by dimension.
+
+    ``maps`` sends each cover (x, y) to a SimplicialMap spaces[x] ->
+    spaces[y].  Returns (space, express) with express keyed by
+    (dim, (object, simplex)).
+    """
+    uf = _UnionFind()
+    for n in range(n_max + 1):
+        for x in sorted(P.objects, key=str):
+            for s in spaces[x].simplices(n):
+                uf.find((x, s))
+    for (x, y), f in maps.items():
+        for n in range(n_max + 1):
+            for s in spaces[x].simplices(n):
+                uf.union((x, s), (y, f.apply(s)))
+
+    classes_by_dim = []
+    for n in range(n_max + 1):
+        reps = set()
+        for x in P.objects:
+            for s in spaces[x].simplices(n):
+                reps.add(uf.find((x, s)))
+        classes_by_dim.append(sorted(reps, key=str))
+
+    def face_fn(n, rep, i):
+        x, s = rep
+        return uf.find((x, spaces[x].face(s, i)))
+
+    def deg_fn(n, rep, i):
+        x, s = rep
+        return uf.find((x, spaces[x].degenerate(s, i)))
+
+    space, express = _from_operators(classes_by_dim, face_fn, deg_fn, n_max)
+    lookup = {
+        (n, (x, s)): express[(n, uf.find((x, s)))]
+        for n in range(n_max + 1)
+        for x in P.objects
+        for s in spaces[x].simplices(n)
+    }
+    return space, lookup
+
+
+def _transport(P: PointedPoset, maps: dict, x, y, simp):
+    """Push a simplex of spaces[x] up to spaces[y] along a fixed cover path."""
+    if x == y:
+        return simp
+    up = {}
+    for a, b in P.covers:
+        up.setdefault(a, []).append(b)
+    cur, s = x, simp
+    while cur != y:
+        nxt = min((b for b in up.get(cur, ()) if P.leq(b, y)), key=str)
+        s = maps[(cur, nxt)].apply(s)
+        cur = nxt
+    return s
+
+
+def hocolim_space(P: PointedPoset, spaces: dict, maps: dict, n_max: int):
+    """Diagonal of the simplicial replacement: an n-simplex is a weakly
+    increasing chain of n+1 objects plus an n-simplex of the space at the
+    chain's first object; the zeroth face pushes along the first hop."""
+    objs = sorted(P.objects, key=str)
+    chains = [[(x,) for x in objs]]
+    for n in range(1, n_max + 1):
+        longer = []
+        for c in chains[-1]:
+            for x in objs:
+                if P.leq(c[-1], x):
+                    longer.append(c + (x,))
+        chains.append(longer)
+    elems = [
+        [(c, s) for c in chains[n] for s in spaces[c[0]].simplices(n)]
+        for n in range(n_max + 1)
+    ]
+
+    def face_fn(n, e, i):
+        c, s = e
+        cc = c[:i] + c[i + 1:]
+        if i == 0:
+            moved = _transport(P, maps, c[0], c[1], s)
+            return (cc, spaces[c[1]].face(moved, 0))
+        return (cc, spaces[c[0]].face(s, i))
+
+    def deg_fn(n, e, i):
+        c, s = e
+        cc = c[:i + 1] + c[i:]
+        return (cc, spaces[c[0]].degenerate(s, i))
+
+    return _from_operators(elems, face_fn, deg_fn, n_max)
+
+
+def _fold_products(factors, n_max: int):
+    """Left fold of product_space over a list of spaces.
+
+    Returns (space, locate) where locate maps a tuple of factor simplices
+    and a dimension to the folded simplex.
+    """
+    if not factors:
+        space = point_space(n_max)
+        return space, lambda n, parts: ("v", tuple(range(n - 1, -1, -1)))
+    if len(factors) == 1:
+        X = factors[0]
+        return X, lambda n, parts: parts[0]
+    acc, acc_express = product_space(factors[0], factors[1], n_max)
+    folds = [acc_express]
+    for nxt in factors[2:]:
+        acc, ex = product_space(acc, nxt, n_max)
+        folds.append(ex)
+
+    def locate(n, parts):
+        cur = folds[0][(n, (parts[0], parts[1]))]
+        for ex, part in zip(folds[1:], parts[2:]):
+            cur = ex[(n, (cur, part))]
+        return cur
+
+    return acc, locate
+
+
+def polyhedral_product_space(
+    P: PointedPoset,
+    pair: str | tuple,
+    n_max: int,
+    via: str = "colim",
+    vertex_order=None,
+):
+    """The colimit (or homotopy colimit) of the block diagram of a pair.
+
+    Each object x carries the product over all vertices, with the big space
+    on the vertices below x and the small one elsewhere; cover maps include
+    the small factor into the big one.  ``vertex_order`` fixes the factor
+    order; any permutation gives an isomorphic space.
+    """
+    if isinstance(pair, str):
+        X, A, inc = pair_spaces(pair, n_max)
+    else:
+        X, A, inc = pair
+    if vertex_order is None:
+        verts = sorted(P.vertices, key=str)
+    else:
+        verts = list(vertex_order)
+        if set(verts) != set(P.vertices) or len(verts) != len(P.vertices):
+            raise PreconditionFailed("vertex_order must permute the vertices")
+    spaces = {}
+    locates = {}
+    for x in sorted(P.objects, key=str):
+        vx = P.vertex_set(x)
+        factors = [X if v in vx else A for v in verts]
+        spaces[x], locates[x] = _fold_products(factors, n_max)
+    maps = {}
+    idX = SimplicialMap(X, X, {c: (c, ()) for c in X.cores}, check=False)
+    idA = SimplicialMap(A, A, {c: (c, ()) for c in A.cores}, check=False)
+    for x, y in P.covers:
+        vx, vy = P.vertex_set(x), P.vertex_set(y)
+        fs = [idX if v in vx else (inc if v in vy else idA) for v in verts]
+        src, tgt = spaces[x], spaces[y]
+        loc = locates[y]
+        on_cores = {}
+        for c, d in src.cores.items():
+            parts = _unfold_simplex((c, ()), len(verts))
+            imgs = [f.apply(p) for f, p in zip(fs, parts)]
+            on_cores[c] = loc(d, imgs)
+        maps[(x, y)] = SimplicialMap(src, tgt, on_cores, check=False)
+    if via == "colim":
+        return colimit_space(P, spaces, maps, n_max)
+    if via == "hocolim":
+        return hocolim_space(P, spaces, maps, n_max)
+    raise PreconditionFailed(f"via must be colim or hocolim, not {via!r}")
+
+
+def _unfold_simplex(simp, n_factors: int):
+    """Invert the left fold: a simplex of ((X1 x X2) x ...) x Xk splits into
+    the list of factor simplices.  Degeneracy words act componentwise."""
+    if n_factors <= 1:
+        return [simp]
+    core, word = simp
+    sx, sy = core
+    left = _apply_word(sx, word)
+    right = _apply_word(sy, word)
+    return _unfold_simplex(left, n_factors - 1) + [right]
+
+
+def _apply_word(simp, word):
+    """Apply a degeneracy word to a canonical simplex, re-canonicalizing.
+    Pure index shuffling; needs no face data."""
+    core, w = simp
+    for j in reversed(word):
+        w = _insert_degeneracy(w, j)
+    return (core, w)
+
+
+def _insert_degeneracy(word, i):
+    if not word or i > word[0]:
+        return (i,) + word
+    j = word[0]
+    return (j + 1,) + _insert_degeneracy(word[1:], i)

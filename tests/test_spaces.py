@@ -5,6 +5,7 @@ import pytest
 from posetprod.errors import InsufficientTruncation, PreconditionFailed
 from posetprod.fixtures import cube, fix_b, fix_e
 from posetprod.linalg import F2, QQ, FieldSpec
+from posetprod.poset import PointedPoset
 from posetprod.spaces import (
     FiniteSimplicialSet,
     SimplicialMap,
@@ -206,3 +207,32 @@ def test_union_find_handles_long_parent_chains():
     assert uf.find(names[0]) == names[-1]
     assert uf.parent[names[0]] == names[-1]
     assert {uf.find(n) for n in names} == {names[-1]}
+
+
+def test_colimit_refuses_a_collapsing_cover_map():
+    P = PointedPoset(["*", "v"], "*", [("*", "v")])
+    S1 = circle_space(3)
+    collapse = SimplicialMap(S1, S1, {"v": ("v", ()), "e": ("v", (0,))})
+    with pytest.raises(PreconditionFailed):
+        colimit_space(P, {"*": S1, "v": S1}, {("*", "v"): collapse}, 3)
+
+
+def test_colimit_refuses_a_pair_whose_inclusion_is_not_injective():
+    X, A = point_space(3), two_point_space(3)
+    glue = SimplicialMap(A, X, {"a0": ("v", ()), "a1": ("v", ())})
+    with pytest.raises(PreconditionFailed):
+        polyhedral_product_space(fix_e(), (X, A, glue), 3, via="colim")
+    # the homotopy colimit needs no injectivity: cylinders on the four points
+    # of A x A join the two points of each other block into a circle
+    space, _ = polyhedral_product_space(fix_e(), (X, A, glue), 3, via="hocolim")
+    assert homology(space, 2) == (1, 1, 0)
+
+
+def test_product_express_holds_exactly_the_simplex_pairs():
+    S1 = circle_space(3)
+    _, express = product_space(S1, S1, 3)
+    assert len(express) == sum(len(S1.simplices(n)) ** 2 for n in range(4))
+    assert express[(2, (("e", (1,)), ("e", (0,))))] == ((("e", (1,)), ("e", (0,))), ())
+    assert express[(2, (("e", (1,)), ("v", (1, 0))))] == ((("e", ()), ("v", (0,))), (1,))
+    assert (1, (("e", ()), ("v", ()))) not in express
+    assert (2, (("e", (0, 1)), ("v", (1, 0)))) not in express
