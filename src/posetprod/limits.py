@@ -22,6 +22,7 @@ from .linalg import (
     FieldSpec,
     GradedLinearMap,
     GradedVectorSpace,
+    _product,
     mat_zero,
     rank,
 )
@@ -186,23 +187,6 @@ def _weak_chains(objs, leq, n):
     return out
 
 
-def _nonzero_rows(mat):
-    return [[(j, v) for j, v in enumerate(row) if v != 0] for row in mat]
-
-
-def _product_is_zero(b_rows, a_rows, field: FieldSpec) -> bool:
-    """Whether B A vanishes, both given as rows of (column, value) pairs."""
-    zero = field.zero()
-    for brow in b_rows:
-        acc: dict = {}
-        for t, bv in brow:
-            for j, av in a_rows[t]:
-                acc[j] = field.add(acc.get(j, zero), field.mul(bv, av))
-        if any(v != 0 for v in acc.values()):
-            return False
-    return True
-
-
 def cochain_complex(
     diagram: PosetDiagram,
     objects=None,
@@ -216,11 +200,11 @@ def cochain_complex(
     inherited); by default all objects are used.  ``max_n`` caps the levels;
     for strict chains the complex stops by itself at the longest chain.
 
-    Each structure map F(x_1) -> F(x_0) is composed once per pair and kept,
-    as its non-zero entries, for the rest of the call; face deletions write
-    their signed identity diagonals straight into the differential.  With
-    ``check`` the product of consecutive differentials is formed from their
-    non-zero entries and must vanish.
+    Each structure map F(x_1) -> F(x_0) is composed once per pair and kept
+    for the rest of the call, and its non-zero entries are copied into the
+    differential; face deletions write their signed identity diagonals
+    straight into it.  With ``check`` the sparse product of consecutive
+    differentials must vanish.
     """
     P = diagram.poset
     field = diagram.field
@@ -259,15 +243,6 @@ def cochain_complex(
         offsets.append(offs)
 
     composites: dict = {}
-    blocks: dict = {}
-
-    def push_block(x, y):
-        # non-zero entries of F(y) -> F(x), per degree and row
-        if (x, y) not in blocks:
-            f = diagram._composite(x, y, composites)
-            blocks[(x, y)] = [_nonzero_rows(m) for m in f.mats]
-        return blocks[(x, y)]
-
     one = field.one()
     deltas = []
     for n in range(len(levels) - 1):
@@ -282,7 +257,8 @@ def cochain_complex(
                     continue
                 # distinct faces of a weak chain can coincide, hence field.add
                 if k == 0:
-                    for d, nz_rows in enumerate(push_block(c[0], c[1])):
+                    f = diagram._composite(c[0], c[1], composites)
+                    for d, nz_rows in enumerate(f.nonzero_rows):
                         m, r0, c0 = mats[d], roffs[d], coffs[d]
                         for i, nz in enumerate(nz_rows):
                             row = m[r0 + i]
@@ -298,9 +274,8 @@ def cochain_complex(
         deltas.append(GradedLinearMap(src, tgt, mats))
 
     if check:
-        sparse = [[_nonzero_rows(m) for m in dl.mats] for dl in deltas]
-        for a, b in zip(sparse, sparse[1:]):
-            if not all(_product_is_zero(bd, ad, field) for ad, bd in zip(a, b)):
+        for a, b in zip(deltas, deltas[1:]):
+            if any(any(_product(bd, ad, field)) for ad, bd in zip(a.nonzero_rows, b.nonzero_rows)):
                 raise AssertionError("differential does not square to zero")
     return CochainComplex(levels, spaces, deltas)
 

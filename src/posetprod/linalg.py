@@ -5,6 +5,12 @@ degree-preserving and stored as one dense matrix per degree (rows index the
 target basis).  All arithmetic is exact: Fraction entries over Q, canonical
 representatives 0..p-1 over F_p.
 
+Each map also derives, once, the non-zero (column, value) pairs of every
+row (``GradedLinearMap.nonzero_rows``).  One sparse product on such rows,
+``_product``, serves composition and the d^2 = 0 check of cochain
+complexes, and a tensor of maps takes each row as the product of its
+factors' rows over one enumeration of the tensor basis (``_tensor_basis``).
+
 Rank, kernel bases and linear solves all go through one sparse elimination,
 ``_echelon``: it keeps only the non-zero entries of each row, pivots on the
 leading column with monic pivot rows, and back-substitutes to the reduced
@@ -16,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from functools import cached_property
+from itertools import compress, count, product
+from math import prod
 
 from .errors import MixedFields, MixedTruncation
 
@@ -92,22 +100,8 @@ class FieldSpec:
     def add(self, a, b):
         return a + b if self.kind == "Q" else (a + b) % self.p
 
-    def sub(self, a, b):
-        return a - b if self.kind == "Q" else (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.kind == "Q" else (a * b) % self.p
-
     def neg(self, a):
         return -a if self.kind == "Q" else (-a) % self.p
-
-    def inv(self, a):
-        if self.kind == "Q":
-            return Fraction(1) / a
-        return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
 
 QQ = FieldSpec.Q()
@@ -129,55 +123,6 @@ def mat_id(n: int, field: FieldSpec):
     return m
 
 
-def mat_mul(A, B, field: FieldSpec):
-    n, k = len(A), len(B)
-    m = len(B[0]) if B else 0
-    if A and len(A[0]) != k:
-        raise ValueError(f"shape mismatch {len(A)}x{len(A[0])} @ {k}x{m}")
-    out = mat_zero(n, m, field)
-    for i in range(n):
-        Ai = A[i]
-        oi = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if a == 0:
-                continue
-            Bt = B[t]
-            for j in range(m):
-                b = Bt[j]
-                if b != 0:
-                    oi[j] = field.add(oi[j], field.mul(a, b))
-    return out
-
-
-def mat_add(A, B, field: FieldSpec):
-    return [[field.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_sub(A, B, field: FieldSpec):
-    return [[field.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def kron(A, B, field: FieldSpec):
-    """Kronecker product; row/column order is (row_A, row_B) lexicographic."""
-    na, nb = len(A), len(B)
-    ma = len(A[0]) if A else 0
-    mb = len(B[0]) if B else 0
-    out = mat_zero(na * nb, ma * mb, field)
-    for i in range(na):
-        for t in range(nb):
-            row = out[i * nb + t]
-            for j in range(ma):
-                a = A[i][j]
-                if a == 0:
-                    continue
-                for s in range(mb):
-                    b = B[t][s]
-                    if b != 0:
-                        row[j * mb + s] = field.mul(a, b)
-    return out
-
-
 def _subtract(r: dict, f, piv: dict, p):
     """r -= f * piv in place on dict rows, dropping entries that vanish."""
     for k, v in piv.items():
@@ -188,6 +133,22 @@ def _subtract(r: dict, f, piv: dict, p):
             r[k] = nv
         else:
             del r[k]
+
+
+def _product(a_rows, b_rows, field: FieldSpec) -> list[dict]:
+    """The rows of A B as {column: value} without zeros, from the rows of A
+    and of B given as their non-zero (column, value) pairs."""
+    p = field.p
+    out = []
+    for a_row in a_rows:
+        acc: dict = {}
+        for t, a in a_row:
+            for j, b in b_rows[t]:
+                acc[j] = acc.get(j, 0) + a * b
+        if p is not None:
+            acc = {j: v % p for j, v in acc.items()}
+        out.append({j: v for j, v in acc.items() if v})
+    return out
 
 
 def _echelon(rows, ncols: int, field: FieldSpec, reduced: bool = False) -> dict:
@@ -307,9 +268,6 @@ class GradedVectorSpace:
     def zero_space(cls, field: FieldSpec, D: int) -> "GradedVectorSpace":
         return cls(field, (0,) * (D + 1), ((),) * (D + 1))
 
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
     def __eq__(self, other):
         if not isinstance(other, GradedVectorSpace):
             return NotImplemented
@@ -328,7 +286,8 @@ def _check_pair(a: "GradedVectorSpace", b: "GradedVectorSpace"):
 
 class GradedLinearMap:
     """Degree-preserving linear map; ``mats[d]`` has shape
-    (target.dims[d], source.dims[d])."""
+    (target.dims[d], source.dims[d]).  ``nonzero_rows`` is derived from
+    ``mats`` on first use, so a map is not mutated after it is built."""
 
     def __init__(self, source: GradedVectorSpace, target: GradedVectorSpace, mats):
         _check_pair(source, target)
@@ -357,33 +316,29 @@ class GradedLinearMap:
             [mat_zero(target.dims[d], source.dims[d], source.field) for d in range(len(source.dims))],
         )
 
+    @cached_property
+    def nonzero_rows(self) -> list:
+        """Per degree, the non-zero (column, value) pairs of each row."""
+        return [[list(zip(compress(count(), row), filter(None, row))) for row in m] for m in self.mats]
+
     def compose(self, other: "GradedLinearMap") -> "GradedLinearMap":
         """self after other."""
         if other.target.dims != self.source.dims:
             raise ValueError("composition shape mismatch")
         _check_pair(self.source, other.source)
-        mats = [mat_mul(a, b, self.field) for a, b in zip(self.mats, other.mats)]
+        mats = []
+        for n, a, b in zip(other.source.dims, self.nonzero_rows, other.nonzero_rows):
+            m = mat_zero(len(a), n, self.field)
+            for row, r in zip(m, _product(a, b, self.field)):
+                for j, v in r.items():
+                    row[j] = v
+            mats.append(m)
         return GradedLinearMap(other.source, self.target, mats)
-
-    def add(self, other: "GradedLinearMap") -> "GradedLinearMap":
-        return GradedLinearMap(
-            self.source, self.target,
-            [mat_add(a, b, self.field) for a, b in zip(self.mats, other.mats)],
-        )
-
-    def sub(self, other: "GradedLinearMap") -> "GradedLinearMap":
-        return GradedLinearMap(
-            self.source, self.target,
-            [mat_sub(a, b, self.field) for a, b in zip(self.mats, other.mats)],
-        )
-
-    def is_zero(self) -> bool:
-        return all(all(all(x == 0 for x in row) for row in m) for m in self.mats)
 
     def is_identity(self) -> bool:
         if self.source.dims != self.target.dims:
             return False
-        return all(m == mat_id(n, self.field) for m, n in zip(self.mats, self.source.dims))
+        return all(r == [(i, 1)] for m in self.nonzero_rows for i, r in enumerate(m))
 
     def __eq__(self, other):
         if not isinstance(other, GradedLinearMap):
@@ -407,68 +362,60 @@ class GradedLinearMap:
         return f"GradedLinearMap({self.source.dims} -> {self.target.dims})"
 
 
-def tensor_collection(spaces: list[GradedVectorSpace]) -> GradedVectorSpace:
-    """Tensor product in the given order; degree-d basis enumerates the
-    splittings (i, d-i) with the left factor's degree ascending, labels are
-    concatenated tuples."""
+def _tensor_basis(spaces: list[GradedVectorSpace]):
+    """The tensor product of the spaces in the given order, and its basis:
+    per degree, tuples of (factor degree, factor index), one per factor.
+
+    The order is that of the left fold: the degree-d basis of (A B) C lists
+    the degree-e basis of A B times the degree-(d-e) basis of C, for e
+    ascending.  Labels are the concatenated factor labels.
+    """
     if not spaces:
         raise ValueError("tensor of an empty list: pass [GradedVectorSpace.unit(...)]")
-    acc = spaces[0]
+    first = spaces[0]
     for s in spaces[1:]:
-        _check_pair(acc, s)
-        D = acc.truncation
-        dims = []
-        labels = []
-        for d in range(D + 1):
-            ls = []
-            for i in range(d + 1):
-                for la in acc.labels[i]:
-                    for lb in s.labels[d - i]:
-                        ls.append(la + lb)
-            labels.append(tuple(ls))
-            dims.append(len(ls))
-        acc = GradedVectorSpace(acc.field, dims, labels)
-    return acc
+        _check_pair(first, s)
+    D = first.truncation
+    # (basis tuple, label) pairs per degree
+    acc = [[(((d, i),), l) for i, l in enumerate(ls)] for d, ls in enumerate(first.labels)]
+    for s in spaces[1:]:
+        acc = [
+            [
+                (b + ((d - e, j),), l + m)
+                for e in range(d + 1)
+                for b, l in acc[e]
+                for j, m in enumerate(s.labels[d - e])
+            ]
+            for d in range(D + 1)
+        ]
+    space = GradedVectorSpace(first.field, [len(bs) for bs in acc], [[l for _, l in bs] for bs in acc])
+    return space, [[b for b, _ in bs] for bs in acc]
+
+
+def tensor_collection(spaces: list[GradedVectorSpace]) -> GradedVectorSpace:
+    """Tensor product in the given order, with the basis of ``_tensor_basis``."""
+    return _tensor_basis(spaces)[0]
 
 
 def tensor_maps(maps: list[GradedLinearMap]) -> GradedLinearMap:
-    """Tensor product of maps, consistent with tensor_collection ordering."""
+    """Tensor product of maps, in the bases of ``tensor_collection``: the row
+    of a basis tuple is the product of its factors' rows."""
     if not maps:
         raise ValueError("tensor of an empty list of maps")
-    acc = maps[0]
-    src = tensor_collection([m.source for m in maps])
-    tgt = tensor_collection([m.target for m in maps])
-    for nxt in maps[1:]:
-        field = acc.field
-        D = acc.source.truncation
-        s_acc, s_nxt = acc.source, nxt.source
-        t_acc, t_nxt = acc.target, nxt.target
-        new_src = tensor_collection([s_acc, s_nxt])
-        new_tgt = tensor_collection([t_acc, t_nxt])
-        mats = []
-        for d in range(D + 1):
-            m = mat_zero(new_tgt.dims[d], new_src.dims[d], field)
-            # block-diagonal over the degree splitting, kron within a block
-            roff = 0
-            blocks_t = {}
-            for i in range(d + 1):
-                blocks_t[i] = roff
-                roff += t_acc.dims[i] * t_nxt.dims[d - i]
-            coff = 0
-            for i in range(d + 1):
-                A = acc.mats[i]
-                B = nxt.mats[d - i]
-                blk = kron(A, B, field)
-                r0 = blocks_t[i]
-                for r, row in enumerate(blk):
-                    for c, x in enumerate(row):
-                        if x != 0:
-                            m[r0 + r][coff + c] = x
-                coff += s_acc.dims[i] * s_nxt.dims[d - i]
-            mats.append(m)
-        acc = GradedLinearMap(new_src, new_tgt, mats)
-    # rebuild against the canonical fold to keep labels
-    return GradedLinearMap(src, tgt, acc.mats)
+    src, src_basis = _tensor_basis([f.source for f in maps])
+    tgt, tgt_basis = _tensor_basis([f.target for f in maps])
+    mats = []
+    for rows, cols in zip(tgt_basis, src_basis):
+        index = {b: k for k, b in enumerate(cols)}
+        m = mat_zero(len(rows), len(cols), src.field)
+        for row, b in zip(m, rows):
+            # most factors are identities, so units are skipped rather than
+            # multiplied; the constructor makes each product a field element
+            for parts in product(*[f.nonzero_rows[e][i] for f, (e, i) in zip(maps, b)]):
+                col = index[tuple((e, j) for (e, _), (j, _) in zip(b, parts))]
+                row[col] = prod(v for _, v in parts if v != 1)
+        mats.append(m)
+    return GradedLinearMap(src, tgt, mats)
 
 
 def truncated_polynomial(name: str, gen_degree: int, D: int, field: FieldSpec = QQ):

@@ -106,28 +106,35 @@ def _vertex_order(P: PointedPoset, collection: MorphismCollection, vertex_order=
     return order
 
 
+def _cover_tensor(
+    P: PointedPoset, collection: MorphismCollection, order, x, y, grown: dict
+) -> GradedLinearMap:
+    """The tensor over the vertices in ``order`` of the identity on V(x),
+    ``grown[v]`` on V(y) minus V(x), and the identity elsewhere."""
+    vx, vy = P.vertex_set(x), P.vertex_set(y)
+    factors = []
+    for v in order:
+        if v in vx:
+            factors.append(GradedLinearMap.identity(collection.source(v)))
+        elif v in vy:
+            factors.append(grown[v])
+        else:
+            factors.append(GradedLinearMap.identity(collection.target(v)))
+    if not factors:
+        return GradedLinearMap.identity(GradedVectorSpace.unit(collection.field, collection.truncation))
+    return tensor_maps(factors)
+
+
 def build_T(P: PointedPoset, collection: MorphismCollection, vertex_order=None) -> PosetDiagram:
     """The tensor diagram of the collection over the poset."""
     order = _vertex_order(P, collection, vertex_order)
-    field, D = collection.field, collection.truncation
-    unit = GradedVectorSpace.unit(field, D)
+    unit = GradedVectorSpace.unit(collection.field, collection.truncation)
     spaces = {}
     for x in P.objects:
         vx = P.vertex_set(x)
         factors = [collection.source(v) if v in vx else collection.target(v) for v in order]
         spaces[x] = tensor_collection(factors) if factors else unit
-    cover_maps = {}
-    for x, y in P.covers:
-        vx, vy = P.vertex_set(x), P.vertex_set(y)
-        factor_maps = []
-        for v in order:
-            if v in vx:
-                factor_maps.append(GradedLinearMap.identity(collection.source(v)))
-            elif v in vy:
-                factor_maps.append(collection.maps[v])
-            else:
-                factor_maps.append(GradedLinearMap.identity(collection.target(v)))
-        cover_maps[(x, y)] = tensor_maps(factor_maps) if factor_maps else GradedLinearMap.identity(unit)
+    cover_maps = {(x, y): _cover_tensor(P, collection, order, x, y, collection.maps) for x, y in P.covers}
     return PosetDiagram(P, spaces, cover_maps)
 
 
@@ -149,16 +156,7 @@ def build_section_S(
     sv = collection.section_maps(sections)
     out = {}
     for x, y in P.covers:
-        vx, vy = P.vertex_set(x), P.vertex_set(y)
-        factor_maps = []
-        for v in order:
-            if v in vx:
-                factor_maps.append(GradedLinearMap.identity(collection.source(v)))
-            elif v in vy:
-                factor_maps.append(sv[v])
-            else:
-                factor_maps.append(GradedLinearMap.identity(collection.target(v)))
-        up = tensor_maps(factor_maps) if factor_maps else GradedLinearMap.identity(diagram.spaces[x])
+        up = _cover_tensor(P, collection, order, x, y, sv)
         if not diagram.cover_maps[(x, y)].compose(up).is_identity():
             raise AssertionError(f"section on cover ({x}, {y}) fails to split the structure map")
         out[(x, y)] = up

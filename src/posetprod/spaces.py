@@ -424,35 +424,34 @@ def homology(X: FiniteSimplicialSet, upto: int, field: FieldSpec = QQ):
 # -- model spaces and pairs ------------------------------------------------
 
 
+def _model_space(cores: dict, faces: dict, n_max: int) -> FiniteSimplicialSet:
+    """The cores of dimension at most n_max, marked complete only when none
+    was dropped."""
+    kept = {c: d for c, d in cores.items() if d <= n_max}
+    return FiniteSimplicialSet(
+        kept, {c: fs for c, fs in faces.items() if c in kept}, n_max, complete=len(kept) == len(cores)
+    )
+
+
 def point_space(n_max: int) -> FiniteSimplicialSet:
-    return FiniteSimplicialSet({"v": 0}, {}, n_max, complete=True)
+    return _model_space({"v": 0}, {}, n_max)
 
 
 def circle_space(n_max: int) -> FiniteSimplicialSet:
-    return FiniteSimplicialSet(
-        {"v": 0, "e": 1},
-        {"e": (("v", ()), ("v", ()))},
-        n_max,
-        complete=True,
-    )
+    return _model_space({"v": 0, "e": 1}, {"e": (("v", ()), ("v", ()))}, n_max)
 
 
 def two_point_space(n_max: int) -> FiniteSimplicialSet:
-    return FiniteSimplicialSet({"a0": 0, "a1": 0}, {}, n_max, complete=True)
+    return _model_space({"a0": 0, "a1": 0}, {}, n_max)
 
 
 def interval_space(n_max: int) -> FiniteSimplicialSet:
-    return FiniteSimplicialSet(
-        {"v0": 0, "v1": 0, "e01": 1},
-        {"e01": (("v1", ()), ("v0", ()))},
-        n_max,
-        complete=True,
-    )
+    return _model_space({"v0": 0, "v1": 0, "e01": 1}, {"e01": (("v1", ()), ("v0", ()))}, n_max)
 
 
 def disk_space(n_max: int) -> FiniteSimplicialSet:
     """Cone on the one-core circle: contractible with the circle inside."""
-    return FiniteSimplicialSet(
+    return _model_space(
         {"v": 0, "c": 0, "e": 1, "f": 1, "T": 2},
         {
             "e": (("v", ()), ("v", ())),
@@ -460,7 +459,6 @@ def disk_space(n_max: int) -> FiniteSimplicialSet:
             "T": (("f", ()), ("f", ()), ("e", ())),
         },
         n_max,
-        complete=True,
     )
 
 

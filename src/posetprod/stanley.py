@@ -307,7 +307,6 @@ def presentation_report(
     D: int = 4,
     scale: int = 1,
     bound: int = 3,
-    auto_raise: bool = True,
     field: FieldSpec = QQ,
 ) -> dict:
     """Quotient dimensions against the limit dimensions, with honest
@@ -327,7 +326,7 @@ def presentation_report(
         pres = ideal_generators(P, scale=scale, bound=b)
         qdims = quotient_dims(pres, D, field=field)
         agree = qdims == limit_dims
-        if agree or not auto_raise or b >= n_gens:
+        if agree or b >= n_gens:
             break
         b += 1
     return {

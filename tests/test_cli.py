@@ -127,6 +127,15 @@ def test_homology_subcommand(capsys):
     assert rep["results"]["homology"] == [1, 0, 0, 1]
 
 
+@pytest.mark.parametrize("via", ["colim", "hocolim"])
+def test_homology_below_the_top_core_of_a_model_space(capsys, via):
+    code, rep = run(capsys, "homology", "fix-e", "--pair", "disk2-circle",
+                    "--max-dim", "0", "--via", via)
+    assert code == 0
+    assert rep["results"]["homology"] == [1]
+    assert rep["results"]["agree"]
+
+
 def test_suite_runs_cross_checks(capsys):
     code, rep = run(capsys, "suite", "fix-c", "--max-degree", "3")
     assert code == 0

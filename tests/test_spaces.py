@@ -197,6 +197,17 @@ def test_insufficient_truncation_on_colimits():
         homology(space, 2)
 
 
+def test_model_spaces_cut_below_their_top_core_are_incomplete():
+    D1 = disk_space(1)
+    assert set(D1.cores) == {"v", "c", "e", "f"} and not D1.complete
+    # the 1-skeleton has H_1 = 1, so degree 1 must be refused, not answered
+    with pytest.raises(InsufficientTruncation):
+        homology(D1, 1)
+    assert homology(D1, 0) == (1,)
+    assert disk_space(2).complete and circle_space(1).complete
+    assert not circle_space(0).complete
+
+
 def test_union_find_handles_long_parent_chains():
     uf = _UnionFind()
     # names sort downwards, so each union hangs the old root below the new one
