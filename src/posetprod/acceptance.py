@@ -70,12 +70,12 @@ def criterion_1() -> CriterionResult:
 
     def check():
         diagram = PosetDiagram.indicator(fix_a(), ["3", "4"])
-        cc = cochain_complex(diagram)
-        mat = cc.deltas[0].mats[0]
-        r = rank(mat, len(mat[0]) if mat else 0, QQ)
+        delta = cochain_complex(diagram).deltas[0]
+        shape = (delta.target.dims[0], delta.source.dims[0])
+        r = rank(delta.nonzero_rows[0], shape[1], QQ)
         lims = higher_limits(diagram)
         details = {
-            "delta0_shape": (len(mat), len(mat[0]) if mat else 0),
+            "delta0_shape": shape,
             "delta0_rank": r,
             "higher_limits": lims,
         }

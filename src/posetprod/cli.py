@@ -260,6 +260,16 @@ def _cmd_suite(args) -> int:
     return 0 if results["all_checks_pass"] else 1
 
 
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="posetprod",
@@ -289,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("stransform", _cmd_stransform, "simplicial transform with embedding")
 
     p = add("hilbert", _cmd_hilbert, "graded dimensions of the face ring")
-    p.add_argument("--max-degree", type=int, default=4)
+    p.add_argument("--max-degree", type=_non_negative, default=4)
     p.add_argument("--grading", type=int, default=1, help="degree scale per vertex")
     p.add_argument("--field", default="q", help="q or a prime")
     p.add_argument(
@@ -305,19 +315,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("tensor", _cmd_tensor, "higher limits of a tensor-product diagram")
     p.add_argument("--collection", default="aug:1", help="aug[:d] or circle")
-    p.add_argument("--max-degree", type=int, default=4)
+    p.add_argument("--max-degree", type=_non_negative, default=4)
     p.add_argument("--field", default="q")
     p.add_argument("--check-reduction", action="store_true")
 
     p = add("homology", _cmd_homology, "homology of the polyhedral-product space")
     p.add_argument("--pair", choices=list(PAIR_NAMES), default="circle-point")
-    p.add_argument("--max-dim", type=int, default=2)
+    p.add_argument("--max-dim", type=_non_negative, default=2)
     p.add_argument("--via", choices=["colim", "hocolim"], default="colim")
     p.add_argument("--field", default="q")
     p.add_argument("--no-compare", action="store_true", help="skip the higher-limit comparison")
 
     p = add("suite", _cmd_suite, "run every applicable computation with cross-checks")
-    p.add_argument("--max-degree", type=int, default=4)
+    p.add_argument("--max-degree", type=_non_negative, default=4)
     p.add_argument("--field", default="q")
     p.add_argument("--space-limit", type=int, default=12, help="skip homology above this many objects")
 

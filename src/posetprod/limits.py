@@ -299,7 +299,7 @@ def higher_limits(
         want = min(want, max_n + 1)
     ranks = []
     for dl in cx.deltas:
-        ranks.append([rank(dl.mats[d], dl.source.dims[d], diagram.field) for d in range(D + 1)])
+        ranks.append([rank(dl.nonzero_rows[d], dl.source.dims[d], diagram.field) for d in range(D + 1)])
     out = []
     for n in range(want):
         dims = []

@@ -12,10 +12,14 @@ complexes, and a tensor of maps takes each row as the product of its
 factors' rows over one enumeration of the tensor basis (``_tensor_basis``).
 
 Rank, kernel bases and linear solves all go through one sparse elimination,
-``_echelon``: it keeps only the non-zero entries of each row, pivots on the
-leading column with monic pivot rows, and back-substitutes to the reduced
-row echelon form when a kernel or a solution is asked for.  Its inner loop is
-plain Fraction arithmetic over Q and int arithmetic mod p over F_p.
+``_echelon``.  It reads one row format, the one ``nonzero_rows`` produces:
+each row a list of (column, value) pairs with distinct columns.  It pivots
+on the leading column with monic pivot rows, and back-substitutes to the
+reduced row echelon form when a kernel or a solution is asked for.  Its
+inner loop is plain Fraction arithmetic over Q and int arithmetic mod p over
+F_p.  ``rank`` takes such rows and can report its pivot columns, which lets
+a caller clear rows of the next matrix of a complex; ``kernel_basis`` and
+``solve_matrix`` take dense matrices and convert them.
 """
 
 from __future__ import annotations
@@ -151,22 +155,29 @@ def _product(a_rows, b_rows, field: FieldSpec) -> list[dict]:
     return out
 
 
+def _pairs(rows) -> list:
+    """The non-zero (column, value) pairs of each dense row."""
+    return [list(zip(compress(count(), row), filter(None, row))) for row in rows]
+
+
 def _echelon(rows, ncols: int, field: FieldSpec, reduced: bool = False) -> dict:
     """The one elimination routine behind rank, kernel_basis and solve_matrix.
 
-    Reads the dense rows into dicts {column: value}, converting only the
-    non-zero entries, then eliminates column by column: the rows whose
-    leading column is c are reduced by the shortest of them, made monic as
-    the pivot row of c.  Returns {pivot column: pivot row}.  With ``reduced``
-    each pivot column is also cleared from the other pivot rows, which gives
-    the reduced row echelon form; that form is unique, so it does not depend
-    on the choice of pivot rows.
+    Each row is a list of (column, value) pairs with distinct columns below
+    ``ncols``.  The values are converted with ``field.conv`` into dicts
+    {column: value}, dropping those that are zero in the field, then the
+    rows are eliminated column by column: the rows whose leading column is c
+    are reduced by the shortest of them, made monic as the pivot row of c.
+    Returns {pivot column: pivot row}.  With ``reduced`` each pivot column is
+    also cleared from the other pivot rows, which gives the reduced row
+    echelon form; that form is unique, so it does not depend on the choice
+    of pivot rows.
     """
     conv = field.conv
     p = field.p
     heads: dict[int, list[dict]] = {}
     for row in rows:
-        r = {j: v for j in compress(range(ncols), row) if (v := conv(row[j]))}
+        r = {j: v for j, x in row if (v := conv(x))}
         if r:
             heads.setdefault(min(r), []).append(r)
     pivots: dict[int, dict] = {}
@@ -195,14 +206,22 @@ def _echelon(rows, ncols: int, field: FieldSpec, reduced: bool = False) -> dict:
     return pivots
 
 
-def rank(rows, ncols: int, field: FieldSpec) -> int:
-    return len(_echelon(rows, ncols, field))
+def rank(rows, ncols: int, field: FieldSpec, pivots: set | None = None) -> int:
+    """Rank of the matrix whose rows are lists of (column, value) pairs, as
+    ``_echelon`` reads them.  When ``pivots`` is a set, the pivot columns of
+    the row echelon form are added to it: column c is a pivot exactly when
+    some vector of the row space has its first non-zero entry at c."""
+    R = _echelon(rows, ncols, field)
+    if pivots is not None:
+        pivots.update(R)
+    return len(R)
 
 
 def kernel_basis(rows, ncols: int, field: FieldSpec):
-    """Basis of the right kernel as a list of length-ncols vectors, one per
-    free column of the reduced row echelon form, in column order."""
-    R = _echelon(rows, ncols, field, reduced=True)
+    """Basis of the right kernel of a dense matrix as a list of length-ncols
+    vectors, one per free column of the reduced row echelon form, in column
+    order."""
+    R = _echelon(_pairs(rows), ncols, field, reduced=True)
     basis = {j: [field.zero()] * ncols for j in range(ncols) if j not in R}
     for j, v in basis.items():
         v[j] = field.one()
@@ -219,7 +238,7 @@ def solve_matrix(A, B, field: FieldSpec):
     n = len(A)
     m = len(A[0]) if A else 0
     k = len(B[0]) if B else 0
-    aug = [list(A[i]) + list(B[i]) for i in range(n)]
+    aug = _pairs(list(A[i]) + list(B[i]) for i in range(n))
     R = _echelon(aug, m + k, field, reduced=True)
     if any(c >= m for c in R):
         return None
@@ -319,7 +338,7 @@ class GradedLinearMap:
     @cached_property
     def nonzero_rows(self) -> list:
         """Per degree, the non-zero (column, value) pairs of each row."""
-        return [[list(zip(compress(count(), row), filter(None, row))) for row in m] for m in self.mats]
+        return [_pairs(m) for m in self.mats]
 
     def compose(self, other: "GradedLinearMap") -> "GradedLinearMap":
         """self after other."""

@@ -10,7 +10,10 @@ degenerate exactly at the indices that all their words share
 list their cores directly and never enumerate a degenerate simplex.  Spaces
 are truncated: cores live in dimensions up to n_max, and homology above
 n_max - 1 is refused unless the space is marked complete (no cores could
-exist higher up).
+exist higher up).  Homology ranks sparse coboundary rows, one per core,
+level by level from low degree to high; a core that was a pivot column one
+level down has its row cleared (never built), which leaves the rank as it
+is (see ``homology``).
 """
 
 from __future__ import annotations
@@ -386,39 +389,41 @@ def hocolim_space(P: PointedPoset, spaces: dict, maps: dict, n_max: int):
 # -- homology -------------------------------------------------------------
 
 
-def boundary_matrices(X: FiniteSimplicialSet, upto: int, field: FieldSpec = QQ):
-    """Boundary matrices of the normalized chain complex on the cores,
-    degrees 1..upto+1 (clipped at the truncation)."""
-    bases = [X.nondegenerate(n) for n in range(min(upto + 1, X.n_max) + 1)]
-    mats = []
-    for n in range(1, len(bases)):
-        idx = {c: k for k, c in enumerate(bases[n - 1])}
-        rows = [[field.zero()] * len(bases[n]) for _ in range(len(bases[n - 1]))]
-        for col, c in enumerate(bases[n]):
-            for i, (f_core, f_word) in enumerate(X.core_faces[c]):
-                if f_word:
-                    continue
-                r = idx[f_core]
-                rows[r][col] = field.add(rows[r][col], field.conv(-1 if i % 2 else 1))
-        mats.append(rows)
-    return bases, mats
-
-
 def homology(X: FiniteSimplicialSet, upto: int, field: FieldSpec = QQ):
-    """Betti numbers (dimensions over the field) in degrees 0..upto."""
+    """Betti numbers (dimensions over the field) in degrees 0..upto.
+
+    The boundary of the normalized chain complex on the cores is taken one
+    row per (n-1)-core: the signed n-cores it is a face of, its coboundary.
+    The levels are eliminated from low degree to high, and the row of each
+    (n-1)-core that was a pivot column one level down is cleared: never
+    built.  The pivot row r of such a column c combines rows one level
+    down, so its coboundary sum_j r_j row_j vanishes, and every other j in
+    it comes after c; from the last pivot back, each cleared row is thus a
+    combination of kept rows, and the rank is unchanged (the "twist" of
+    Chen and Kerber 2011, "Persistent homology computation with a twist").
+    """
     if not X.complete and upto > X.n_max - 1:
         raise InsufficientTruncation(
             f"degree {upto} needs cores up to dimension {upto + 1}, truncation is {X.n_max}"
         )
-    bases, mats = boundary_matrices(X, upto, field)
-    ranks = [rank(m, len(bases[n + 1]), field) if m else 0 for n, m in enumerate(mats)]
-    out = []
-    for n in range(upto + 1):
-        dim_c = len(bases[n]) if n < len(bases) else 0
-        r_in = ranks[n] if n < len(ranks) else 0
-        r_out = ranks[n - 1] if 1 <= n <= len(ranks) else 0
-        out.append(dim_c - r_in - r_out)
-    return tuple(out)
+    bases = [X.nondegenerate(n) for n in range(min(upto + 1, X.n_max) + 1)]
+    # ranks[n] is the rank of the boundary C_n -> C_(n-1), zero past the top
+    ranks = [0] * (upto + 2)
+    pivots: set = set()
+    for n in range(1, len(bases)):
+        index = {c: k for k, c in enumerate(bases[n - 1])}
+        rows = {k: {} for k in range(len(bases[n - 1])) if k not in pivots}
+        for col, c in enumerate(bases[n]):
+            for i, (f, word) in enumerate(X.core_faces[c]):
+                if not word and (row := rows.get(index[f])) is not None:
+                    row[col] = row.get(col, 0) + (-1 if i % 2 else 1)
+        pivots = set()
+        pairs = [[(j, v) for j, v in row.items() if v] for row in rows.values()]
+        ranks[n] = rank(pairs, len(bases[n]), field, pivots)
+    return tuple(
+        (len(bases[n]) if n < len(bases) else 0) - ranks[n] - ranks[n + 1]
+        for n in range(upto + 1)
+    )
 
 
 # -- model spaces and pairs ------------------------------------------------

@@ -242,12 +242,13 @@ def quotient_dims(pres: RingPresentation, D: int, field: FieldSpec = QQ):
             if e > d:
                 continue
             for m in _monomials_of_degree(gens, pres.degrees, d - e):
-                row = [field.zero()] * len(basis)
+                row: dict = {}
                 for mono, coef in poly.items():
-                    prod = tuple(sorted(mono + m))
-                    row[index[prod]] = field.add(row[index[prod]], field.conv(coef))
-                if any(x != 0 for x in row):
-                    rows.append(row)
+                    j = index[tuple(sorted(mono + m))]
+                    row[j] = field.add(row.get(j, field.zero()), field.conv(coef))
+                pairs = [(j, v) for j, v in row.items() if v]
+                if pairs:
+                    rows.append(pairs)
         r = rank(rows, len(basis), field) if rows else 0
         dims.append(len(basis) - r)
     return tuple(dims)

@@ -157,6 +157,22 @@ def test_error_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["homology", "fix-a", "--max-dim", "-1", "--no-compare"],
+    ["homology", "fix-a", "--max-dim", "-1"],
+    ["tensor", "fix-a", "--max-degree", "-1"],
+    ["hilbert", "fix-b", "--max-degree", "-1"],
+    ["suite", "fix-b", "--max-degree", "-1"],
+])
+def test_negative_degree_flags_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {argv[2]}: must be >= 0, got -1" in captured.err
+
+
 def test_limits_unknown_upset_generator_is_a_typed_refusal(capsys):
     # exit 1 means "a verification came out false"; a bad input is exit 2
     code = main(["limits", "fix-a", "--upset", "zz"])

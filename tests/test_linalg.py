@@ -59,7 +59,7 @@ def test_conv_returns_canonical_elements():
 def test_rref_and_rank_known_matrix():
     # difference matrix of the commuting square; one relation among the rows
     m = [[-1, 0, 1, 0], [-1, 0, 0, 1], [0, -1, 1, 0], [0, -1, 0, 1]]
-    assert rank(m, 4, QQ) == 3
+    assert rank(_pair_rows(m), 4, QQ) == 3
     kb = kernel_basis(m, 4, QQ)
     assert len(kb) == 1
     v = kb[0]
@@ -69,7 +69,7 @@ def test_rref_and_rank_known_matrix():
 
 def test_kernel_of_empty_and_zero():
     assert kernel_basis([], 3, QQ) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert rank([[0, 0]], 2, QQ) == 0
+    assert rank(_pair_rows([[0, 0]]), 2, QQ) == 0
     assert len(kernel_basis([[0, 0]], 2, QQ)) == 2
 
 
@@ -82,6 +82,12 @@ def test_solve_matrix():
     # underdetermined: any solution acceptable
     X = solve_matrix([[1, 1]], [[5]], QQ)
     assert _sympy_product([[1, 1]], X, QQ) == [[5]]
+
+
+def _pair_rows(rows):
+    """A dense matrix in the row format rank reads: (column, value) pairs,
+    zeros included, since rank must drop what is zero in the field."""
+    return [list(enumerate(row)) for row in rows]
 
 
 def _sympy_matrix(rows, ncols: int, field: FieldSpec) -> DomainMatrix:
@@ -144,11 +150,11 @@ def test_rank_agrees_with_sympy_over_q_f2_and_f1009():
         nr = rng.randrange(1, 8)
         nc = rng.randrange(1, 8)
         m = [[rng.randrange(-2, 3) for _ in range(nc)] for _ in range(nr)]
-        r_q = rank(m, nc, QQ)
+        r_q = rank(_pair_rows(m), nc, QQ)
         assert r_q == _sympy_matrix(m, nc, QQ).rank()
         # entries are tiny so no minor can vanish mod a large prime
-        assert rank(m, nc, f1009) == _sympy_matrix(m, nc, f1009).rank() == r_q
-        r2 = rank(m, nc, F2)
+        assert rank(_pair_rows(m), nc, f1009) == _sympy_matrix(m, nc, f1009).rank() == r_q
+        r2 = rank(_pair_rows(m), nc, F2)
         assert r2 == _sympy_matrix(m, nc, F2).rank()
         assert r2 <= r_q
 
@@ -175,7 +181,9 @@ def _linear_systems(draw):
 def test_rank_kernel_and_solve_match_sympy(system):
     field, A, nc, B, k = system
     M = _sympy_matrix(A, nc, field)
-    assert rank(A, nc, field) == M.rank()
+    pivots = set()
+    assert rank(_pair_rows(A), nc, field, pivots) == M.rank()
+    assert pivots == set(M.rref()[1])
     kb = kernel_basis(A, nc, field)
     assert kb == _sympy_kernel_basis(A, nc, field)
     assert _canonical(kb, field)
@@ -192,23 +200,23 @@ def test_rank_kernel_and_solve_match_sympy(system):
 def test_non_canonical_entries_are_converted_first():
     f5 = FieldSpec.Fp(5)
     # 5 is zero in F_5, whatever the size of the matrix
-    assert rank([[5]], 1, f5) == 0
-    assert rank([[5] * 100 for _ in range(100)], 100, f5) == 0
+    assert rank(_pair_rows([[5]]), 1, f5) == 0
+    assert rank(_pair_rows([[5] * 100 for _ in range(100)]), 100, f5) == 0
     assert kernel_basis([[5, 10]], 2, f5) == [[1, 0], [0, 1]]
     assert solve_matrix([[5]], [[1]], f5) is None
     assert solve_matrix([[5]], [[5]], f5) == [[0]]
     # -1 is 4 in F_5
-    assert rank([[-1, 2]], 2, f5) == 1
+    assert rank(_pair_rows([[-1, 2]]), 2, f5) == 1
     assert kernel_basis([[-1, 2]], 2, f5) == [[2, 1]]
     assert solve_matrix([[-1]], [[1]], f5) == [[4]]
     # 1/2 is 3 in F_5
-    assert rank([[Fraction(1, 2), 1]], 2, f5) == 1
+    assert rank(_pair_rows([[Fraction(1, 2), 1]]), 2, f5) == 1
     assert kernel_basis([[Fraction(1, 2), 1]], 2, f5) == [[3, 1]]
     assert solve_matrix([[Fraction(1, 2)]], [[1]], f5) == [[2]]
     assert _canonical(kernel_basis([[-1, 2]], 2, f5) + kernel_basis([[Fraction(1, 2), 1]], 2, f5), f5)
     assert _canonical(solve_matrix([[-1]], [[1]], f5) + solve_matrix([[Fraction(1, 2)]], [[1]], f5), f5)
     # plain ints over Q come back as Fractions
-    assert rank([[2, 4], [1, 2]], 2, QQ) == 1
+    assert rank(_pair_rows([[2, 4], [1, 2]]), 2, QQ) == 1
     kb = kernel_basis([[2, 4]], 2, QQ)
     assert kb == [[-2, 1]] and _canonical(kb, QQ)
     X = solve_matrix([[2]], [[1]], QQ)
@@ -387,7 +395,7 @@ def test_rank_agrees_over_q_and_large_prime():
     for _ in range(25):
         nr, nc = rng.randrange(1, 6), rng.randrange(1, 6)
         m = [[rng.randrange(-2, 3) for _ in range(nc)] for _ in range(nr)]
-        assert rank(m, nc, QQ) == rank(m, nc, fp)
+        assert rank(_pair_rows(m), nc, QQ) == rank(_pair_rows(m), nc, fp)
 
 
 def test_rank_at_a_prime_beyond_int64_products():
@@ -398,7 +406,7 @@ def test_rank_at_a_prime_beyond_int64_products():
     m = [[rng.randrange(p) for _ in range(90)] for _ in range(89)]
     m.append([(a + 2 * b) % p for a, b in zip(m[0], m[1])])
     assert _sympy_matrix(m, 90, fp).rank() == 89
-    assert rank(m, 90, fp) == 89
+    assert rank(_pair_rows(m), 90, fp) == 89
 
 
 def test_kron_block_convention():

@@ -3,18 +3,25 @@
 The library lists nondegenerate simplices only; the oracle lists every
 simplex and searches for the degenerate ones.  Both must give spaces with
 the same number of cores in each dimension and the same homology, and
-2-factor products must agree name for name.
+2-factor products must agree name for name.  The library's homology, which
+clears rows, is checked against sympy ranks of the full dense boundary
+matrices.
 """
 
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import GF
+from sympy import QQ as SYMPY_QQ
+from sympy.polys.matrices import DomainMatrix
 
 import spaces_oracle as oracle
+from posetprod import spaces
 from posetprod.fixtures import fix_a, fix_b, fix_c, fix_d, fix_e, random_pointed_poset
-from posetprod.linalg import F2, QQ
+from posetprod.linalg import F2, QQ, FieldSpec
 from posetprod.spaces import (
     PAIR_NAMES,
     circle_space,
@@ -78,3 +85,50 @@ def test_two_factor_products_match_the_oracle_name_for_name(left, right):
     assert new.cores == old.cores
     assert new.core_faces == old.core_faces
     assert dict(new_express) == old_express
+
+
+def _reference_ranks(X, top: int, field: FieldSpec):
+    """Ranks of the dense boundary matrices C_n -> C_(n-1), n = 1..top, built
+    from the face tables and ranked by sympy; entry 0 is 0."""
+    dom = SYMPY_QQ if field.kind == "Q" else GF(field.p)
+    bases = [X.nondegenerate(n) for n in range(top + 1)]
+    ranks = [0]
+    for n in range(1, top + 1):
+        index = {c: k for k, c in enumerate(bases[n - 1])}
+        m = [[0] * len(bases[n]) for _ in bases[n - 1]]
+        for col, c in enumerate(bases[n]):
+            for i, (f, word) in enumerate(X.core_faces[c]):
+                if not word:
+                    m[index[f]][col] += (-1) ** i
+        # sympy's sparse format, which must hold no zero, ranks the full matrix fast
+        entries = {i: r for i, row in enumerate(m) if (r := {j: y for j, x in enumerate(row) if x and (y := dom(x))})}
+        ranks.append(DomainMatrix(entries, (len(m), len(bases[n])), dom).rank() if entries else 0)
+    return ranks
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10**6),
+    pair=st.sampled_from(PAIR_NAMES),
+    via=st.sampled_from(["colim", "hocolim"]),
+    n_max=st.integers(2, 3),
+    field=st.sampled_from([QQ, F2, FieldSpec.Fp(101)]),
+)
+# level 2 clears the rows of the edges that were pivots of level 1
+@example(seed=0, pair="disk2-circle", via="hocolim", n_max=3, field=QQ)
+def test_homology_matches_sympy_ranks_of_the_full_boundary_matrices(seed, pair, via, n_max, field):
+    X, _ = polyhedral_product_space(random_pointed_poset(random.Random(seed), max_objects=4), pair, n_max, via=via)
+    ranks = _reference_ranks(X, n_max, field)
+    dims = [len(X.nondegenerate(n)) for n in range(n_max + 1)]
+    calls = []
+    library_rank = spaces.rank
+
+    def recording_rank(rows, ncols, field, pivots=None):
+        calls.append(len(rows))
+        return library_rank(rows, ncols, field, pivots)
+
+    with mock.patch.object(spaces, "rank", recording_rank):
+        betti = homology(X, n_max - 1, field)
+    assert betti == tuple(dims[n] - ranks[n] - ranks[n + 1] for n in range(n_max))
+    # one row per (n-1)-core, less one per pivot one level down
+    assert calls == [dims[n - 1] - ranks[n - 1] for n in range(1, n_max + 1)]
