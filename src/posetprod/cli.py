@@ -260,14 +260,22 @@ def _cmd_suite(args) -> int:
     return 0 if results["all_checks_pass"] else 1
 
 
-def _non_negative(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type: an int no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_non_negative = _int_at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("hilbert", _cmd_hilbert, "graded dimensions of the face ring")
     p.add_argument("--max-degree", type=_non_negative, default=4)
-    p.add_argument("--grading", type=int, default=1, help="degree scale per vertex")
+    p.add_argument("--grading", type=_int_at_least(1), default=1, help="degree scale per vertex")
     p.add_argument("--field", default="q", help="q or a prime")
     p.add_argument(
         "--method",

@@ -23,7 +23,6 @@ from .linalg import (
     GradedLinearMap,
     GradedVectorSpace,
     _product,
-    mat_zero,
     rank,
 )
 from .poset import PointedPoset
@@ -201,9 +200,10 @@ def cochain_complex(
     for strict chains the complex stops by itself at the longest chain.
 
     Each structure map F(x_1) -> F(x_0) is composed once per pair and kept
-    for the rest of the call, and its non-zero entries are copied into the
-    differential; face deletions write their signed identity diagonals
-    straight into it.  With ``check`` the sparse product of consecutive
+    for the rest of the call.  Every row of a differential is summed in a
+    dict from the composite's rows (face 0) and the signed identity
+    diagonals of the face deletions, and stored as sparse rows; no dense
+    matrix is built.  With ``check`` the sparse product of consecutive
     differentials must vanish.
     """
     P = diagram.poset
@@ -244,34 +244,33 @@ def cochain_complex(
 
     composites: dict = {}
     one = field.one()
+    minus_one = field.neg(one)
     deltas = []
     for n in range(len(levels) - 1):
-        src, tgt = spaces[n], spaces[n + 1]
-        mats = [mat_zero(tgt.dims[d], src.dims[d], field) for d in range(D + 1)]
+        rows = [[] for _ in range(D + 1)]
         for c in levels[n + 1]:
-            dims0 = diagram.spaces[c[0]].dims
-            roffs = offsets[n + 1][c]
+            # per degree, one {column: value} per row of chain c; distinct
+            # faces of a weak chain can coincide, so values add up and
+            # from_rows drops those that cancel
+            accs = [[{} for _ in range(m)] for m in diagram.spaces[c[0]].dims]
             for k in range(len(c)):
                 coffs = offsets[n].get(c[:k] + c[k + 1:])
                 if coffs is None:
                     continue
-                # distinct faces of a weak chain can coincide, hence field.add
                 if k == 0:
                     f = diagram._composite(c[0], c[1], composites)
-                    for d, nz_rows in enumerate(f.nonzero_rows):
-                        m, r0, c0 = mats[d], roffs[d], coffs[d]
-                        for i, nz in enumerate(nz_rows):
-                            row = m[r0 + i]
+                    for acc_d, nz_rows, c0 in zip(accs, f.nonzero_rows, coffs):
+                        for acc, nz in zip(acc_d, nz_rows):
                             for j, v in nz:
-                                row[c0 + j] = field.add(row[c0 + j], v)
+                                acc[c0 + j] = acc.get(c0 + j, 0) + v
                 else:
-                    sign = one if k % 2 == 0 else field.neg(one)
-                    for d in range(D + 1):
-                        m, r0, c0 = mats[d], roffs[d], coffs[d]
-                        for i in range(dims0[d]):
-                            row = m[r0 + i]
-                            row[c0 + i] = field.add(row[c0 + i], sign)
-        deltas.append(GradedLinearMap(src, tgt, mats))
+                    sign = one if k % 2 == 0 else minus_one
+                    for acc_d, c0 in zip(accs, coffs):
+                        for i, acc in enumerate(acc_d, c0):
+                            acc[i] = acc.get(i, 0) + sign
+            for block, acc_d in zip(rows, accs):
+                block.extend(acc.items() for acc in acc_d)
+        deltas.append(GradedLinearMap.from_rows(spaces[n], spaces[n + 1], rows))
 
     if check:
         for a, b in zip(deltas, deltas[1:]):

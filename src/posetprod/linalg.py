@@ -1,24 +1,26 @@
 """Exact graded linear algebra over Q or a prime field.
 
 Vector spaces are graded with a hard truncation degree D; maps are
-degree-preserving and stored as one dense matrix per degree (rows index the
-target basis).  All arithmetic is exact: Fraction entries over Q, canonical
-representatives 0..p-1 over F_p.
+degree-preserving and stored as sparse rows (rows index the target basis):
+per degree, one list per target row of its non-zero (column, value) pairs,
+sorted by column (``GradedLinearMap.nonzero_rows``).  All arithmetic is
+exact: Fraction entries over Q, canonical representatives 0..p-1 over F_p.
+A dense view (``GradedLinearMap.mats``) is built only when asked for.
 
-Each map also derives, once, the non-zero (column, value) pairs of every
-row (``GradedLinearMap.nonzero_rows``).  One sparse product on such rows,
-``_product``, serves composition and the d^2 = 0 check of cochain
-complexes, and a tensor of maps takes each row as the product of its
-factors' rows over one enumeration of the tensor basis (``_tensor_basis``).
+One sparse product on such rows, ``_product``, serves composition and the
+d^2 = 0 check of cochain complexes, and a tensor of maps takes each row as
+the product of its factors' rows over one enumeration of the tensor basis
+(``_tensor_basis``).
 
 Rank, kernel bases and linear solves all go through one sparse elimination,
-``_echelon``.  It reads one row format, the one ``nonzero_rows`` produces:
-each row a list of (column, value) pairs with distinct columns.  It pivots
-on the leading column with monic pivot rows, and back-substitutes to the
-reduced row echelon form when a kernel or a solution is asked for.  Its
-inner loop is plain Fraction arithmetic over Q and int arithmetic mod p over
-F_p.  ``rank`` takes such rows and can report its pivot columns, which lets
-a caller clear rows of the next matrix of a complex; ``kernel_basis`` and
+``_echelon``.  It reads the same row format: each row a list of (column,
+value) pairs with distinct columns.  It pivots on the leading column,
+reducing the other rows of a pivot's bucket by the pivot row as it stands,
+and makes the pivot rows monic and back-substitutes to the reduced row
+echelon form only when a kernel or a solution is asked for.  Its inner loop
+is plain Fraction arithmetic over Q and int arithmetic mod p over F_p.
+``rank`` takes such rows and can report its pivot columns, which lets a
+caller clear rows of the next matrix of a complex; ``kernel_basis`` and
 ``solve_matrix`` take dense matrices and convert them.
 """
 
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import compress, count, product
 from math import prod
 
@@ -112,19 +113,7 @@ QQ = FieldSpec.Q()
 F2 = FieldSpec.Fp(2)
 
 
-# -- plain matrices (lists of row lists) --------------------------------
-
-
-def mat_zero(nrows: int, ncols: int, field: FieldSpec):
-    z = field.zero()
-    return [[z] * ncols for _ in range(nrows)]
-
-
-def mat_id(n: int, field: FieldSpec):
-    m = mat_zero(n, n, field)
-    for i in range(n):
-        m[i][i] = field.one()
-    return m
+# -- sparse rows (lists of (column, value) pairs) -------------------------
 
 
 def _subtract(r: dict, f, piv: dict, p):
@@ -160,6 +149,18 @@ def _pairs(rows) -> list:
     return [list(zip(compress(count(), row), filter(None, row))) for row in rows]
 
 
+def _dense(rows, ncols: int, field: FieldSpec) -> list:
+    """The dense matrix of sparse rows, each of length ``ncols``."""
+    z = field.zero()
+    out = []
+    for r in rows:
+        row = [z] * ncols
+        for j, v in r:
+            row[j] = v
+        out.append(row)
+    return out
+
+
 def _echelon(rows, ncols: int, field: FieldSpec, reduced: bool = False) -> dict:
     """The one elimination routine behind rank, kernel_basis and solve_matrix.
 
@@ -167,11 +168,11 @@ def _echelon(rows, ncols: int, field: FieldSpec, reduced: bool = False) -> dict:
     ``ncols``.  The values are converted with ``field.conv`` into dicts
     {column: value}, dropping those that are zero in the field, then the
     rows are eliminated column by column: the rows whose leading column is c
-    are reduced by the shortest of them, made monic as the pivot row of c.
-    Returns {pivot column: pivot row}.  With ``reduced`` each pivot column is
-    also cleared from the other pivot rows, which gives the reduced row
-    echelon form; that form is unique, so it does not depend on the choice
-    of pivot rows.
+    are reduced by the shortest of them, which becomes the pivot row of c
+    as it stands.  Returns {pivot column: pivot row}.  With ``reduced`` the
+    pivot rows are made monic and each pivot column is also cleared from
+    the other pivot rows, which gives the reduced row echelon form; that
+    form is unique, so it does not depend on the choice of pivot rows.
     """
     conv = field.conv
     p = field.p
@@ -186,19 +187,22 @@ def _echelon(rows, ncols: int, field: FieldSpec, reduced: bool = False) -> dict:
         if bucket is None:
             continue
         first = min(bucket, key=len)
-        if p is None:
-            inv = 1 / first[c]
-            piv = {k: v * inv for k, v in first.items()}
-        else:
-            inv = pow(first[c], -1, p)
-            piv = {k: v * inv % p for k, v in first.items()}
-        pivots[c] = piv
+        # a copy, since a reduced row keeps the slots of its deleted entries
+        pivots[c] = dict(first)
+        if len(bucket) == 1:
+            continue
+        inv = 1 / first[c] if p is None else pow(first[c], -1, p)
         for r in bucket:
             if r is not first:
-                _subtract(r, r[c], piv, p)
+                f = r[c] * inv if p is None else r[c] * inv % p
+                _subtract(r, f, first, p)
                 if r:
                     heads.setdefault(min(r), []).append(r)
     if reduced:
+        for c, r in pivots.items():
+            inv = 1 / r[c] if p is None else pow(r[c], -1, p)
+            for k, v in r.items():
+                r[k] = v * inv if p is None else v * inv % p
         for c in sorted(pivots, reverse=True):
             r = pivots[c]
             for k in [k for k in r if k != c and k in pivots]:
@@ -221,7 +225,12 @@ def kernel_basis(rows, ncols: int, field: FieldSpec):
     """Basis of the right kernel of a dense matrix as a list of length-ncols
     vectors, one per free column of the reduced row echelon form, in column
     order."""
-    R = _echelon(_pairs(rows), ncols, field, reduced=True)
+    return _kernel(_pairs(rows), ncols, field)
+
+
+def _kernel(rows, ncols: int, field: FieldSpec):
+    """``kernel_basis`` of the matrix with the given pair rows."""
+    R = _echelon(rows, ncols, field, reduced=True)
     basis = {j: [field.zero()] * ncols for j in range(ncols) if j not in R}
     for j, v in basis.items():
         v[j] = field.one()
@@ -235,18 +244,21 @@ def kernel_basis(rows, ncols: int, field: FieldSpec):
 def solve_matrix(A, B, field: FieldSpec):
     """One solution X of A X = B, or None.  A is n x m, B is n x k; the free
     unknowns of the reduced row echelon form are set to zero."""
-    n = len(A)
     m = len(A[0]) if A else 0
     k = len(B[0]) if B else 0
-    aug = _pairs(list(A[i]) + list(B[i]) for i in range(n))
+    X = _solve(_pairs(list(A[i]) + list(B[i]) for i in range(len(A))), m, k, field)
+    return None if X is None else _dense(X, k, field)
+
+
+def _solve(aug, m: int, k: int, field: FieldSpec):
+    """``solve_matrix`` given the pair rows of [A | B], with A of m and B of
+    k columns; the solution comes back as m pair rows, sorted by column."""
     R = _echelon(aug, m + k, field, reduced=True)
     if any(c >= m for c in R):
         return None
-    X = mat_zero(m, k, field)
+    X = [[] for _ in range(m)]
     for c, r in R.items():
-        for j, x in r.items():
-            if j >= m:
-                X[c][j - m] = x
+        X[c] = sorted((j - m, x) for j, x in r.items() if j >= m)
     return X
 
 
@@ -304,55 +316,75 @@ def _check_pair(a: "GradedVectorSpace", b: "GradedVectorSpace"):
 
 
 class GradedLinearMap:
-    """Degree-preserving linear map; ``mats[d]`` has shape
-    (target.dims[d], source.dims[d]).  ``nonzero_rows`` is derived from
-    ``mats`` on first use, so a map is not mutated after it is built."""
+    """Degree-preserving linear map, stored as sparse rows.
+
+    ``nonzero_rows[d]`` holds the rows of the degree-d matrix, of shape
+    (target.dims[d], source.dims[d]): per target basis element, the non-zero
+    (column, value) pairs of its row, sorted by column, each value a
+    canonical field element.  The constructor takes dense matrices;
+    ``from_rows`` takes rows.  A map is not mutated after it is built.
+    """
 
     def __init__(self, source: GradedVectorSpace, target: GradedVectorSpace, mats):
         _check_pair(source, target)
-        self.field = source.field
-        self.source = source
-        self.target = target
-        self.mats = []
+        conv = source.field.conv
+        rows = []
         for d in range(len(source.dims)):
-            m = [list(map(self.field.conv, row)) for row in mats[d]]
+            m = [list(map(conv, row)) for row in mats[d]]
             if len(m) != target.dims[d] or any(len(r) != source.dims[d] for r in m):
                 raise ValueError(
                     f"degree {d}: matrix shape {len(m)}x? does not match "
                     f"{target.dims[d]}x{source.dims[d]}"
                 )
-            self.mats.append(m)
+            rows.append(_pairs(m))
+        self.field, self.source, self.target, self.nonzero_rows = source.field, source, target, rows
+
+    @classmethod
+    def from_rows(cls, source: GradedVectorSpace, target: GradedVectorSpace, rows) -> "GradedLinearMap":
+        """The map whose degree-d matrix has the rows ``rows[d]``, one
+        iterable of (column, value) pairs per target basis element, with
+        distinct columns in range(source.dims[d]).  Values are converted
+        with ``field.conv`` and those that are zero in the field dropped."""
+        _check_pair(source, target)
+        conv = source.field.conv
+        out = []
+        for d, (nrows, ncols) in enumerate(zip(target.dims, source.dims)):
+            m = [sorted((j, v) for j, x in row if (v := conv(x))) for row in rows[d]]
+            if len(m) != nrows:
+                raise ValueError(f"degree {d}: {len(m)} rows, expected {nrows}")
+            for r in m:
+                if r and (r[0][0] < 0 or r[-1][0] >= ncols or len({j for j, _ in r}) < len(r)):
+                    cols = [j for j, _ in r]
+                    raise ValueError(f"degree {d}: columns {cols} are not distinct in range({ncols})")
+            out.append(m)
+        self = cls.__new__(cls)
+        self.field, self.source, self.target, self.nonzero_rows = source.field, source, target, out
+        return self
 
     @classmethod
     def identity(cls, space: GradedVectorSpace) -> "GradedLinearMap":
-        return cls(space, space, [mat_id(n, space.field) for n in space.dims])
+        one = space.field.one()
+        return cls.from_rows(space, space, [[[(i, one)] for i in range(n)] for n in space.dims])
 
     @classmethod
     def zero(cls, source: GradedVectorSpace, target: GradedVectorSpace) -> "GradedLinearMap":
-        _check_pair(source, target)
-        return cls(
-            source, target,
-            [mat_zero(target.dims[d], source.dims[d], source.field) for d in range(len(source.dims))],
-        )
+        return cls.from_rows(source, target, [[()] * n for n in target.dims])
 
-    @cached_property
-    def nonzero_rows(self) -> list:
-        """Per degree, the non-zero (column, value) pairs of each row."""
-        return [_pairs(m) for m in self.mats]
+    @property
+    def mats(self) -> list:
+        """A dense copy of each degree's matrix, built on every access."""
+        return [_dense(m, n, self.field) for m, n in zip(self.nonzero_rows, self.source.dims)]
 
     def compose(self, other: "GradedLinearMap") -> "GradedLinearMap":
         """self after other."""
         if other.target.dims != self.source.dims:
             raise ValueError("composition shape mismatch")
         _check_pair(self.source, other.source)
-        mats = []
-        for n, a, b in zip(other.source.dims, self.nonzero_rows, other.nonzero_rows):
-            m = mat_zero(len(a), n, self.field)
-            for row, r in zip(m, _product(a, b, self.field)):
-                for j, v in r.items():
-                    row[j] = v
-            mats.append(m)
-        return GradedLinearMap(other.source, self.target, mats)
+        rows = [
+            [r.items() for r in _product(a, b, self.field)]
+            for a, b in zip(self.nonzero_rows, other.nonzero_rows)
+        ]
+        return GradedLinearMap.from_rows(other.source, self.target, rows)
 
     def is_identity(self) -> bool:
         if self.source.dims != self.target.dims:
@@ -365,15 +397,14 @@ class GradedLinearMap:
         return (
             self.source.dims == other.source.dims
             and self.target.dims == other.target.dims
-            and self.mats == other.mats
+            and self.nonzero_rows == other.nonzero_rows
         )
 
     def rank_kernel(self):
         """Per-degree (rank, kernel dimension, kernel basis vectors)."""
         out = []
-        for d, m in enumerate(self.mats):
-            nc = self.source.dims[d]
-            kb = kernel_basis(m, nc, self.field)
+        for m, nc in zip(self.nonzero_rows, self.source.dims):
+            kb = _kernel(m, nc, self.field)
             out.append((nc - len(kb), len(kb), kb))
         return out
 
@@ -423,18 +454,18 @@ def tensor_maps(maps: list[GradedLinearMap]) -> GradedLinearMap:
         raise ValueError("tensor of an empty list of maps")
     src, src_basis = _tensor_basis([f.source for f in maps])
     tgt, tgt_basis = _tensor_basis([f.target for f in maps])
-    mats = []
+    out = []
     for rows, cols in zip(tgt_basis, src_basis):
         index = {b: k for k, b in enumerate(cols)}
-        m = mat_zero(len(rows), len(cols), src.field)
+        m = [[] for _ in rows]
         for row, b in zip(m, rows):
             # most factors are identities, so units are skipped rather than
-            # multiplied; the constructor makes each product a field element
+            # multiplied; from_rows makes each product a field element
             for parts in product(*[f.nonzero_rows[e][i] for f, (e, i) in zip(maps, b)]):
                 col = index[tuple((e, j) for (e, _), (j, _) in zip(b, parts))]
-                row[col] = prod(v for _, v in parts if v != 1)
-        mats.append(m)
-    return GradedLinearMap(src, tgt, mats)
+                row.append((col, prod(v for _, v in parts if v != 1)))
+        out.append(m)
+    return GradedLinearMap.from_rows(src, tgt, out)
 
 
 def truncated_polynomial(name: str, gen_degree: int, D: int, field: FieldSpec = QQ):
@@ -455,21 +486,16 @@ def truncated_polynomial(name: str, gen_degree: int, D: int, field: FieldSpec = 
             labels.append(())
     space = GradedVectorSpace(field, dims, [tuple((l,) for l in ls) if ls else () for ls in labels])
     unit = GradedVectorSpace.unit(field, D)
-    mats = [[[1]] if d == 0 else mat_zero(unit.dims[d], space.dims[d], field) for d in range(D + 1)]
-    aug = GradedLinearMap(space, unit, mats)
+    aug = GradedLinearMap.from_rows(space, unit, [[[(0, 1)]]] + [[] for _ in range(D)])
     return space, aug
 
 
 def find_section(a: GradedLinearMap) -> GradedLinearMap | None:
     """A right inverse s with a . s = id, degree by degree, or None."""
-    mats = []
-    for d in range(len(a.source.dims)):
-        n = a.target.dims[d]
-        if n == 0:
-            mats.append([[] for _ in range(a.source.dims[d])])
-            continue
-        X = solve_matrix(a.mats[d], mat_id(n, a.field), a.field)
+    rows = []
+    for m, n, A in zip(a.source.dims, a.target.dims, a.nonzero_rows):
+        X = _solve([r + [(m + i, 1)] for i, r in enumerate(A)], m, n, a.field)
         if X is None:
             return None
-        mats.append(X)
-    return GradedLinearMap(a.target, a.source, mats)
+        rows.append(X)
+    return GradedLinearMap.from_rows(a.target, a.source, rows)

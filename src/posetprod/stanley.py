@@ -257,6 +257,8 @@ def quotient_dims(pres: RingPresentation, D: int, field: FieldSpec = QQ):
 def hilbert_from_fvector(f, D: int, scale: int = 1):
     """Graded dimensions determined by a face-count vector: degree d holds
     sum over i of f[i] * C(d-1, i) once degrees are divided by the scale."""
+    if scale < 1:
+        raise PreconditionFailed(f"degree scale must be >= 1, got {scale}")
     dims = [1]
     for d in range(1, D + 1):
         if d % scale:

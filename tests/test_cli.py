@@ -173,6 +173,18 @@ def test_negative_degree_flags_are_refused(capsys, argv):
     assert f"argument {argv[2]}: must be >= 0, got -1" in captured.err
 
 
+@pytest.mark.parametrize("method", ["fvector", "presentation"])
+@pytest.mark.parametrize("grading", ["0", "-1"])
+def test_grading_below_one_is_refused(capsys, method, grading):
+    with pytest.raises(SystemExit) as exc:
+        main(["hilbert", "fix-a", "--grading", grading, "--method", method])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument --grading: must be >= 1, got {grading}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_limits_unknown_upset_generator_is_a_typed_refusal(capsys):
     # exit 1 means "a verification came out false"; a bad input is exit 2
     code = main(["limits", "fix-a", "--upset", "zz"])

@@ -9,6 +9,8 @@ from sympy import QQ as SYMPY_QQ
 from sympy.polys.matrices import DomainMatrix
 
 from posetprod.errors import MixedFields, MixedTruncation
+from posetprod.fixtures import random_pointed_poset
+from posetprod.limits import PosetDiagram, cochain_complex
 from posetprod.linalg import (
     F2,
     QQ,
@@ -17,7 +19,6 @@ from posetprod.linalg import (
     GradedVectorSpace,
     find_section,
     kernel_basis,
-    mat_id,
     rank,
     solve_matrix,
     tensor_collection,
@@ -74,9 +75,9 @@ def test_kernel_of_empty_and_zero():
 
 
 def test_solve_matrix():
-    A = [[1, 2], [3, 4]]
-    X = solve_matrix(A, mat_id(2, QQ), QQ)
-    assert _sympy_product(A, X, QQ) == mat_id(2, QQ)
+    A, I = [[1, 2], [3, 4]], [[1, 0], [0, 1]]
+    X = solve_matrix(A, I, QQ)
+    assert _sympy_product(A, X, QQ) == I
     # inconsistent system
     assert solve_matrix([[1, 1], [1, 1]], [[1], [0]], QQ) is None
     # underdetermined: any solution acceptable
@@ -277,6 +278,65 @@ def test_compose_and_tensor_maps_match_sympy(maps):
     assert _canonical(sum(fh.mats + t.mats, []), field)
     # three factors: the basis order is that of the left fold
     assert tensor_maps([f, g, k]) == tensor_maps([t, k])
+
+
+@st.composite
+def _dense_maps(draw):
+    """A graded map as dense matrices with non-canonical entries: ints out
+    of range, multiples of p (zero in F_p) and fractions."""
+    field = draw(st.sampled_from([QQ, F2, FieldSpec.Fp(101)]))
+    D = draw(st.integers(0, 2))
+    p = field.p or 7
+    special = [p, 2 * p, -p, Fraction(1, 3), Fraction(-5, 3)] + ([] if field == F2 else [Fraction(1, 2)])
+    entry = st.one_of(st.integers(-5, 5), st.sampled_from(special))
+    src, tgt = (
+        GradedVectorSpace(field, draw(st.lists(st.integers(0, 3), min_size=D + 1, max_size=D + 1)))
+        for _ in range(2)
+    )
+    mats = [[[draw(entry) for _ in range(n)] for _ in range(m)] for n, m in zip(src.dims, tgt.dims)]
+    return field, src, tgt, mats, draw(st.integers(0, 10**6))
+
+
+def _stored_rows_are_canonical(rows, field: FieldSpec) -> bool:
+    """Every row sorted by distinct columns, every value canonical and
+    non-zero."""
+    return all(
+        [j for j, _ in row] == sorted({j for j, _ in row}) and all(v and field.conv(v) is v for _, v in row)
+        for row in rows
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_dense_maps())
+def test_sparse_storage_matches_dense_construction(case):
+    field, src, tgt, mats, seed = case
+    dense = GradedLinearMap(src, tgt, mats)
+    # all pairs, zeros included, in reverse column order
+    sparse = GradedLinearMap.from_rows(src, tgt, [[list(enumerate(row))[::-1] for row in m] for m in mats])
+    assert sparse == dense
+    assert sparse.mats == dense.mats == [_conv(m, field) for m in mats]
+    assert sparse.nonzero_rows == dense.nonzero_rows
+    assert all(_stored_rows_are_canonical(m, field) for m in sparse.nonzero_rows)
+    # the faces (x, y) of a weak chain (x, x, y) coincide with opposite
+    # signs, so that entry cancels and must not be stored
+    P = random_pointed_poset(random.Random(seed), max_objects=4)
+    cx = cochain_complex(PosetDiagram.constant(P, GradedVectorSpace.unit(field, 0)), weak=True, max_n=2)
+    column = {c: j for j, c in enumerate(cx.chains[1])}
+    rows = cx.deltas[1].nonzero_rows[0]
+    assert _stored_rows_are_canonical(rows, field)
+    for c, row in zip(cx.chains[2], rows):
+        if c[0] == c[1] != c[2]:
+            assert column[(c[0], c[2])] not in dict(row)
+
+
+def test_from_rows_checks_shapes():
+    a, b = GradedVectorSpace(QQ, (2,)), GradedVectorSpace(QQ, (1,))
+    assert GradedLinearMap.from_rows(a, b, [[[(1, 3), (0, 0)]]]).mats == [[[0, 3]]]
+    for rows in ([[]], [[[(0, 1)], [(0, 1)]]], [[[(2, 1)]]], [[[(-1, 1)]]], [[[(0, 1), (0, 2)]]]):
+        with pytest.raises(ValueError):
+            GradedLinearMap.from_rows(a, b, rows)
+    with pytest.raises(MixedFields):
+        GradedLinearMap.from_rows(a, GradedVectorSpace(F2, (1,)), [[[]]])
 
 
 def test_graded_space_and_mixing_errors():

@@ -4,7 +4,7 @@ import pytest
 
 from posetprod.errors import IndexMismatch, MissingSection
 from posetprod.fixtures import cube, fix_a, fix_b, fix_c, fix_e, random_poset_with
-from posetprod.limits import check_diagram, higher_limits
+from posetprod.limits import PosetDiagram, check_diagram, higher_limits, lim0_basis
 from posetprod.linalg import QQ, FieldSpec, GradedLinearMap, GradedVectorSpace
 from posetprod.polytensor import (
     MorphismCollection,
@@ -165,3 +165,20 @@ def test_cube_augmentation_matches_vertex_count():
         lims = polyhedral_tensor(P, col)
         assert lims[0][1] == len(P.vertices)
         assert all(all(v == 0 for v in l) for l in lims[1:])
+
+
+def test_tensor_and_limit_paths_never_build_a_dense_view(monkeypatch):
+    # maps are stored as sparse rows; GradedLinearMap.mats is a dense copy
+    # for readers outside the library, so these paths must not touch it
+    def dense_view(self):
+        raise AssertionError("GradedLinearMap.mats was read")
+
+    monkeypatch.setattr(GradedLinearMap, "mats", property(dense_view))
+    P = cube(2)
+    col = MorphismCollection.augmentation(P.vertices, D=3)
+    assert polyhedral_tensor(P, col) == [(1, 4, 10, 20)]
+    assert set(col.section_maps()) == set(P.vertices)
+    dia = PosetDiagram.indicator(fix_a(), ["3", "4"])
+    assert higher_limits(dia) == [(1,), (1,)]
+    assert higher_limits(dia, weak=True, max_n=3) == [(1,), (1,)]
+    assert [len(basis) for _, basis in lim0_basis(dia)] == [1]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from posetprod.errors import NotPolyhedral, NotSimplicial
+from posetprod.errors import NotPolyhedral, NotSimplicial, PreconditionFailed
 from posetprod.fixtures import fix_a, fix_b, fix_c, fix_e, random_poset_with, simplex
 from posetprod.polytensor import MorphismCollection, polyhedral_tensor
 from posetprod.poset import PointedPoset
@@ -81,6 +81,9 @@ def test_hilbert_from_fvector_values():
     assert hilbert_from_fvector((4, 6, 4, 1), 3) == (1, 4, 10, 20)
     assert hilbert_from_fvector((2, 2), 8, scale=2) == (1, 0, 2, 0, 4, 0, 6, 0, 8)
     assert hilbert_from_fvector((3, 3, 1), 3) == (1, 3, 6, 10)
+    for scale in (0, -1):
+        with pytest.raises(PreconditionFailed):
+            hilbert_from_fvector((2, 2), 4, scale=scale)
 
 
 def test_scale_two_grading():
