@@ -18,7 +18,7 @@ from .fixtures import FIXTURES
 from .limits import PosetDiagram, higher_limits
 from .linalg import QQ, FieldSpec
 from .poset import PointedPoset, classify, reduce_poset
-from .polytensor import MorphismCollection, polyhedral_tensor, reduction_invariance
+from .polytensor import MorphismCollection, build_T, polyhedral_tensor, reduction_invariance, tensor_limits
 from .spaces import PAIR_NAMES, polyprod_homology
 from .stanley import hilbert_from_fvector, presentation_report
 from .transform import f_transform_predict, f_vector, simplicial_transform
@@ -51,13 +51,14 @@ def _parse_collection(text: str, vertices, D: int, field: FieldSpec) -> Morphism
     raise PosetProdError(f"unknown collection {text!r}; use aug[:d] or circle")
 
 
-def _emit(args, command, input_info, parameters, results, started) -> None:
+def _emit(args, command, input_info, parameters, results, started, extra: dict | None = None) -> None:
     report = {
         "command": command,
         "input": input_info,
         "parameters": parameters,
         "results": results,
         "elapsed_s": round(time.perf_counter() - started, 6),
+        **(extra or {}),
     }
     indent = 2 if args.pretty else None
     print(json.dumps(report, indent=indent, sort_keys=True))
@@ -175,16 +176,30 @@ def _cmd_tensor(args) -> int:
         "field": str(field),
         "check_reduction": args.check_reduction,
     }
-    lims = polyhedral_tensor(P, coll)
+    found = tensor_limits(P, coll)
+    lims = found.limits
     results = {"higher_limits": [list(l) for l in lims]}
     code = 0
+    if args.check_route:
+        direct = higher_limits(build_T(P, coll))
+        results["direct_limits"] = [list(l) for l in direct]
+        results["routes_agree"] = direct == lims
+        if direct != lims:
+            code = 1
     if args.check_reduction:
         _, lims_reduced, equal = reduction_invariance(P, coll)
         results["reduced_limits"] = [list(l) for l in lims_reduced]
         results["reduction_invariant"] = equal
         if not equal:
             code = 1
-    _emit(args, "tensor", info, params, results, started)
+    # null when the direct route answered, because some a_v is not surjective
+    supports = None
+    if found.terms is not None:
+        supports = [
+            {"support": [str(v) for v in t.support], "dims": list(t.dims), "betti": list(t.betti)}
+            for t in found.non_acyclic_terms()
+        ]
+    _emit(args, "tensor", info, params, results, started, {"non_acyclic_supports": supports})
     return code
 
 
@@ -326,6 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=_non_negative, default=4)
     p.add_argument("--field", default="q")
     p.add_argument("--check-reduction", action="store_true")
+    p.add_argument(
+        "--check-route",
+        action="store_true",
+        help="also build the tensor diagram and its cochain complex (the direct route); exit 1 if the routes disagree",
+    )
 
     p = add("homology", _cmd_homology, "homology of the polyhedral-product space")
     p.add_argument("--pair", choices=list(PAIR_NAMES), default="circle-point")

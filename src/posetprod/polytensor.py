@@ -1,13 +1,30 @@
 """Tensor-product diagrams attached to vertex collections.
 
 A collection assigns to every vertex v a surjection a_v: M_v -> N_v of
-graded vector spaces.  The induced diagram places at each object x the
+graded vector spaces.  The induced diagram T places at each object x the
 tensor product over all vertices, taking the M factor on vertices below x
 and the N factor elsewhere; structure maps apply a_v on the vertices that
 drop out and identities everywhere else.
+
+Higher limits of T have two routes.  The direct route builds T and the
+cochain complex of its chains (``build_T`` then ``higher_limits``).  The
+split route uses that every a_v, when surjective in every degree, splits
+as M_v = N_v + K_v with K_v = ker a_v.  Then T is a sum over supports S of
+W_S = (tensor of K_v, v in S) (x) (tensor of N_v, v not in S) placed on the
+up-set U_S = {x : S <= V(x)} with identity maps, so
+
+    lim^n T = sum over S of W_S (x) H^n(Delta(U_S); k),
+
+the poset form of Hochster's formula (Hochster 1977; Bahri, Bendersky,
+Cohen and Gitler 2010).  Only graded dimensions enter: Hilbert series of
+the W_S times Betti numbers of the order complexes Delta(U_S).  No section
+map is needed, only surjectivity, which is checked by rank; when some a_v
+is not surjective the split does not hold and the direct route answers.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from .errors import IndexMismatch, MissingSection, PreconditionFailed
 from .limits import PosetDiagram, higher_limits
@@ -17,6 +34,7 @@ from .linalg import (
     GradedLinearMap,
     GradedVectorSpace,
     find_section,
+    rank,
     tensor_collection,
     tensor_maps,
     truncated_polynomial,
@@ -93,7 +111,7 @@ class MorphismCollection:
 
 def _vertex_order(P: PointedPoset, collection: MorphismCollection, vertex_order=None):
     verts = set(P.vertices)
-    if collection.maps and set(collection.maps) != verts:
+    if set(collection.maps) != verts:
         raise IndexMismatch(
             f"collection is indexed by {sorted(map(str, collection.maps))}, "
             f"poset vertices are {sorted(map(str, verts))}"
@@ -163,14 +181,132 @@ def build_section_S(
     return out
 
 
+@dataclass(frozen=True)
+class SplitTerm:
+    """One summand W_S (x) H^*(Delta(U_S)) of the split route.
+
+    ``support`` is S in vertex order, ``dims`` the graded dimensions of W_S
+    through the truncation and ``betti`` the dimensions of H^n(Delta(U_S))
+    per level, trimmed like ``higher_limits``.
+    """
+
+    support: tuple
+    dims: tuple[int, ...]
+    betti: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class TensorLimits:
+    """Higher limits of a tensor diagram with the summands that gave them.
+
+    ``terms`` holds every summand with W_S != 0 when the split route
+    answered, and is None when the direct route did.
+    """
+
+    limits: list[tuple[int, ...]]
+    terms: tuple[SplitTerm, ...] | None
+
+    def non_acyclic_terms(self) -> list[SplitTerm]:
+        """The summands whose Delta(U_S) has reduced cohomology in the levels
+        computed; every class of lim^n with n >= 1 comes from one of them."""
+        return [t for t in self.terms or () if t.betti != _CONE]
+
+
+_CONE = (1,)
+
+
+def _convolve(a, b, D: int) -> tuple[int, ...]:
+    return tuple(sum(a[i] * b[d - i] for i in range(d + 1)) for d in range(D + 1))
+
+
+def _split_terms(P: PointedPoset, collection: MorphismCollection, weak: bool, max_n: int | None):
+    """Every summand of the split with W_S != 0, or None when some a_v is
+    not surjective.
+
+    Supports are walked depth first in vertex order, leaving a vertex out
+    before putting it in.  A branch is pruned as soon as U_S is empty or
+    the truncated Hilbert series of W_S vanishes, since adding vertices
+    only shrinks both.  Betti numbers are memoized by the minimal objects
+    of U_S; a single minimal object makes Delta(U_S) a cone.
+    """
+    order = _vertex_order(P, collection)
+    field, D = collection.field, collection.truncation
+    N, K = {}, {}
+    for v in order:
+        a = collection.maps[v]
+        if any(rank(a.nonzero_rows[d], a.source.dims[d], field) != a.target.dims[d] for d in range(D + 1)):
+            return None
+        N[v] = a.target.dims
+        K[v] = tuple(m - n for m, n in zip(a.source.dims, a.target.dims))
+    betti_of: dict = {}
+    terms = []
+    unit = (1,) + (0,) * D
+    stack = [(0, (), unit, frozenset(P.objects))]
+    while stack:
+        i, support, dims, up = stack.pop()
+        if i == len(order):
+            minimal = tuple(sorted((x for x in up if len(P.down_set(x) & up) == 1), key=str))
+            if minimal not in betti_of:
+                if len(minimal) == 1:
+                    betti_of[minimal] = _CONE
+                else:
+                    # chains starting in the up-set stay in it; the rest carry zeros
+                    diagram = PosetDiagram.indicator(P, minimal, field, D=0)
+                    lims = higher_limits(diagram, objects=up, weak=weak, max_n=max_n)
+                    betti_of[minimal] = tuple(b for (b,) in lims)
+            terms.append(SplitTerm(support, dims, betti_of[minimal]))
+            continue
+        v = order[i]
+        up_v = up & P.up_set(v)
+        with_v = _convolve(dims, K[v], D)
+        if up_v and any(with_v):
+            stack.append((i + 1, support + (v,), with_v, up_v))
+        without_v = _convolve(dims, N[v], D)
+        if any(without_v):
+            stack.append((i + 1, support, without_v, up))
+    return tuple(terms)
+
+
+def tensor_limits(
+    P: PointedPoset,
+    collection: MorphismCollection,
+    weak: bool = False,
+    max_n: int | None = None,
+) -> TensorLimits:
+    """Higher limits of the tensor diagram, per level and internal degree,
+    with the summands of the split route when it answered.
+
+    The split route sums W_S (x) H^n(Delta(U_S)) over the supports; when
+    some a_v is not surjective the direct route builds the diagram and its
+    cochain complex instead.  Both answers have the shape and trimming of
+    ``higher_limits``.
+    """
+    if weak and max_n is None:
+        raise PreconditionFailed("weak chains need an explicit max_n")
+    if max_n is not None and max_n < 0:
+        raise PreconditionFailed(f"max_n must be >= 0, got {max_n}")
+    terms = _split_terms(P, collection, weak, max_n)
+    if terms is None:
+        return TensorLimits(higher_limits(build_T(P, collection), weak=weak, max_n=max_n), None)
+    # every W_S is non-zero and every Betti list ends non-zero, so the sum
+    # needs no trimming
+    out = [[0] * (collection.truncation + 1) for _ in range(max([1] + [len(t.betti) for t in terms]))]
+    for t in terms:
+        for level, b in zip(out, t.betti):
+            for d, w in enumerate(t.dims):
+                level[d] += w * b
+    return TensorLimits([tuple(level) for level in out], terms)
+
+
 def polyhedral_tensor(
     P: PointedPoset,
     collection: MorphismCollection,
     weak: bool = False,
     max_n: int | None = None,
 ) -> list[tuple[int, ...]]:
-    """Higher limits of the tensor diagram, per level and internal degree."""
-    return higher_limits(build_T(P, collection), weak=weak, max_n=max_n)
+    """Higher limits of the tensor diagram, per level and internal degree
+    (see ``tensor_limits`` for the routes)."""
+    return tensor_limits(P, collection, weak=weak, max_n=max_n).limits
 
 
 def reduction_invariance(P: PointedPoset, collection: MorphismCollection):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Iterable
 
 from .errors import (
@@ -99,6 +100,7 @@ class PointedPoset:
         self._vsets = {
             x: frozenset(v for v in self._vertices if v in self._down[x]) for x in self.objects
         }
+        self._report: PosetReport | None = None  # set by the first classify(self)
 
     def _toposort(self, succ: dict[Obj, set[Obj]]) -> list[Obj]:
         state: dict[Obj, int] = {}
@@ -255,9 +257,13 @@ class Bounds:
     join: Obj | None
 
 
-@dataclass
+@dataclass(frozen=True)
 class PosetReport:
-    """Classification of a pointed poset with failure witnesses."""
+    """Classification of a pointed poset with failure witnesses.
+
+    Frozen, with read-only witnesses, because ``classify`` hands the same
+    report to every caller asking about the same poset.
+    """
 
     norm: int
     reduced: bool
@@ -265,7 +271,10 @@ class PosetReport:
     polyhedral: bool
     lower_saturated: bool
     regular: bool
-    witnesses: dict = field(default_factory=dict)
+    witnesses: MappingProxyType = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "witnesses", MappingProxyType(dict(self.witnesses)))
 
     def to_dict(self) -> dict:
         return {
@@ -408,8 +417,14 @@ def classify(P: PointedPoset) -> PosetReport:
 
     The two polyhedral characterizations (all down-sets are lower
     semilattices; pairs with an upper bound have meets) are both run and
-    must agree.
+    must agree.  The report is computed once per poset and kept on it.
     """
+    if P._report is None:
+        P._report = _classify(P)
+    return P._report
+
+
+def _classify(P: PointedPoset) -> PosetReport:
     witnesses: dict = {}
     reduced, w = _is_reduced(P)
     if w:

@@ -115,6 +115,26 @@ def test_tensor_with_reduction_check(capsys):
     assert rep["results"]["higher_limits"] == [[1, 2, 4, 6]]
 
 
+def test_tensor_names_non_acyclic_supports_and_checks_the_route(capsys, monkeypatch):
+    code, rep = run(capsys, "tensor", "fix-a", "--max-degree", "3", "--check-route")
+    assert code == 0
+    res = rep["results"]
+    assert res["higher_limits"] == res["direct_limits"] == [[1, 2, 3, 4], [0, 0, 1, 2]]
+    assert res["routes_agree"] is True
+    assert rep["non_acyclic_supports"] == [{"support": ["1", "2"], "dims": [0, 0, 1, 2], "betti": [1, 1]}]
+
+    code, rep = run(capsys, "tensor", "cube-2", "--collection", "circle", "--max-degree", "2")
+    assert code == 0
+    assert rep["non_acyclic_supports"] == []
+    assert "routes_agree" not in rep["results"]
+
+    # a disagreement between the routes is a failed verification
+    monkeypatch.setattr("posetprod.cli.higher_limits", lambda *a, **k: [(1, 0, 0, 0)])
+    code, rep = run(capsys, "tensor", "fix-a", "--max-degree", "3", "--check-route")
+    assert code == 1
+    assert rep["results"]["routes_agree"] is False
+
+
 def test_homology_subcommand(capsys):
     code, rep = run(capsys, "homology", "fix-e", "--max-dim", "2")
     assert code == 0

@@ -1,18 +1,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from posetprod.errors import IndexMismatch, MissingSection
+from posetprod.errors import IndexMismatch, MissingSection, PreconditionFailed
 from posetprod.fixtures import cube, fix_a, fix_b, fix_c, fix_e, random_poset_with
 from posetprod.limits import PosetDiagram, check_diagram, higher_limits, lim0_basis
 from posetprod.linalg import QQ, FieldSpec, GradedLinearMap, GradedVectorSpace
 from posetprod.polytensor import (
     MorphismCollection,
+    SplitTerm,
     build_T,
     build_section_S,
     polyhedral_tensor,
     random_surjective_collection,
     reduction_invariance,
+    tensor_limits,
 )
 from posetprod.poset import PointedPoset
 
@@ -42,6 +46,101 @@ def test_double_square_poset_sees_level_one():
     assert lims == [(1, 2, 3), (0, 0, 1)]
 
 
+def test_double_square_poset_names_its_non_acyclic_support():
+    # the level-1 class of criterion 3: S = {1, 2} lives on U_S = {3, 4, 5, 6},
+    # whose order complex is a circle
+    P = fix_a()
+    col = MorphismCollection.augmentation(P.vertices, D=3)
+    found = tensor_limits(P, col)
+    assert found.limits == [(1, 2, 3, 4), (0, 0, 1, 2)]
+    assert found.non_acyclic_terms() == [SplitTerm(("1", "2"), (0, 0, 1, 2), (1, 1))]
+    assert higher_limits(build_T(P, col)) == found.limits
+
+
+def _circle_and_two_points() -> PointedPoset:
+    """Vertices 1, 2, 3: U_{1,2} = {a, b, c, d} is a circle, as in fix-a, and
+    U_{1,3} = {e, f} two points; both have two minimal objects."""
+    covers = [("*", "1"), ("*", "2"), ("*", "3"), ("1", "a"), ("1", "b"), ("2", "a"), ("2", "b"),
+              ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("1", "e"), ("1", "f"), ("3", "e"), ("3", "f")]
+    return PointedPoset(["*", "1", "2", "3", "a", "b", "c", "d", "e", "f"], "*", covers)
+
+
+def test_supports_with_equally_many_minimal_objects_keep_their_own_betti_numbers():
+    P = _circle_and_two_points()
+    found = tensor_limits(P, MorphismCollection.augmentation(P.vertices, D=2))
+    assert found.limits == [(1, 3, 6), (0, 0, 1)]
+    assert [(t.support, t.betti) for t in found.non_acyclic_terms()] == [
+        (("1", "3"), (2,)),
+        (("1", "2"), (1, 1)),
+    ]
+
+
+def _collection(kind, P, seed, D, field):
+    if kind == "random":
+        return random_surjective_collection(random.Random(seed), P.vertices, D, field)
+    if kind == "aug":
+        return MorphismCollection.augmentation(P.vertices, D, gen_degree=1 + seed % 2, field=field)
+    return MorphismCollection.circle(P.vertices, D, field=field)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    poset=st.one_of(
+        st.sampled_from([fix_a(), _circle_and_two_points()]),
+        st.tuples(st.sampled_from(["any", "lower_saturated", "polyhedral"]), st.integers(0, 10**6)).map(
+            lambda a: random_poset_with(a[1], a[0], 1, max_objects=8)[0]
+        ),
+    ),
+    kind=st.sampled_from(["random", "aug", "circle"]),
+    seed=st.integers(0, 10**6),
+    field=st.sampled_from([QQ, FieldSpec.Fp(2), FieldSpec.Fp(101)]),
+    D=st.integers(1, 3),
+    chains=st.sampled_from([(False, None), (False, 1), (True, 1), (True, 2)]),
+)
+def test_split_route_equals_direct_route(poset, kind, seed, field, D, chains):
+    # random collections include kernels in degree 0, so supports are not
+    # bounded by the truncation there
+    col = _collection(kind, poset, seed, D, field)
+    weak, max_n = chains
+    found = tensor_limits(poset, col, weak=weak, max_n=max_n)
+    assert found.terms is not None
+    assert found.limits == higher_limits(build_T(poset, col), weak=weak, max_n=max_n)
+
+
+def test_non_surjective_collections_take_the_direct_route():
+    unit = GradedVectorSpace.unit(QQ, 1)
+    dead = GradedLinearMap(unit, unit, [[[0]], []])
+    P = PointedPoset(["*", "v"], "*", [("*", "v")])
+    col = MorphismCollection({"v": dead})
+    found = tensor_limits(P, col)
+    assert found.terms is None
+    assert found.limits == higher_limits(build_T(P, col)) == [(1, 0)]
+    # on fix-b, a_b has rank 1 onto a 2-dimensional N_b in degree 1, so
+    # dim M_b - dim N_b = 0 there although ker a_b is 1-dimensional
+    P = fix_b()
+    space = GradedVectorSpace(QQ, (1, 2))
+    short = GradedLinearMap(space, space, [[[1]], [[1, 1], [1, 1]]])
+    col = MorphismCollection({"a": MorphismCollection.augmentation(["a"], D=1).maps["a"], "b": short})
+    found = tensor_limits(P, col)
+    assert found.terms is None
+    assert found.limits == higher_limits(build_T(P, col))
+    weak = polyhedral_tensor(P, col, weak=True, max_n=2)
+    assert weak == higher_limits(build_T(P, col), weak=True, max_n=2)
+
+
+def test_chain_arguments_are_checked():
+    P = fix_b()
+    col = MorphismCollection.augmentation(P.vertices, D=1)
+    with pytest.raises(PreconditionFailed, match="explicit max_n"):
+        polyhedral_tensor(P, col, weak=True)
+    with pytest.raises(PreconditionFailed, match="max_n must be >= 0"):
+        polyhedral_tensor(P, col, max_n=-1)
+    with pytest.raises(IndexMismatch):
+        polyhedral_tensor(P, MorphismCollection({}, field=QQ, truncation=1))
+    with pytest.raises(PreconditionFailed, match="max_n must be >= 0"):
+        polyhedral_tensor(P, col, max_n=-1)
+
+
 def test_build_T_shapes_and_labels():
     P = fix_b()
     col = MorphismCollection.augmentation(P.vertices, D=2)
@@ -67,6 +166,8 @@ def test_index_mismatch_errors():
     col = MorphismCollection.augmentation(["a", "b", "z"], D=1)
     with pytest.raises(IndexMismatch):
         build_T(P, col)
+    with pytest.raises(IndexMismatch):
+        polyhedral_tensor(P, col)
     col2 = MorphismCollection.augmentation(P.vertices, D=1)
     with pytest.raises(IndexMismatch):
         build_T(P, col2, vertex_order=["a", "a"])
@@ -177,6 +278,7 @@ def test_tensor_and_limit_paths_never_build_a_dense_view(monkeypatch):
     P = cube(2)
     col = MorphismCollection.augmentation(P.vertices, D=3)
     assert polyhedral_tensor(P, col) == [(1, 4, 10, 20)]
+    assert higher_limits(build_T(P, col)) == [(1, 4, 10, 20)]
     assert set(col.section_maps()) == set(P.vertices)
     dia = PosetDiagram.indicator(fix_a(), ["3", "4"])
     assert higher_limits(dia) == [(1,), (1,)]

@@ -1,8 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
-from posetprod import errors
+from posetprod import errors, poset
 from posetprod.fixtures import (
     cube,
     fix_a,
@@ -56,6 +57,25 @@ def test_fix_b_bounds_no_upper():
     assert bd.max_lower == ("a", "b")
     assert P.bounds(["a", "c"]).join == "c"
     assert P.bounds(["a", "b"]).meet == "*"
+
+
+def test_classify_computes_once_per_poset_and_counts_every_call(monkeypatch):
+    # a tracer that wraps the classify binding must still see every call,
+    # while the classification itself runs once per poset object
+    calls, computed = [], []
+    monkeypatch.setattr(poset, "classify", lambda P: calls.append(P) or classify(P))
+    real = poset._classify
+    monkeypatch.setattr(poset, "_classify", lambda P: computed.append(P) or real(P))
+    P = fix_a()
+    first = poset.classify(P)
+    assert poset.classify(P) is first
+    assert (len(calls), len(computed)) == (2, 1)
+    assert poset.classify(fix_a()) == first
+    assert (len(calls), len(computed)) == (3, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.polyhedral = True
+    with pytest.raises(TypeError):
+        first.witnesses["polyhedral"] = None
 
 
 def test_classify_fixtures():
