@@ -18,7 +18,8 @@ from .fixtures import FIXTURES
 from .limits import PosetDiagram, higher_limits
 from .linalg import QQ, FieldSpec
 from .poset import PointedPoset, classify, reduce_poset
-from .polytensor import MorphismCollection, build_T, polyhedral_tensor, reduction_invariance, tensor_limits
+# polyhedral_tensor is not called here, but perfbench/tracer.py requires this binding (ROADMAP item 5)
+from .polytensor import MorphismCollection, build_T, polyhedral_tensor, reduction_invariance, tensor_limits  # noqa: F401
 from .spaces import PAIR_NAMES, polyprod_homology
 from .stanley import hilbert_from_fvector, presentation_report
 from .transform import f_transform_predict, f_vector, simplicial_transform
@@ -43,10 +44,9 @@ def _load_poset(source: str):
 def _parse_collection(text: str, vertices, D: int, field: FieldSpec) -> MorphismCollection:
     if text == "circle":
         return MorphismCollection.circle(vertices, D, field=field)
-    if text.startswith("aug"):
-        gen_degree = 1
-        if ":" in text:
-            gen_degree = int(text.split(":", 1)[1])
+    name, colon, degree = text.partition(":")
+    if name == "aug":
+        gen_degree = int(degree) if colon else 1
         return MorphismCollection.augmentation(vertices, D, gen_degree=gen_degree, field=field)
     raise PosetProdError(f"unknown collection {text!r}; use aug[:d] or circle")
 
@@ -247,9 +247,9 @@ def _cmd_suite(args) -> int:
         }
         checks.append(pres["agree"])
         coll = MorphismCollection.circle(sorted(map(str, P.vertices)), D, field=field)
-        _, lims_reduced, equal = reduction_invariance(P, coll)
+        lims, _, equal = reduction_invariance(P, coll)
         results["tensor_circle"] = {
-            "higher_limits": [list(l) for l in polyhedral_tensor(P, coll)],
+            "higher_limits": [list(l) for l in lims],
             "reduction_invariant": equal,
         }
         checks.append(equal)

@@ -25,7 +25,7 @@ from .linalg import (
     _product,
     rank,
 )
-from .poset import PointedPoset
+from .poset import PointedPoset, chains
 
 
 class PosetDiagram:
@@ -70,12 +70,6 @@ class PosetDiagram:
             else:
                 maps[(x, y)] = GradedLinearMap.zero(spaces[y], spaces[x])
         return cls(poset, spaces, maps)
-
-    def space(self, x) -> GradedVectorSpace:
-        return self.spaces[x]
-
-    def cover_map(self, x, y) -> GradedLinearMap:
-        return self.cover_maps[(x, y)]
 
     def composite(self, x, y) -> GradedLinearMap:
         """The structure map F(y) -> F(x) for x <= y, composed along a fixed
@@ -162,69 +156,34 @@ class CochainComplex:
         return [tuple(s.dims) for s in self.spaces]
 
 
-def _strict_chains(objs, leq, n):
-    if n == 0:
-        return [(x,) for x in objs]
-    shorter = _strict_chains(objs, leq, n - 1)
-    out = []
-    for c in shorter:
-        for x in objs:
-            if x != c[-1] and leq(c[-1], x):
-                out.append(c + (x,))
-    return out
-
-
-def _weak_chains(objs, leq, n):
-    if n == 0:
-        return [(x,) for x in objs]
-    shorter = _weak_chains(objs, leq, n - 1)
-    out = []
-    for c in shorter:
-        for x in objs:
-            if leq(c[-1], x):
-                out.append(c + (x,))
-    return out
-
-
 def cochain_complex(
     diagram: PosetDiagram,
     objects=None,
     weak: bool = False,
     max_n: int | None = None,
-    check: bool = True,
 ) -> CochainComplex:
     """Build the chain-indexed cochain complex of the diagram.
 
     ``objects`` restricts the chains to a subset of the poset (the order is
     inherited); by default all objects are used.  ``max_n`` caps the levels;
-    for strict chains the complex stops by itself at the longest chain.
+    for strict chains the complex stops by itself at the longest chain.  The
+    chains come from ``poset.chains``, sorted within each level.
 
     Each structure map F(x_1) -> F(x_0) is composed once per pair and kept
     for the rest of the call.  Every row of a differential is summed in a
     dict from the composite's rows (face 0) and the signed identity
     diagonals of the face deletions, and stored as sparse rows; no dense
-    matrix is built.  With ``check`` the sparse product of consecutive
-    differentials must vanish.
+    matrix is built.  The sparse product of consecutive differentials must
+    vanish.
     """
     P = diagram.poset
     field = diagram.field
     D = diagram.truncation
-    objs = sorted(P.objects if objects is None else objects, key=str)
-    leq = P.leq
-    gen = _weak_chains if weak else _strict_chains
-    if max_n is None:
-        if weak:
-            raise PreconditionFailed("weak chains need an explicit max_n")
-        max_n = len(objs)
-
-    levels = []
-    for n in range(max_n + 2):
-        cs = gen(objs, leq, n)
-        if not cs and not weak:
-            break
-        levels.append(sorted(cs))
-        if n == max_n + 1:
-            break
+    if max_n is None and weak:
+        raise PreconditionFailed("weak chains need an explicit max_n")
+    # a strict chain has at most len(P.objects) objects, so level len(P.objects) is empty
+    top = len(P.objects) if max_n is None else max_n + 1
+    levels = [sorted(level) for level in chains(P, top, weak, objects)]
 
     spaces = []
     offsets = []
@@ -272,10 +231,9 @@ def cochain_complex(
                 block.extend(acc.items() for acc in acc_d)
         deltas.append(GradedLinearMap.from_rows(spaces[n], spaces[n + 1], rows))
 
-    if check:
-        for a, b in zip(deltas, deltas[1:]):
-            if any(any(_product(bd, ad, field)) for ad, bd in zip(a.nonzero_rows, b.nonzero_rows)):
-                raise AssertionError("differential does not square to zero")
+    for a, b in zip(deltas, deltas[1:]):
+        if any(any(_product(bd, ad, field)) for ad, bd in zip(a.nonzero_rows, b.nonzero_rows)):
+            raise AssertionError("differential does not square to zero")
     return CochainComplex(levels, spaces, deltas)
 
 
@@ -284,14 +242,13 @@ def higher_limits(
     objects=None,
     weak: bool = False,
     max_n: int | None = None,
-    check: bool = True,
 ) -> list[tuple[int, ...]]:
     """Per-level, per-internal-degree dimensions of the higher limits.
 
     Entry n is a tuple of length D+1 giving dim lim^n in each internal
     degree; trailing all-zero levels are trimmed (level 0 always kept).
     """
-    cx = cochain_complex(diagram, objects=objects, weak=weak, max_n=max_n, check=check)
+    cx = cochain_complex(diagram, objects=objects, weak=weak, max_n=max_n)
     D = diagram.truncation
     want = len(cx.deltas) if weak else len(cx.spaces)
     if max_n is not None:
@@ -330,22 +287,3 @@ def lim0_basis(diagram: PosetDiagram):
     for d, (_, _, kb) in enumerate(rk):
         out.append((cx.spaces[0].labels[d], kb))
     return out
-
-
-def verify_lower_factoring(P: PointedPoset):
-    """Look for pairs with a common upper bound but no maximal lower bound
-    realizing the vertex-set intersection.
-
-    Returns None when every such pair factors, else the first offending
-    triple (x, y, z) with z a common upper bound.
-    """
-    objs = sorted(P.objects, key=str)
-    for i, x in enumerate(objs):
-        for y in objs[i + 1:]:
-            b = P.bounds({x, y})
-            if not b.min_upper:
-                continue
-            goal = P.vertex_set(x) & P.vertex_set(y)
-            if not any(P.vertex_set(w) == goal for w in b.max_lower):
-                return (x, y, b.min_upper[0])
-    return None

@@ -102,9 +102,6 @@ class FieldSpec:
     def one(self):
         return Fraction(1) if self.kind == "Q" else 1
 
-    def add(self, a, b):
-        return a + b if self.kind == "Q" else (a + b) % self.p
-
     def neg(self, a):
         return -a if self.kind == "Q" else (-a) % self.p
 

@@ -288,11 +288,30 @@ class PosetReport:
         }
 
 
+def chains(P: PointedPoset, top: int, weak: bool = False, objects=None) -> list[list[tuple]]:
+    """Levels 0..top of the chains x_0 < ... < x_n of the objects (all by
+    default; a subset inherits the order), weakly increasing when ``weak``.
+
+    Each level extends the one before it, chain by chain, by the objects in
+    str order.  Strict chains stop at the first empty level; weak chains
+    always fill every level.  A negative ``top`` gives no levels.
+    """
+    objs = sorted(P.objects if objects is None else objects, key=_skey)
+    after = {x: [y for y in objs if y in P._up[x] and (weak or y != x)] for x in objs}
+    levels = [[(x,) for x in objs]]
+    while len(levels) <= top and (weak or levels[-1]):
+        levels.append([c + (y,) for c in levels[-1] for y in after[c[-1]]])
+    return [level for level in levels[: top + 1] if weak or level]
+
+
+def collapsible_covers(P: PointedPoset) -> list[tuple[Obj, Obj]]:
+    """The covers x < y with x != base and V(x) = V(y), in cover order."""
+    return [(x, y) for x, y in P.covers if x != P.base and P._vsets[x] == P._vsets[y]]
+
+
 def _is_reduced(P: PointedPoset):
-    for x, y in P.covers:
-        if x != P.base and P.vertex_set(x) == P.vertex_set(y):
-            return False, (x, y)
-    return True, None
+    covs = collapsible_covers(P)
+    return not covs, covs[0] if covs else None
 
 
 def _is_simplicial(P: PointedPoset):
@@ -480,18 +499,16 @@ def reduce_poset(P: PointedPoset, candidate_order: str = "lex") -> tuple[Pointed
     order independence).  Returns the reduced poset and the projection map
     original object -> image.
     """
-    pick = min if candidate_order == "lex" else max
+    if candidate_order not in ("lex", "revlex"):
+        raise ValueError(f"unknown candidate order {candidate_order!r}")
+    pick = 0 if candidate_order == "lex" else -1
     proj = {o: o for o in P.objects}
     cur = P
     while True:
-        cands = [
-            (x, y)
-            for x, y in cur.covers
-            if x != cur.base and cur.vertex_set(x) == cur.vertex_set(y)
-        ]
+        cands = collapsible_covers(cur)
         if not cands:
             return cur, proj
-        x, y = pick(cands, key=lambda p: (_skey(p[0]), _skey(p[1])))
+        x, y = cands[pick]
         cur = _collapse(cur, x, y)
         for k, v in proj.items():
             if v == y:
@@ -500,10 +517,8 @@ def reduce_poset(P: PointedPoset, candidate_order: str = "lex") -> tuple[Pointed
 
 def reduce_step(P: PointedPoset) -> tuple[PointedPoset, tuple[Obj, Obj]]:
     """A single collapse step; raises NoCollapseAvailable when P is reduced."""
-    cands = [
-        (x, y) for x, y in P.covers if x != P.base and P.vertex_set(x) == P.vertex_set(y)
-    ]
+    cands = collapsible_covers(P)
     if not cands:
         raise NoCollapseAvailable("poset is already reduced")
-    x, y = min(cands, key=lambda p: (_skey(p[0]), _skey(p[1])))
+    x, y = cands[0]
     return _collapse(P, x, y), (x, y)

@@ -24,13 +24,13 @@ from itertools import combinations, product
 
 from .errors import InsufficientTruncation, PreconditionFailed
 from .linalg import QQ, FieldSpec, rank
-from .poset import PointedPoset
+from .poset import PointedPoset, chains
 
 
 class FiniteSimplicialSet:
     """Cores with face tables; all other simplices are degeneracy words."""
 
-    def __init__(self, cores: dict, faces: dict, n_max: int, complete: bool = False, check: bool = True):
+    def __init__(self, cores: dict, faces: dict, n_max: int, complete: bool = False):
         self.cores = dict(cores)
         self.core_faces = {c: tuple(map(tuple, fs)) for c, fs in faces.items()}
         self.n_max = n_max
@@ -44,8 +44,7 @@ class FiniteSimplicialSet:
                     raise PreconditionFailed(f"vertex {c!r} must not list faces")
             elif len(fs) != d + 1:
                 raise PreconditionFailed(f"core {c!r} needs {d + 1} faces")
-        if check:
-            self._check_identities()
+        self._check_identities()
 
     # -- basic simplex calculus -----------------------------------------
 
@@ -356,16 +355,9 @@ def hocolim_space(P: PointedPoset, spaces: dict, maps: dict, n_max: int):
             x = nxt
         return _canonical_chain(c[1:], spaces[y].face(simp, 0))
 
-    chains = [[(x,) for x in objs]]
-    for n in range(1, n_max + 1):
-        longer = []
-        for c in chains[-1]:
-            for x in objs:
-                if P.leq(c[-1], x):
-                    longer.append(c + (x,))
-        chains.append(longer)
+    levels = chains(P, n_max, weak=True)
     cores, faces = {}, {}
-    for n, level in enumerate(chains):
+    for n, level in enumerate(levels):
         for c in level:
             free = [i for i in range(n - 1, -1, -1) if c[i] != c[i + 1]]
             for core, m in spaces[c[0]].cores.items():
@@ -378,7 +370,7 @@ def hocolim_space(P: PointedPoset, spaces: dict, maps: dict, n_max: int):
                         faces[simp] = tuple(face(c, simp[1], i) for i in range(n + 1))
 
     def keys():
-        for n, level in enumerate(chains):
+        for n, level in enumerate(levels):
             for c in level:
                 for s in spaces[c[0]].simplices(n):
                     yield (n, (c, s))
@@ -508,6 +500,8 @@ def polyhedral_product_space(
     order; any permutation gives an isomorphic space.  The colimit needs an
     injective inclusion (see ``colimit_space``).
     """
+    if via not in ("colim", "hocolim"):
+        raise PreconditionFailed(f"via must be colim or hocolim, not {via!r}")
     if isinstance(pair, str):
         X, A, inc = pair_spaces(pair, n_max)
     else:
@@ -536,9 +530,7 @@ def polyhedral_product_space(
         maps[(x, y)] = SimplicialMap(spaces[x], spaces[y], on_cores, check=False)
     if via == "colim":
         return colimit_space(P, spaces, maps, n_max)
-    if via == "hocolim":
-        return hocolim_space(P, spaces, maps, n_max)
-    raise PreconditionFailed(f"via must be colim or hocolim, not {via!r}")
+    return hocolim_space(P, spaces, maps, n_max)
 
 
 # -- comparison with the cochain side --------------------------------------

@@ -24,7 +24,7 @@ from math import comb
 from .errors import NotPolyhedral, NotSimplicial, PreconditionFailed
 from .linalg import QQ, FieldSpec, rank
 from .polytensor import MorphismCollection, polyhedral_tensor
-from .poset import PointedPoset, classify, reduce_poset
+from .poset import PointedPoset, classify, collapsible_covers, reduce_poset
 
 Monomial = tuple  # sorted tuple of generator names, with repetition
 Polynomial = dict  # Monomial -> coefficient
@@ -135,10 +135,9 @@ def ideal_generators(
     tags: list = []
     skipped = 0
 
-    for x, y in P.covers:
-        if x != P.base and P.vertex_set(x) == P.vertex_set(y):
-            relations.append({(x,): 1, (y,): -1})
-            tags.append(("cover", x, y))
+    for x, y in collapsible_covers(P):
+        relations.append({(x,): 1, (y,): -1})
+        tags.append(("cover", x, y))
 
     # bounds and meets must be taken after the cover identifications above,
     # i.e. in the reduction (its objects are a subset of ours)
@@ -230,22 +229,20 @@ def _monomials_of_degree(gens, degrees, d: int):
 
 def quotient_dims(pres: RingPresentation, D: int, field: FieldSpec = QQ):
     """Dimensions of the graded quotient by the relation ideal, degrees 0..D."""
-    gens = pres.generators
+    bases = [_monomials_of_degree(pres.generators, pres.degrees, d) for d in range(D + 1)]
     dims = []
-    for d in range(D + 1):
-        basis = _monomials_of_degree(gens, pres.degrees, d)
+    for d, basis in enumerate(bases):
         index = {m: i for i, m in enumerate(basis)}
         rows = []
         for poly in pres.relations:
-            any_mono = next(iter(poly))
-            e = pres.monomial_degree(any_mono)
+            e = pres.monomial_degree(next(iter(poly)))
             if e > d:
                 continue
-            for m in _monomials_of_degree(gens, pres.degrees, d - e):
+            for m in bases[d - e]:
                 row: dict = {}
                 for mono, coef in poly.items():
                     j = index[tuple(sorted(mono + m))]
-                    row[j] = field.add(row.get(j, field.zero()), field.conv(coef))
+                    row[j] = row.get(j, 0) + coef
                 pairs = [(j, v) for j, v in row.items() if v]
                 if pairs:
                     rows.append(pairs)

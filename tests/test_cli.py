@@ -173,8 +173,20 @@ def test_error_exit_codes(tmp_path, capsys):
     bad.write_text("{not json")
     code = main(["check", str(bad)])
     assert code == 2
-    code = main(["tensor", "fix-b", "--collection", "nonsense"])
-    assert code == 2
+    for collection in ("nonsense", "augment", "aug1", "aug:", "aug:x", "circle:1"):
+        code = main(["tensor", "fix-b", "--collection", collection])
+        assert code == 2
+
+
+def test_aug_with_and_without_a_degree(capsys):
+    code, plain = run(capsys, "tensor", "fix-b", "--collection", "aug", "--max-degree", "3")
+    assert code == 0
+    code, one = run(capsys, "tensor", "fix-b", "--collection", "aug:1", "--max-degree", "3")
+    assert code == 0
+    assert plain["results"] == one["results"]
+    code, two = run(capsys, "tensor", "fix-b", "--collection", "aug:2", "--max-degree", "3")
+    assert code == 0
+    assert two["results"]["higher_limits"] == [[1, 0, 2, 0]]
 
 
 @pytest.mark.parametrize("argv", [

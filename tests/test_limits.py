@@ -5,14 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetprod.errors import PreconditionFailed
-from posetprod.fixtures import BASE, fix_a, fix_b, fix_e, random_pointed_poset, random_poset_with
+from posetprod.fixtures import BASE, cube, fix_a, fix_b, fix_e, random_pointed_poset, random_poset_with
 from posetprod.limits import (
     PosetDiagram,
     check_diagram,
     cochain_complex,
     higher_limits,
     lim0_basis,
-    verify_lower_factoring,
 )
 from posetprod.linalg import (
     QQ,
@@ -22,7 +21,7 @@ from posetprod.linalg import (
     truncated_polynomial,
 )
 from posetprod.polytensor import build_T, random_surjective_collection
-from posetprod.poset import PointedPoset
+from posetprod.poset import PointedPoset, classify
 
 
 def square_with_base():
@@ -155,8 +154,8 @@ def test_delta_squares_to_zero_on_seeded_diagrams():
         objs = sorted(set(P.objects) - {P.base}, key=str)
         gens = rng.sample(objs, min(2, len(objs))) if objs else []
         dia = PosetDiagram.indicator(P, gens, D=1)
-        cochain_complex(dia, check=True)
-        cochain_complex(dia, weak=True, max_n=3, check=True)
+        cochain_complex(dia)
+        cochain_complex(dia, weak=True, max_n=3)
 
 
 def test_noncommuting_diagram_fails_the_square_check():
@@ -215,6 +214,21 @@ def test_field_does_not_change_indicator_limits():
 
 
 def test_verify_lower_factoring():
-    assert verify_lower_factoring(fix_a()) == ("3", "4", "5")
-    assert verify_lower_factoring(fix_b()) is None
-    assert verify_lower_factoring(fix_e()) is None
+    rep = classify(fix_a())
+    assert not rep.lower_saturated
+    assert rep.witnesses["lower_saturated"] == ("3", "4")
+    assert fix_a().bounds(["3", "4"]).min_upper
+    assert classify(fix_b()).lower_saturated
+    assert classify(fix_e()).lower_saturated
+
+
+@pytest.mark.parametrize("P, strict, weak", [
+    (fix_a(), [7, 18, 20, 8], [7, 25, 63, 129]),
+    (cube(3), [28, 125, 218, 168, 48], [28, 153, 496, 1225]),
+])
+def test_chain_counts_per_level(P, strict, weak):
+    dia = PosetDiagram.constant(P, GradedVectorSpace.unit(QQ, 0))
+    assert [len(level) for level in cochain_complex(dia).chains] == strict
+    cx = cochain_complex(dia, weak=True, max_n=2)
+    assert [len(level) for level in cx.chains] == weak
+    assert all(level == sorted(level) for level in cx.chains)

@@ -181,6 +181,38 @@ def test_reduce_candidate_order_confluence_observed():
         assert down_isomorphism(R1, R2) is not None
 
 
+def test_reduce_refuses_an_unknown_candidate_order():
+    with pytest.raises(ValueError, match="unknown candidate order 'bogus'"):
+        reduce_poset(fix_a(), "bogus")
+
+
+def test_collapsible_covers_drive_reduced_reduce_and_the_cover_relations():
+    P = fix_a()
+    covs = poset.collapsible_covers(P)
+    assert covs and covs == sorted(covs)
+    assert all(x != P.base and P.vertex_set(x) == P.vertex_set(y) for x, y in covs)
+    assert classify(P).witnesses["reduced"] == covs[0]
+    assert reduce_step(P)[1] == covs[0]
+    assert poset.collapsible_covers(reduce_poset(P)[0]) == []
+
+
+def test_chains_strict_and_weak():
+    P = PointedPoset(["*", "a", "b"], "*", [("*", "a"), ("a", "b")])
+    assert poset.chains(P, 5) == [
+        [("*",), ("a",), ("b",)],
+        [("*", "a"), ("*", "b"), ("a", "b")],
+        [("*", "a", "b")],
+    ]
+    weak = poset.chains(P, 2, weak=True)
+    assert [len(level) for level in weak] == [3, 6, 10]
+    assert weak[1] == [("*", "*"), ("*", "a"), ("*", "b"), ("a", "a"), ("a", "b"), ("b", "b")]
+    assert poset.chains(P, 0) == [[("*",), ("a",), ("b",)]]
+    assert poset.chains(P, -1) == poset.chains(P, -2, weak=True) == []
+    assert poset.chains(P, 3, objects=["b", "*"]) == [[("*",), ("b",)], [("*", "b")]]
+    assert poset.chains(P, 3, objects=[]) == []
+    assert poset.chains(P, 1, weak=True, objects=[]) == [[], []]
+
+
 def test_classify_implications_on_random_posets():
     for P in random_poset_with(13, "any", 120):
         rep = classify(P)  # also asserts the two polyhedral algorithms agree

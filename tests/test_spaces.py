@@ -3,7 +3,8 @@
 import pytest
 
 from posetprod.errors import InsufficientTruncation, PreconditionFailed
-from posetprod.fixtures import cube, fix_b, fix_e
+from posetprod import spaces
+from posetprod.fixtures import cube, fix_a, fix_b, fix_e
 from posetprod.linalg import F2, QQ, FieldSpec
 from posetprod.poset import PointedPoset
 from posetprod.spaces import (
@@ -114,6 +115,23 @@ def test_product_express_is_natural():
                 for i in range(n + 1):
                     via_pair = express[(n - 1, (S1.face(s, i), S1.face(t, i)))]
                     assert T2.face(simp, i) == via_pair
+
+
+def test_hocolim_core_counts_of_fix_a():
+    space, _ = polyhedral_product_space(fix_a(), "circle-point", 3, via="hocolim")
+    counts = [0] * 4
+    for d in space.cores.values():
+        counts[d] += 1
+    assert counts == [7, 52, 100, 56]
+
+
+def test_unknown_via_is_refused_before_any_block_is_built(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a block was built")
+
+    monkeypatch.setattr(spaces, "_product", no_build)
+    with pytest.raises(PreconditionFailed, match="via must be colim or hocolim"):
+        polyhedral_product_space(cube(3), "circle-point", 3, via="bogus")
 
 
 def test_wedge_of_circles():
