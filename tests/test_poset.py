@@ -186,7 +186,7 @@ def test_reduce_refuses_an_unknown_candidate_order():
         reduce_poset(fix_a(), "bogus")
 
 
-def test_collapsible_covers_drive_reduced_reduce_and_the_cover_relations():
+def test_collapsible_covers_drive_reduced_and_reduce():
     P = fix_a()
     covs = poset.collapsible_covers(P)
     assert covs and covs == sorted(covs)
