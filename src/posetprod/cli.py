@@ -18,7 +18,7 @@ from .fixtures import FIXTURES
 from .limits import PosetDiagram, higher_limits
 from .linalg import QQ, FieldSpec
 from .poset import PointedPoset, classify, reduce_poset
-# polyhedral_tensor is not called here, but perfbench/tracer.py requires this binding (ROADMAP item 5)
+# polyhedral_tensor is not called here, but perfbench/tracer.py requires this binding (ROADMAP item 1)
 from .polytensor import MorphismCollection, build_T, polyhedral_tensor, reduction_invariance, tensor_limits  # noqa: F401
 from .spaces import PAIR_NAMES, polyprod_homology
 from .stanley import hilbert_from_fvector, presentation_report
@@ -45,10 +45,10 @@ def _parse_collection(text: str, vertices, D: int, field: FieldSpec) -> Morphism
     if text == "circle":
         return MorphismCollection.circle(vertices, D, field=field)
     name, colon, degree = text.partition(":")
-    if name == "aug":
+    if name == "aug" and (not colon or degree.isdecimal()):
         gen_degree = int(degree) if colon else 1
         return MorphismCollection.augmentation(vertices, D, gen_degree=gen_degree, field=field)
-    raise PosetProdError(f"unknown collection {text!r}; use aug[:d] or circle")
+    raise PosetProdError(f"unknown --collection {text!r}; use aug[:d] with an integer d >= 1, or circle")
 
 
 def _emit(args, command, input_info, parameters, results, started, extra: dict | None = None) -> None:

@@ -156,6 +156,14 @@ class CochainComplex:
         return [tuple(s.dims) for s in self.spaces]
 
 
+def check_max_n(weak: bool, max_n: int | None) -> None:
+    """Refuse weak chains without a cap on the levels, and a negative cap."""
+    if max_n is None and weak:
+        raise PreconditionFailed("weak chains need an explicit max_n")
+    if max_n is not None and max_n < 0:
+        raise PreconditionFailed(f"max_n must be >= 0, got {max_n}")
+
+
 def cochain_complex(
     diagram: PosetDiagram,
     objects=None,
@@ -165,8 +173,10 @@ def cochain_complex(
     """Build the chain-indexed cochain complex of the diagram.
 
     ``objects`` restricts the chains to a subset of the poset (the order is
-    inherited); by default all objects are used.  ``max_n`` caps the levels;
-    for strict chains the complex stops by itself at the longest chain.  The
+    inherited); by default all objects are used, and one outside the poset
+    raises ``UnknownObject``.  ``max_n`` caps the levels and must be at
+    least 0; for strict chains the complex stops by itself at the longest
+    chain, and weak chains need it.  The
     chains come from ``poset.chains``, sorted within each level.
 
     Each structure map F(x_1) -> F(x_0) is composed once per pair and kept
@@ -179,8 +189,7 @@ def cochain_complex(
     P = diagram.poset
     field = diagram.field
     D = diagram.truncation
-    if max_n is None and weak:
-        raise PreconditionFailed("weak chains need an explicit max_n")
+    check_max_n(weak, max_n)
     # a strict chain has at most len(P.objects) objects, so level len(P.objects) is empty
     top = len(P.objects) if max_n is None else max_n + 1
     levels = [sorted(level) for level in chains(P, top, weak, objects)]

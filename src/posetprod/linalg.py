@@ -17,8 +17,12 @@ Rank, kernel bases and linear solves all go through one sparse elimination,
 value) pairs with distinct columns.  It pivots on the leading column,
 reducing the other rows of a pivot's bucket by the pivot row as it stands,
 and makes the pivot rows monic and back-substitutes to the reduced row
-echelon form only when a kernel or a solution is asked for.  Its inner loop
-is plain Fraction arithmetic over Q and int arithmetic mod p over F_p.
+echelon form only when a kernel or a solution is asked for.  Its forward
+phase is int arithmetic in both fields: mod p over F_p, and over Q on
+primitive integer rows, each scaled by the lcm of its denominators, reduced
+by cross-multiplication and divided by its content (the gcd of its
+entries), so that no Fraction is made.  Only the reduced form is built
+from Fractions.
 ``rank`` takes such rows and can report its pivot columns, which lets a
 caller clear rows of the next matrix of a complex; ``kernel_basis`` and
 ``solve_matrix`` take dense matrices and convert them.
@@ -29,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, product
-from math import prod
+from math import gcd, lcm, prod
 
 from .errors import MixedFields, MixedTruncation
 
@@ -158,24 +162,64 @@ def _dense(rows, ncols: int, field: FieldSpec) -> list:
     return out
 
 
+def _primitive(r: dict) -> dict:
+    """The row r of ints divided by its content, the gcd of its entries."""
+    g = gcd(*r.values())
+    return r if g == 1 else {k: v // g for k, v in r.items()}
+
+
+def _cross(r: dict, c: int, piv: dict) -> dict:
+    """The primitive part of (a/g) r - (b/g) piv over the integers, where a
+    and b are the entries of piv and r at c and g = gcd(a, b); with a = 1
+    this is r - b piv.  Updates r in place."""
+    a, b = piv[c], r[c]
+    g = gcd(a, b)
+    s, f = a // g, b // g
+    if s < 0:
+        s, f = -s, -f
+    if s != 1:
+        for k in r:
+            r[k] *= s
+    _subtract(r, f, piv, None)
+    return _primitive(r)
+
+
+def _integral(row) -> dict:
+    """A row of (column, value) pairs over Q as a primitive integer row
+    {column: int} without zeros, spanning the same line: the row times the
+    lcm of its denominators, divided by its content.  Values may be ints,
+    Fractions or 'a/b' strings; ints are never made Fractions."""
+    r = {j: x for j, x in row if x}
+    if not all(type(x) is int for x in r.values()):
+        q = {j: (x if type(x) is Fraction else QQ.conv(x)).as_integer_ratio() for j, x in r.items()}
+        m = lcm(*[d for _, d in q.values()])
+        r = {j: n * (m // d) for j, (n, d) in q.items() if n}
+    return _primitive(r)
+
+
 def _echelon(rows, ncols: int, field: FieldSpec, reduced: bool = False) -> dict:
     """The one elimination routine behind rank, kernel_basis and solve_matrix.
 
     Each row is a list of (column, value) pairs with distinct columns below
-    ``ncols``.  The values are converted with ``field.conv`` into dicts
-    {column: value}, dropping those that are zero in the field, then the
-    rows are eliminated column by column: the rows whose leading column is c
-    are reduced by the shortest of them, which becomes the pivot row of c
-    as it stands.  Returns {pivot column: pivot row}.  With ``reduced`` the
-    pivot rows are made monic and each pivot column is also cleared from
-    the other pivot rows, which gives the reduced row echelon form; that
-    form is unique, so it does not depend on the choice of pivot rows.
+    ``ncols``.  Over F_p the values are converted with ``field.conv``; over
+    Q each row is scaled to a primitive integer row (``_integral``).  Both
+    become dicts {column: value} without zeros.  The rows are eliminated
+    column by column: the rows whose leading column is c are reduced by the
+    shortest of them, which becomes the pivot row of c as it stands.  Over
+    Q a row is reduced by cross-multiplication (``_cross``) and divided by
+    its content again, so every row stays a primitive integer vector; such
+    a row is a multiple of a vector of maximal minors of the input rows, so
+    its entries are bounded by those minors.  Returns {pivot column: pivot row}.  With
+    ``reduced`` the pivot rows are made monic (Fractions over Q) and each
+    pivot column is also cleared from the other pivot rows, which gives the
+    reduced row echelon form; that form is unique, so it does not depend on
+    the choice of pivot rows.
     """
     conv = field.conv
     p = field.p
     heads: dict[int, list[dict]] = {}
     for row in rows:
-        r = {j: v for j, x in row if (v := conv(x))}
+        r = _integral(row) if p is None else {j: v for j, x in row if (v := conv(x))}
         if r:
             heads.setdefault(min(r), []).append(r)
     pivots: dict[int, dict] = {}
@@ -188,18 +232,22 @@ def _echelon(rows, ncols: int, field: FieldSpec, reduced: bool = False) -> dict:
         pivots[c] = dict(first)
         if len(bucket) == 1:
             continue
-        inv = 1 / first[c] if p is None else pow(first[c], -1, p)
+        inv = None if p is None else pow(first[c], -1, p)
         for r in bucket:
-            if r is not first:
-                f = r[c] * inv if p is None else r[c] * inv % p
-                _subtract(r, f, first, p)
-                if r:
-                    heads.setdefault(min(r), []).append(r)
+            if r is first:
+                continue
+            if p is None:
+                r = _cross(r, c, first)
+            else:
+                _subtract(r, r[c] * inv % p, first, p)
+            if r:
+                heads.setdefault(min(r), []).append(r)
     if reduced:
         for c, r in pivots.items():
-            inv = 1 / r[c] if p is None else pow(r[c], -1, p)
+            a = r[c]
+            inv = None if p is None else pow(a, -1, p)
             for k, v in r.items():
-                r[k] = v * inv if p is None else v * inv % p
+                r[k] = Fraction(v, a) if p is None else v * inv % p
         for c in sorted(pivots, reverse=True):
             r = pivots[c]
             for k in [k for k in r if k != c and k in pivots]:

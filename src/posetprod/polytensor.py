@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexMismatch, MissingSection, PreconditionFailed
-from .limits import PosetDiagram, higher_limits
+from .limits import PosetDiagram, check_max_n, higher_limits
 from .linalg import (
     QQ,
     FieldSpec,
@@ -281,10 +281,7 @@ def tensor_limits(
     cochain complex instead.  Both answers have the shape and trimming of
     ``higher_limits``.
     """
-    if weak and max_n is None:
-        raise PreconditionFailed("weak chains need an explicit max_n")
-    if max_n is not None and max_n < 0:
-        raise PreconditionFailed(f"max_n must be >= 0, got {max_n}")
+    check_max_n(weak, max_n)
     terms = _split_terms(P, collection, weak, max_n)
     if terms is None:
         return TensorLimits(higher_limits(build_T(P, collection), weak=weak, max_n=max_n), None)

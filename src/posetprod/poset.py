@@ -294,9 +294,13 @@ def chains(P: PointedPoset, top: int, weak: bool = False, objects=None) -> list[
 
     Each level extends the one before it, chain by chain, by the objects in
     str order.  Strict chains stop at the first empty level; weak chains
-    always fill every level.  A negative ``top`` gives no levels.
+    always fill every level.  A negative ``top`` gives no levels.  An
+    object outside P raises ``UnknownObject``.
     """
     objs = sorted(P.objects if objects is None else objects, key=_skey)
+    unknown = [x for x in objs if x not in P._up]
+    if unknown:
+        raise UnknownObject(f"objects {unknown!r} are not in the poset")
     after = {x: [y for y in objs if y in P._up[x] and (weak or y != x)] for x in objs}
     levels = [[(x,) for x in objs]]
     while len(levels) <= top and (weak or levels[-1]):

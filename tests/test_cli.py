@@ -178,6 +178,15 @@ def test_error_exit_codes(tmp_path, capsys):
         assert code == 2
 
 
+@pytest.mark.parametrize("collection", ["aug:", "aug:x"])
+def test_collection_without_an_integer_degree_is_a_typed_refusal(capsys, collection):
+    code = main(["tensor", "fix-b", "--collection", collection])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--collection" in err and "aug[:d]" in err and "circle" in err
+    assert "invalid literal" not in err
+
+
 def test_aug_with_and_without_a_degree(capsys):
     code, plain = run(capsys, "tensor", "fix-b", "--collection", "aug", "--max-degree", "3")
     assert code == 0

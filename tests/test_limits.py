@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetprod.errors import PreconditionFailed
+from posetprod.errors import PreconditionFailed, UnknownObject
 from posetprod.fixtures import BASE, cube, fix_a, fix_b, fix_e, random_pointed_poset, random_poset_with
 from posetprod.limits import (
     PosetDiagram,
@@ -156,6 +156,17 @@ def test_delta_squares_to_zero_on_seeded_diagrams():
         dia = PosetDiagram.indicator(P, gens, D=1)
         cochain_complex(dia)
         cochain_complex(dia, weak=True, max_n=3)
+
+
+def test_unknown_objects_and_negative_max_n_are_refused():
+    dia = PosetDiagram.indicator(fix_a(), ["3"])
+    for build in (cochain_complex, higher_limits):
+        with pytest.raises(UnknownObject, match="zz"):
+            build(dia, objects=["3", "zz"])
+        for weak in (False, True):
+            with pytest.raises(PreconditionFailed, match="max_n must be >= 0, got -1"):
+                build(dia, weak=weak, max_n=-1)
+    assert higher_limits(dia, max_n=0) == higher_limits(dia)[:1]
 
 
 def test_noncommuting_diagram_fails_the_square_check():

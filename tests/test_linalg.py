@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from posetprod.linalg import (
     FieldSpec,
     GradedLinearMap,
     GradedVectorSpace,
+    _echelon,
     find_section,
     kernel_basis,
     rank,
@@ -165,9 +167,18 @@ def _linear_systems(draw):
     field = draw(st.sampled_from([QQ, F2, FieldSpec.Fp(101), FieldSpec.Fp(4294967311)]))
     nr, nc, k = draw(st.integers(0, 6)), draw(st.integers(1, 6)), draw(st.integers(0, 3))
     entry = st.one_of(st.integers(-2, 2), st.integers(-10**12, 10**12))
+    if field == QQ:
+        # rank scales Q rows to integers: Fractions, 'a/b' strings (zero
+        # ones included) and the extremes of the large ints mixed in a row
+        entry = st.one_of(
+            entry,
+            st.sampled_from([10**12, -10**12]),
+            st.fractions(-10**6, 10**6, max_denominator=10**6),
+            st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9)),
+        )
     A = [[draw(entry) for _ in range(nc)] for _ in range(nr)]
     if nr >= 2 and draw(st.booleans()):
-        A.append([a - 2 * b for a, b in zip(A[0], A[1])])
+        A.append([field.conv(a) - 2 * field.conv(b) for a, b in zip(A[0], A[1])])
     if draw(st.booleans()):
         # B = A X0 has a solution whatever the rank of A
         X0 = [[draw(entry) for _ in range(k)] for _ in range(nc)]
@@ -196,6 +207,35 @@ def test_rank_kernel_and_solve_match_sympy(system):
     if X is not None:
         assert _canonical(X, field)
         assert _sympy_product(A, X, field) == _conv(B, field)
+
+
+def test_forward_pivot_rows_over_q_stay_within_the_hadamard_bound():
+    # every forward pivot row over Q is a primitive integer row; its entries
+    # are maximal minors of the input divided by a common factor, so none
+    # exceeds the product of the Euclidean norms of the input rows
+    rng = random.Random(11)
+    for _ in range(60):
+        nr, nc = rng.randrange(1, 12), rng.randrange(1, 12)
+        bound = rng.choice([1, 3, 50, 10**6])
+        m = [[rng.randint(-bound, bound) for _ in range(nc)] for _ in range(nr)]
+        if nr >= 3:
+            m.append([3 * a - 2 * b + c for a, b, c in zip(*m[:3])])
+        hadamard_sq = prod(sum(x * x for x in row) for row in m if any(row))
+        R = _echelon(_pair_rows(m), nc, QQ)
+        assert set(R) == set(_sympy_matrix(m, nc, QQ).rref()[1])
+        for c, row in R.items():
+            assert min(row) == c
+            assert all(type(v) is int and v * v <= hadamard_sq for v in row.values())
+            assert gcd(*row.values()) == 1
+
+
+def test_forward_rows_over_q_are_integers_for_fraction_and_string_input():
+    m = [[Fraction(1, 2), "2/3", 0], ["0/5", Fraction(0), "-1/4"], [Fraction(3, 4), 1, "-1/4"]]
+    R = _echelon(_pair_rows(m), 3, QQ)
+    # 6 (1/2, 2/3, 0) and 4 (0, 0, -1/4); the third row is 3/2 of the first
+    # plus the second
+    assert R == {0: {0: 3, 1: 4}, 2: {2: -1}}
+    assert rank(_pair_rows(m), 3, QQ) == 2
 
 
 def test_non_canonical_entries_are_converted_first():

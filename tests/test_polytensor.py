@@ -137,8 +137,9 @@ def test_chain_arguments_are_checked():
         polyhedral_tensor(P, col, max_n=-1)
     with pytest.raises(IndexMismatch):
         polyhedral_tensor(P, MorphismCollection({}, field=QQ, truncation=1))
-    with pytest.raises(PreconditionFailed, match="max_n must be >= 0"):
-        polyhedral_tensor(P, col, max_n=-1)
+    for weak in (False, True):
+        with pytest.raises(PreconditionFailed, match="max_n must be >= 0, got -1"):
+            tensor_limits(P, col, weak=weak, max_n=-1)
 
 
 def test_build_T_shapes_and_labels():

@@ -211,6 +211,8 @@ def test_chains_strict_and_weak():
     assert poset.chains(P, 3, objects=["b", "*"]) == [[("*",), ("b",)], [("*", "b")]]
     assert poset.chains(P, 3, objects=[]) == []
     assert poset.chains(P, 1, weak=True, objects=[]) == [[], []]
+    with pytest.raises(errors.UnknownObject, match="zz"):
+        poset.chains(P, 3, objects=["a", "zz"])
 
 
 def test_classify_implications_on_random_posets():
