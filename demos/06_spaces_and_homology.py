@@ -48,17 +48,26 @@ print("\n3-sphere homology:", homology(Z, 3))
 # ``polyprod_homology`` runs both sides of the comparison: the homology of
 # the glued space, and the higher limits of the induced diagram of
 # cohomologies with the level-n part contributing in total degree n + k.
+# For the colimit it never builds the simplicial set: it takes the cellular
+# route, one cell per tuple of cores of the disk (a core of the circle on
+# every vertex outside the support) and component of the support's up-set.
 rep = polyprod_homology(P, "disk2-circle", n_max=4)
 print("comparison:", rep)
+print("route:", rep["route"], "with cells per dimension", rep["cells"])
+
+# ``check_route`` also builds the simplicial colimit, as above, and
+# compares the two routes.
+checked = polyprod_homology(P, "disk2-circle", n_max=4, check_route=True)
+print("simplicial route:", checked["simplicial_homology"], "routes agree:", checked["routes_agree"])
 
 # With the (circle, point) pair over the bigon the space is two tori glued
 # along a wedge of two circles; limits and homology again agree.
 rep2 = polyprod_homology(fix_b(), "circle-point", n_max=3)
 print("\nbigon circle-point:", rep2)
 
-# The gluing route is a choice: the colimit identifies simplices outright,
-# the homotopy colimit keeps gluing data as prisms.  For these posets both
-# give the same homology.  Over the square the top face contains all four
+# The gluing is a choice: the colimit identifies simplices outright, the
+# homotopy colimit keeps gluing data as prisms (and takes the simplicial
+# route, its only one).  For these posets both give the same homology.  Over the square the top face contains all four
 # vertices, so the glued space is the 4-torus ((1, 4, 6) through degree 2).
 sq = cube(2)
 hc = polyprod_homology(sq, "circle-point", n_max=3, via="colim")["homology"]

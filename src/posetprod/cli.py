@@ -208,7 +208,8 @@ def _cmd_homology(args) -> int:
     P, info = _load_poset(args.poset)
     field = FieldSpec.parse(args.field)
     rep = polyprod_homology(
-        P, args.pair, args.max_dim + 1, via=args.via, field=field, compare=not args.no_compare
+        P, args.pair, args.max_dim + 1, via=args.via, field=field, compare=not args.no_compare,
+        check_route=args.check_route,
     )
     params = {
         "pair": args.pair,
@@ -225,7 +226,13 @@ def _cmd_homology(args) -> int:
         results["agree"] = rep["agree"]
         if not rep["agree"]:
             code = 1
-    _emit(args, "homology", info, params, results, started)
+    if args.check_route:
+        results["simplicial_homology"] = list(rep["simplicial_homology"])
+        results["routes_agree"] = rep["routes_agree"]
+        if not rep["routes_agree"]:
+            code = 1
+    route = {"name": rep["route"], "cells": list(rep["cells"])}
+    _emit(args, "homology", info, params, results, started, {"route": route})
     return code
 
 
@@ -262,14 +269,17 @@ def _cmd_suite(args) -> int:
             "agree": actual == predicted,
         }
         checks.append(actual == predicted)
-    if len(P.objects) <= args.space_limit:
-        hom = polyprod_homology(P, "circle-point", min(D, 3) + 1, via="colim", field=field)
-        results["homology_circle_point"] = {
-            "homology": list(hom["homology"]),
-            "predicted_from_limits": list(hom["predicted"]),
-            "agree": hom["agree"],
-        }
-        checks.append(hom["agree"])
+    cross_check = len(P.objects) <= args.space_limit
+    hom = polyprod_homology(P, "circle-point", min(D, 3) + 1, via="colim", field=field, check_route=cross_check)
+    results["homology_circle_point"] = {
+        "homology": list(hom["homology"]),
+        "predicted_from_limits": list(hom["predicted"]),
+        "agree": hom["agree"],
+    }
+    checks.append(hom["agree"])
+    if cross_check:
+        results["homology_circle_point"]["routes_agree"] = hom["routes_agree"]
+        checks.append(hom["routes_agree"])
     results["all_checks_pass"] = all(checks) if checks else True
     _emit(args, "suite", info, {"max_degree": D, "field": str(field)}, results, started)
     return 0 if results["all_checks_pass"] else 1
@@ -353,11 +363,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--via", choices=["colim", "hocolim"], default="colim")
     p.add_argument("--field", default="q")
     p.add_argument("--no-compare", action="store_true", help="skip the higher-limit comparison")
+    p.add_argument(
+        "--check-route",
+        action="store_true",
+        help="also build the colimit as a simplicial set (the cellular route answers); exit 1 if the routes disagree",
+    )
 
     p = add("suite", _cmd_suite, "run every applicable computation with cross-checks")
     p.add_argument("--max-degree", type=_non_negative, default=4)
     p.add_argument("--field", default="q")
-    p.add_argument("--space-limit", type=int, default=12, help="skip homology above this many objects")
+    p.add_argument(
+        "--space-limit",
+        type=int,
+        default=12,
+        help="cross-check homology against the simplicial colimit only up to this many objects",
+    )
 
     return parser
 

@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import compress, count, product
 from math import gcd, lcm, prod
 
-from .errors import MixedFields, MixedTruncation
+from .errors import MixedFields, MixedTruncation, PreconditionFailed
 
 
 def _is_prime(n: int) -> bool:
@@ -71,7 +71,11 @@ class FieldSpec:
         t = str(text).strip().lower()
         if t in ("q", "rational", "rationals"):
             return cls.Q()
-        return cls.Fp(int(t))
+        try:
+            p = int(t)
+        except ValueError:
+            raise PreconditionFailed(f"unknown --field {text!r}; use q or a prime") from None
+        return cls.Fp(p)
 
     def __str__(self):
         return "q" if self.kind == "Q" else str(self.p)

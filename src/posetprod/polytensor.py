@@ -39,7 +39,7 @@ from .linalg import (
     tensor_maps,
     truncated_polynomial,
 )
-from .poset import PointedPoset, reduce_poset
+from .poset import PointedPoset, reduce_poset, support_walk
 
 
 class MorphismCollection:
@@ -215,19 +215,14 @@ class TensorLimits:
 _CONE = (1,)
 
 
-def _convolve(a, b, D: int) -> tuple[int, ...]:
-    return tuple(sum(a[i] * b[d - i] for i in range(d + 1)) for d in range(D + 1))
-
-
 def _split_terms(P: PointedPoset, collection: MorphismCollection, weak: bool, max_n: int | None):
     """Every summand of the split with W_S != 0, or None when some a_v is
     not surjective.
 
-    Supports are walked depth first in vertex order, leaving a vertex out
-    before putting it in.  A branch is pruned as soon as U_S is empty or
-    the truncated Hilbert series of W_S vanishes, since adding vertices
-    only shrinks both.  Betti numbers are memoized by the minimal objects
-    of U_S; a single minimal object makes Delta(U_S) a cone.
+    The supports come from ``support_walk`` on the Hilbert series N_v and
+    K_v = ker a_v, in vertex order.  Betti numbers are memoized by the
+    minimal objects of U_S; a single minimal object makes Delta(U_S) a
+    cone.
     """
     order = _vertex_order(P, collection)
     field, D = collection.field, collection.truncation
@@ -240,30 +235,17 @@ def _split_terms(P: PointedPoset, collection: MorphismCollection, weak: bool, ma
         K[v] = tuple(m - n for m, n in zip(a.source.dims, a.target.dims))
     betti_of: dict = {}
     terms = []
-    unit = (1,) + (0,) * D
-    stack = [(0, (), unit, frozenset(P.objects))]
-    while stack:
-        i, support, dims, up = stack.pop()
-        if i == len(order):
-            minimal = tuple(sorted((x for x in up if len(P.down_set(x) & up) == 1), key=str))
-            if minimal not in betti_of:
-                if len(minimal) == 1:
-                    betti_of[minimal] = _CONE
-                else:
-                    # chains starting in the up-set stay in it; the rest carry zeros
-                    diagram = PosetDiagram.indicator(P, minimal, field, D=0)
-                    lims = higher_limits(diagram, objects=up, weak=weak, max_n=max_n)
-                    betti_of[minimal] = tuple(b for (b,) in lims)
-            terms.append(SplitTerm(support, dims, betti_of[minimal]))
-            continue
-        v = order[i]
-        up_v = up & P.up_set(v)
-        with_v = _convolve(dims, K[v], D)
-        if up_v and any(with_v):
-            stack.append((i + 1, support + (v,), with_v, up_v))
-        without_v = _convolve(dims, N[v], D)
-        if any(without_v):
-            stack.append((i + 1, support, without_v, up))
+    for support, dims, up in support_walk(P, order, N, K, D):
+        minimal = tuple(sorted((x for x in up if len(P.down_set(x) & up) == 1), key=str))
+        if minimal not in betti_of:
+            if len(minimal) == 1:
+                betti_of[minimal] = _CONE
+            else:
+                # chains starting in the up-set stay in it; the rest carry zeros
+                diagram = PosetDiagram.indicator(P, minimal, field, D=0)
+                lims = higher_limits(diagram, objects=up, weak=weak, max_n=max_n)
+                betti_of[minimal] = tuple(b for (b,) in lims)
+        terms.append(SplitTerm(support, dims, betti_of[minimal]))
     return tuple(terms)
 
 

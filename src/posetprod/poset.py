@@ -313,6 +313,42 @@ def collapsible_covers(P: PointedPoset) -> list[tuple[Obj, Obj]]:
     return [(x, y) for x, y in P.covers if x != P.base and P._vsets[x] == P._vsets[y]]
 
 
+def _convolve(a: tuple, b: tuple, D: int) -> tuple[int, ...]:
+    """Product of two series with D + 1 coefficients, truncated at degree D."""
+    out = [0] * (D + 1)
+    for i, x in enumerate(a):
+        if x:
+            for j in range(D + 1 - i):
+                out[i + j] += x * b[j]
+    return tuple(out)
+
+
+def support_walk(P: PointedPoset, order, N: dict, K: dict, D: int):
+    """Yield (S, series, U_S) for the supports S, sub-tuples of ``order``.
+
+    The series of S is the product of K[v] over v in S and N[v] over the
+    other vertices of ``order``, each a tuple of D + 1 non-negative
+    coefficients, truncated at degree D; U_S = {x : S <= V(x)}.  Supports
+    are walked depth first in ``order``, leaving a vertex out before putting
+    it in, and a branch is pruned as soon as U_S is empty or the series so
+    far vanishes, since adding vertices only shrinks both.
+    """
+    stack = [(0, (), (1,) + (0,) * D, frozenset(P.objects))]
+    while stack:
+        i, support, series, up = stack.pop()
+        if i == len(order):
+            yield support, series, up
+            continue
+        v = order[i]
+        up_v = up & P._up[v]
+        with_v = _convolve(series, K[v], D)
+        if up_v and any(with_v):
+            stack.append((i + 1, support + (v,), with_v, up_v))
+        without_v = _convolve(series, N[v], D)
+        if any(without_v):
+            stack.append((i + 1, support, without_v, up))
+
+
 def _is_reduced(P: PointedPoset):
     covs = collapsible_covers(P)
     return not covs, covs[0] if covs else None

@@ -10,10 +10,20 @@ degenerate exactly at the indices that all their words share
 list their cores directly and never enumerate a degenerate simplex.  Spaces
 are truncated: cores live in dimensions up to n_max, and homology above
 n_max - 1 is refused unless the space is marked complete (no cores could
-exist higher up).  Homology ranks sparse coboundary rows, one per core,
-level by level from low degree to high; a core that was a pivot column one
+exist higher up).  Homology ranks sparse coboundary rows, one per cell,
+level by level from low degree to high; a cell that was a pivot column one
 level down has its row cleared (never built), which leaves the rank as it
-is (see ``homology``).
+is (see ``_betti``).
+
+Homology of a polyhedral product has two routes.  The simplicial route
+builds the colimit or homotopy colimit of the blocks as a simplicial set
+and takes ``homology``.  The cellular route answers the colimit of a pair
+A <= X without building it: its cells are tuples of cores of X, one per
+component of the up-set of their support (``colimit_cells``), walked with
+the split route of the tensor limits (``poset.support_walk``), and the same
+elimination ranks their boundaries.  ``polyprod_homology`` takes the
+cellular route for the colimit, the simplicial one for the homotopy
+colimit, and with ``check_route`` compares the two on the colimit.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from itertools import combinations, product
 
 from .errors import InsufficientTruncation, PreconditionFailed
 from .linalg import QQ, FieldSpec, rank
-from .poset import PointedPoset, chains
+from .poset import PointedPoset, chains, support_walk
 
 
 class FiniteSimplicialSet:
@@ -288,6 +298,12 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
+def _injective_on_cores(f: SimplicialMap) -> bool:
+    """Whether f sends the cores of its source to pairwise distinct cores."""
+    images = [f.on_cores[c] for c in f.source.cores]
+    return all(not word and img in f.target.cores for img, word in images) and len(set(images)) == len(images)
+
+
 def colimit_space(P: PointedPoset, spaces: dict, maps: dict, n_max: int):
     """Coequalize the spaces along the cover maps.
 
@@ -300,8 +316,7 @@ def colimit_space(P: PointedPoset, spaces: dict, maps: dict, n_max: int):
     keyed by (dim, (object, simplex)).
     """
     for (x, y), f in maps.items():
-        images = [f.on_cores[c] for c in spaces[x].cores]
-        if any(word or img not in spaces[y].cores for img, word in images) or len(set(images)) != len(images):
+        if not _injective_on_cores(f):
             raise PreconditionFailed(f"the map over {x!r} < {y!r} does not send cores to distinct cores")
     uf = _UnionFind()
     for (x, y), f in maps.items():
@@ -381,24 +396,21 @@ def hocolim_space(P: PointedPoset, spaces: dict, maps: dict, n_max: int):
 # -- homology -------------------------------------------------------------
 
 
-def homology(X: FiniteSimplicialSet, upto: int, field: FieldSpec = QQ):
-    """Betti numbers (dimensions over the field) in degrees 0..upto.
+def _betti(bases, faces, upto: int, field: FieldSpec):
+    """Betti numbers in degrees 0..upto of a chain complex given by its
+    bases, one list per degree from 0 through at most upto + 1, and
+    ``faces(c)``: the (face, coefficient) pairs of the boundary of c.
 
-    The boundary of the normalized chain complex on the cores is taken one
-    row per (n-1)-core: the signed n-cores it is a face of, its coboundary.
-    The levels are eliminated from low degree to high, and the row of each
-    (n-1)-core that was a pivot column one level down is cleared: never
-    built.  The pivot row r of such a column c combines rows one level
-    down, so its coboundary sum_j r_j row_j vanishes, and every other j in
-    it comes after c; from the last pivot back, each cleared row is thus a
-    combination of kept rows, and the rank is unchanged (the "twist" of
-    Chen and Kerber 2011, "Persistent homology computation with a twist").
+    The boundary is taken one row per (n-1)-cell: the signed n-cells it is
+    a face of, its coboundary.  The levels are eliminated from low degree
+    to high, and the row of each (n-1)-cell that was a pivot column one
+    level down is cleared: never built.  The pivot row r of such a column c
+    combines rows one level down, so its coboundary sum_j r_j row_j
+    vanishes, and every other j in it comes after c; from the last pivot
+    back, each cleared row is thus a combination of kept rows, and the rank
+    is unchanged (the "twist" of Chen and Kerber 2011, "Persistent homology
+    computation with a twist").
     """
-    if not X.complete and upto > X.n_max - 1:
-        raise InsufficientTruncation(
-            f"degree {upto} needs cores up to dimension {upto + 1}, truncation is {X.n_max}"
-        )
-    bases = [X.nondegenerate(n) for n in range(min(upto + 1, X.n_max) + 1)]
     # ranks[n] is the rank of the boundary C_n -> C_(n-1), zero past the top
     ranks = [0] * (upto + 2)
     pivots: set = set()
@@ -406,9 +418,9 @@ def homology(X: FiniteSimplicialSet, upto: int, field: FieldSpec = QQ):
         index = {c: k for k, c in enumerate(bases[n - 1])}
         rows = {k: {} for k in range(len(bases[n - 1])) if k not in pivots}
         for col, c in enumerate(bases[n]):
-            for i, (f, word) in enumerate(X.core_faces[c]):
-                if not word and (row := rows.get(index[f])) is not None:
-                    row[col] = row.get(col, 0) + (-1 if i % 2 else 1)
+            for f, v in faces(c):
+                if (row := rows.get(index[f])) is not None:
+                    row[col] = row.get(col, 0) + v
         pivots = set()
         pairs = [[(j, v) for j, v in row.items() if v] for row in rows.values()]
         ranks[n] = rank(pairs, len(bases[n]), field, pivots)
@@ -416,6 +428,23 @@ def homology(X: FiniteSimplicialSet, upto: int, field: FieldSpec = QQ):
         (len(bases[n]) if n < len(bases) else 0) - ranks[n] - ranks[n + 1]
         for n in range(upto + 1)
     )
+
+
+def homology(X: FiniteSimplicialSet, upto: int, field: FieldSpec = QQ):
+    """Betti numbers (dimensions over the field) in degrees 0..upto of the
+    normalized chain complex on the cores: the faces of a core that are
+    degenerate drop out (see ``_betti`` for the elimination)."""
+    if not X.complete and upto > X.n_max - 1:
+        raise InsufficientTruncation(
+            f"degree {upto} needs cores up to dimension {upto + 1}, truncation is {X.n_max}"
+        )
+    bases = [X.nondegenerate(n) for n in range(min(upto + 1, X.n_max) + 1)]
+    return _betti(bases, lambda c: _core_boundary(X, c), upto, field)
+
+
+def _core_boundary(X: FiniteSimplicialSet, c) -> list:
+    """The nondegenerate faces of the core c, each with its sign (-1)^i."""
+    return [(f, -1 if i % 2 else 1) for i, (f, word) in enumerate(X.core_faces.get(c, ())) if not word]
 
 
 # -- model spaces and pairs ------------------------------------------------
@@ -502,10 +531,7 @@ def polyhedral_product_space(
     """
     if via not in ("colim", "hocolim"):
         raise PreconditionFailed(f"via must be colim or hocolim, not {via!r}")
-    if isinstance(pair, str):
-        X, A, inc = pair_spaces(pair, n_max)
-    else:
-        X, A, inc = pair
+    X, A, inc = pair_spaces(pair, n_max) if isinstance(pair, str) else pair
     if vertex_order is None:
         verts = sorted(P.vertices, key=str)
     else:
@@ -531,6 +557,83 @@ def polyhedral_product_space(
     if via == "colim":
         return colimit_space(P, spaces, maps, n_max)
     return hocolim_space(P, spaces, maps, n_max)
+
+
+def colimit_cells(P: PointedPoset, pair: str | tuple, n_max: int):
+    """The cellular chain complex of the colimit of the block diagram, in
+    dimensions 0..n_max; returns (bases, faces) as ``_betti`` reads them.
+
+    The pair's A must sit in X as a sub-complex, with its cores sent to
+    distinct cores.  By Eilenberg-Zilber (May 1967) a block's chains are
+    the tensor product of its factors' chains, so a cell of the colimit is
+    a tuple s of cores of X, one per vertex in str order, taken once per
+    connected component of U_S = {x : S <= V(x)}, where the support S is
+    the set of vertices whose core lies outside A (the cellular chains of
+    Bahri, Bendersky, Cohen and Gitler 2010, over a poset).  The supports
+    come from ``support_walk`` on the core counts of A and of X outside A.
+    A cell is named (s, r), with r the str-least object of its component,
+    so the order of the cells does not depend on the hash seed.  Its
+    boundary is the Koszul-signed tensor boundary, degenerate faces
+    dropped; a face t lies in the component of U_S(t), an up-set containing
+    U_S, that holds r.
+    """
+    X, A, inc = pair_spaces(pair, n_max) if isinstance(pair, str) else pair
+    if not _injective_on_cores(inc):
+        raise PreconditionFailed("the inclusion of A does not send cores to distinct cores of X")
+    verts = sorted(P.vertices, key=str)
+    inside = {inc.on_cores[a][0] for a in A.cores}
+    # by_dim[outside][d]: the d-cores of X outside A (or in A), d <= n_max
+    by_dim = {out: [[] for _ in range(n_max + 1)] for out in (False, True)}
+    for c in sorted(X.cores, key=str):
+        if X.cores[c] <= n_max:
+            by_dim[c not in inside][X.cores[c]].append(c)
+    N, K = (dict.fromkeys(verts, tuple(map(len, by_dim[out]))) for out in (False, True))
+
+    objs = sorted(P.objects, key=str)
+    nbrs = {x: [] for x in objs}
+    for x, y in P.covers:
+        nbrs[x].append(y)
+        nbrs[y].append(x)
+    # rep_of[S][x]: the str-least object of the component of U_S holding x
+    rep_of: dict = {}
+    bases = [[] for _ in range(n_max + 1)]
+    for support, _, up in support_walk(P, verts, N, K, n_max):
+        rep = rep_of[support] = {}
+        reps = []
+        for r in objs:
+            if r in up and r not in rep:
+                reps.append(r)
+                rep[r], todo = r, [r]
+                while todo:
+                    for y in nbrs[todo.pop()]:
+                        if y in up and y not in rep:
+                            rep[y] = r
+                            todo.append(y)
+        cells = [((), 0)]
+        for v in verts:
+            choices = by_dim[v in support]
+            cells = [(s + (c,), d + e) for s, d in cells for e in range(n_max + 1 - d) for c in choices[e]]
+        for s, d in cells:
+            bases[d].extend((s, r) for r in reps)
+
+    boundary = {c: _core_boundary(X, c) for c in X.cores}
+
+    def faces(cell):
+        s, r = cell
+        support = tuple(v for v, c in zip(verts, s) if c not in inside)
+        out = []
+        sign = 1
+        for k, c in enumerate(s):
+            for f, e in boundary[c]:
+                # the face leaves the support when its core falls into A
+                leaves = c not in inside and f in inside
+                face_support = tuple(v for v in support if v != verts[k]) if leaves else support
+                out.append(((s[:k] + (f,) + s[k + 1:], rep_of[face_support][r]), sign * e))
+            if X.cores[c] % 2:
+                sign = -sign
+        return out
+
+    return bases, faces
 
 
 # -- comparison with the cochain side --------------------------------------
@@ -585,14 +688,35 @@ def polyprod_homology(
     via: str = "colim",
     field: FieldSpec = QQ,
     compare: bool = True,
+    check_route: bool = False,
 ) -> dict:
-    """Homology of the polyhedral-product space, optionally compared against
-    the higher limits of the induced cohomology collection: the predicted
-    k-th dimension sums lim^n in internal degree k - n."""
-    space, _ = polyhedral_product_space(P, pair, n_max, via=via)
+    """Homology of the polyhedral-product space in degrees below n_max,
+    optionally compared against the higher limits of the induced cohomology
+    collection: the predicted k-th dimension sums lim^n in internal degree
+    k - n.
+
+    The colimit is answered by its cellular chains (``colimit_cells``), the
+    homotopy colimit by its simplicial set.  ``route`` names the route that
+    answered and ``cells`` counts its cells (or cores) per dimension.  With
+    ``check_route`` the colimit is also built as a simplicial set, and
+    ``simplicial_homology`` and ``routes_agree`` report the comparison.
+    """
+    if check_route and via == "hocolim":
+        raise PreconditionFailed("check_route compares the two routes of the colimit; the hocolim has one route")
     upto = n_max - 1
-    h = homology(space, upto, field)
-    out = {"homology": h, "n_max": n_max, "via": via}
+    if via == "colim":
+        bases, faces = colimit_cells(P, pair, n_max)
+        h = _betti(bases, faces, upto, field)
+        route, cells = "cellular", tuple(map(len, bases))
+    else:
+        space, _ = polyhedral_product_space(P, pair, n_max, via=via)
+        h = homology(space, upto, field)
+        route, cells = "simplicial", tuple(len(space.nondegenerate(n)) for n in range(n_max + 1))
+    out = {"homology": h, "n_max": n_max, "via": via, "route": route, "cells": cells}
+    if check_route:
+        space, _ = polyhedral_product_space(P, pair, n_max, via="colim")
+        out["simplicial_homology"] = homology(space, upto, field)
+        out["routes_agree"] = out["simplicial_homology"] == h
     if compare:
         from .polytensor import polyhedral_tensor
 

@@ -147,6 +147,37 @@ def test_homology_subcommand(capsys):
     assert rep["results"]["homology"] == [1, 0, 0, 1]
 
 
+def test_homology_results_keep_their_keys_and_name_the_route(capsys):
+    code, rep = run(capsys, "homology", "fix-e", "--max-dim", "2")
+    assert code == 0
+    assert set(rep["results"]) == {"homology", "predicted_from_limits", "higher_limits", "agree"}
+    # the wedge of two circles: one vertex and two edges
+    assert rep["route"] == {"name": "cellular", "cells": [1, 2, 0, 0]}
+    code, rep = run(capsys, "homology", "fix-e", "--max-dim", "1", "--no-compare", "--via", "hocolim")
+    assert code == 0
+    assert set(rep["results"]) == {"homology"}
+    assert rep["route"] == {"name": "simplicial", "cells": [3, 4, 0]}
+
+
+def test_homology_check_route(capsys, monkeypatch):
+    code, rep = run(capsys, "homology", "fix-b", "--max-dim", "2", "--check-route")
+    assert code == 0
+    res = rep["results"]
+    assert res["homology"] == res["simplicial_homology"] == [1, 2, 2]
+    assert res["routes_agree"] is True and res["agree"] is True
+
+    # the hocolim has only the simplicial route
+    code, rep = run(capsys, "homology", "fix-b", "--via", "hocolim", "--check-route")
+    assert code == 2 and rep is None
+
+    # a disagreement between the routes is a failed verification
+    monkeypatch.setattr("posetprod.spaces.homology", lambda *a, **k: (1, 0, 0))
+    code, rep = run(capsys, "homology", "fix-b", "--max-dim", "2", "--check-route")
+    assert code == 1
+    assert rep["results"]["routes_agree"] is False
+    assert rep["results"]["agree"] is True
+
+
 @pytest.mark.parametrize("via", ["colim", "hocolim"])
 def test_homology_below_the_top_core_of_a_model_space(capsys, via):
     code, rep = run(capsys, "homology", "fix-e", "--pair", "disk2-circle",
@@ -164,6 +195,14 @@ def test_suite_runs_cross_checks(capsys):
     assert res["hilbert"]["agree"]
     assert res["transform_f_vector"]["agree"]
     assert res["homology_circle_point"]["agree"]
+    assert res["homology_circle_point"]["routes_agree"] is True
+
+
+def test_suite_reports_homology_beyond_the_space_limit(capsys):
+    code, rep = run(capsys, "suite", "fix-c", "--max-degree", "3", "--space-limit", "0")
+    assert code == 0
+    hom = rep["results"]["homology_circle_point"]
+    assert hom == {"homology": [1, 4, 6, 4], "predicted_from_limits": [1, 4, 6, 4], "agree": True}
 
 
 def test_error_exit_codes(tmp_path, capsys):
@@ -176,6 +215,11 @@ def test_error_exit_codes(tmp_path, capsys):
     for collection in ("nonsense", "augment", "aug1", "aug:", "aug:x", "circle:1"):
         code = main(["tensor", "fix-b", "--collection", collection])
         assert code == 2
+    code = main(["tensor", "fix-b", "--field", "foo"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--field" in err and "q or a prime" in err
+    assert "invalid literal" not in err
 
 
 @pytest.mark.parametrize("collection", ["aug:", "aug:x"])

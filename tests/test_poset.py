@@ -14,7 +14,7 @@ from posetprod.fixtures import (
     random_poset_with,
     simplex,
 )
-from posetprod.poset import PointedPoset, classify, down_isomorphism, reduce_poset, reduce_step
+from posetprod.poset import PointedPoset, classify, down_isomorphism, reduce_poset, reduce_step, support_walk
 
 
 def test_validation_errors():
@@ -270,3 +270,20 @@ def test_norm_and_vertex_monotonicity():
         for x in P.objects:
             if x != P.base:
                 assert len(P.vertex_set(x)) >= 1
+
+
+def test_support_walk_prunes_empty_up_sets_and_vanishing_series():
+    def walk(P, D):
+        order = sorted(P.vertices, key=str)
+        N, K = dict.fromkeys(order, (1,) + (0,) * D), dict.fromkeys(order, (0, 1) + (0,) * (D - 1))
+        return list(support_walk(P, order, N, K, D))
+
+    # the edge: {0, 1} lives on the top alone, once the series reaches degree 2
+    assert walk(cube(1), 1) == [
+        ((), (1, 0), frozenset({"*", "0", "1", "u"})),
+        (("1",), (0, 1), frozenset({"1", "u"})),
+        (("0",), (0, 1), frozenset({"0", "u"})),
+    ]
+    assert walk(cube(1), 2)[-1] == (("0", "1"), (0, 0, 1), frozenset({"u"}))
+    # two isolated vertices: U_{v1, v2} is empty
+    assert [S for S, _, _ in walk(fix_e(), 2)] == [(), ("v2",), ("v1",)]

@@ -1,17 +1,28 @@
 """Simplicial set machinery: models, products, colimits, homology."""
 
+import json
+import os
+import random
+import subprocess
+import sys
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetprod.errors import InsufficientTruncation, PreconditionFailed
 from posetprod import spaces
-from posetprod.fixtures import cube, fix_a, fix_b, fix_e
+from posetprod.fixtures import cube, fix_a, fix_b, fix_c, fix_e, random_pointed_poset
 from posetprod.linalg import F2, QQ, FieldSpec
 from posetprod.poset import PointedPoset
 from posetprod.spaces import (
     FiniteSimplicialSet,
     SimplicialMap,
     _UnionFind,
+    PAIR_NAMES,
     circle_space,
+    colimit_cells,
     colimit_space,
     disk_space,
     homology,
@@ -251,6 +262,8 @@ def test_colimit_refuses_a_pair_whose_inclusion_is_not_injective():
     glue = SimplicialMap(A, X, {"a0": ("v", ()), "a1": ("v", ())})
     with pytest.raises(PreconditionFailed):
         polyhedral_product_space(fix_e(), (X, A, glue), 3, via="colim")
+    with pytest.raises(PreconditionFailed, match="distinct cores"):
+        colimit_cells(fix_e(), (X, A, glue), 3)
     # the homotopy colimit needs no injectivity: cylinders on the four points
     # of A x A join the two points of each other block into a circle
     space, _ = polyhedral_product_space(fix_e(), (X, A, glue), 3, via="hocolim")
@@ -265,3 +278,94 @@ def test_product_express_holds_exactly_the_simplex_pairs():
     assert express[(2, (("e", (1,)), ("v", (1, 0))))] == ((("e", ()), ("v", (0,))), (1,))
     assert (1, (("e", ()), ("v", ()))) not in express
     assert (2, (("e", (0, 1)), ("v", (1, 0)))) not in express
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10**6),
+    pair=st.sampled_from(PAIR_NAMES),
+    field=st.sampled_from([QQ, F2]),
+    top=st.integers(0, 3),
+)
+def test_cellular_route_equals_the_simplicial_colimit(seed, pair, field, top):
+    P = random_pointed_poset(random.Random(seed), max_objects=7)
+    rep = polyprod_homology(P, pair, top + 1, field=field, compare=False)
+    space, _ = polyhedral_product_space(P, pair, top + 1, via="colim")
+    assert rep["route"] == "cellular"
+    assert rep["homology"] == homology(space, top, field)
+    _assert_boundary_squares_to_zero(P, pair, top + 1)
+
+
+def _assert_boundary_squares_to_zero(P, pair, n_max):
+    bases, faces = colimit_cells(P, pair, n_max)
+    for level in bases[2:]:
+        for cell in level:
+            twice = Counter()
+            for face, a in faces(cell):
+                for g, b in faces(face):
+                    twice[g] += a * b
+            assert not any(twice.values()), cell
+
+
+def test_cell_counts_of_the_cellular_route():
+    bases, _ = colimit_cells(fix_c(), "disk2-circle", 3)
+    assert tuple(map(len, bases)) == (16, 64, 128, 160)
+    rep = polyprod_homology(cube(3), "circle-point", 4)
+    assert rep["route"] == "cellular" and rep["cells"] == (1, 8, 28, 56, 70)
+    assert rep["homology"] == (1, 8, 28, 56) and rep["agree"]
+    # the hocolim keeps its simplicial route and counts cores
+    rep = polyprod_homology(fix_e(), "circle-point", 2, via="hocolim", compare=False)
+    assert rep["route"] == "simplicial" and rep["cells"] == (3, 4, 0)
+
+
+def test_cellular_route_drops_degenerate_faces():
+    # a disk whose 2-core has two degenerate faces, glued along its boundary circle
+    X = FiniteSimplicialSet(
+        {"v": 0, "e": 1, "T": 2}, {"e": (("v", ()), ("v", ())), "T": (("e", ()), ("v", (0,)), ("v", (0,)))}, 4
+    )
+    A = circle_space(4)
+    pair = (X, A, SimplicialMap(A, X, {"v": ("v", ()), "e": ("e", ())}))
+    # the two isolated vertices give S^3, the edge D^4, and the bigon two
+    # copies of D^4 glued along their boundary: S^4
+    for P, expected in ((fix_e(), (1, 0, 0, 1)), (cube(1), (1, 0, 0, 0)), (fix_b(), (1, 0, 0, 0))):
+        rep = polyprod_homology(P, pair, 4, compare=False, check_route=True)
+        assert rep["homology"] == rep["simplicial_homology"] == expected
+        assert rep["routes_agree"]
+        _assert_boundary_squares_to_zero(P, pair, 4)
+
+
+def test_check_route_compares_with_the_simplicial_colimit():
+    rep = polyprod_homology(fix_b(), "circle-point", 3, field=F2, check_route=True)
+    assert rep["homology"] == rep["simplicial_homology"] == (1, 2, 2)
+    assert rep["routes_agree"] and rep["agree"]
+    assert "routes_agree" not in polyprod_homology(fix_b(), "circle-point", 3)
+    with pytest.raises(PreconditionFailed, match="hocolim has one route"):
+        polyprod_homology(fix_b(), "circle-point", 3, via="hocolim", check_route=True)
+
+
+_CELL_ORDER = """
+import json, random
+from posetprod import linalg, spaces
+from posetprod.fixtures import fix_c, random_pointed_poset
+shapes = []
+def rank(rows, ncols, field, pivots=None):
+    shapes.append([len(rows), ncols, sum(map(len, rows))])
+    return linalg.rank(rows, ncols, field, pivots)
+spaces.rank = rank
+out = []
+for P, pair in ((fix_c(), "disk2-circle"), (random_pointed_poset(random.Random(7), 7), "interval-endpoints")):
+    bases, faces = spaces.colimit_cells(P, pair, 3)
+    out.append([[[str(c), [str(f) for f in faces(c)]] for c in level] for level in bases])
+    out.append(spaces.polyprod_homology(P, pair, 3, compare=False)["homology"])
+print(json.dumps([out, shapes]))
+"""
+
+
+def test_cell_order_does_not_depend_on_the_hash_seed():
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", _CELL_ORDER], env=env, capture_output=True, text=True, check=True)
+        runs.append(json.loads(proc.stdout))
+    assert runs[0] == runs[1]
+    assert runs[0][1]  # the route ranked some boundary rows
