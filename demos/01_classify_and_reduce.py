@@ -38,7 +38,7 @@ print("\nclassification:", rep.to_dict())
 # has the same vertices.
 R, proj = reduce_poset(P)
 print("\nreduced objects:", R.objects)
-print("projection:", proj)
+print("projection:", dict(proj))
 print("reduced?", classify(R).reduced)
 
 # The collapse order is a choice.  Running the procedure with the opposite

@@ -45,7 +45,7 @@ def _parse_collection(text: str, vertices, D: int, field: FieldSpec) -> Morphism
     if text == "circle":
         return MorphismCollection.circle(vertices, D, field=field)
     name, colon, degree = text.partition(":")
-    if name == "aug" and (not colon or degree.isdecimal()):
+    if name == "aug" and (not colon or degree.isdecimal() and int(degree) >= 1):
         gen_degree = int(degree) if colon else 1
         return MorphismCollection.augmentation(vertices, D, gen_degree=gen_degree, field=field)
     raise PosetProdError(f"unknown --collection {text!r}; use aug[:d] with an integer d >= 1, or circle")

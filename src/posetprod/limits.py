@@ -41,9 +41,6 @@ class PosetDiagram:
             raise PreconditionFailed(f"no space for objects {sorted(missing)}")
         self.field = self.spaces[poset.base].field
         self.truncation = self.spaces[poset.base].truncation
-        self._lower_covers = {}
-        for a, b in poset.covers:
-            self._lower_covers.setdefault(b, []).append(a)
 
     @classmethod
     def constant(cls, poset: PointedPoset, space: GradedVectorSpace) -> "PosetDiagram":
@@ -91,10 +88,8 @@ class PosetDiagram:
         if x == y:
             acc = GradedLinearMap.identity(self.spaces[y])
         else:
-            nxt = min(
-                (u for u in self._lower_covers.get(y, ()) if self.poset.leq(x, u)),
-                key=str,
-            )
+            # the lower covers come in str order
+            nxt = next(u for u in self.poset.lower_covers(y) if self.poset.leq(x, u))
             acc = self.cover_maps[(nxt, y)]
             if nxt != x:
                 acc = self._composite(x, nxt, memo).compose(acc)
@@ -120,14 +115,13 @@ def check_diagram(diagram: PosetDiagram) -> list[str]:
             problems.append(f"map on cover ({x}, {y}) uses field {f.field}")
     if problems:
         return problems
-    down = diagram._lower_covers
 
     def all_paths(x, y):
         # every composite along maximal cover chains from y down to x
         if x == y:
             return [GradedLinearMap.identity(diagram.spaces[y])]
         out = []
-        for u in sorted(down.get(y, ()), key=str):
+        for u in P.lower_covers(y):
             if P.leq(x, u):
                 for tail in all_paths(x, u):
                     out.append(tail.compose(diagram.cover_maps[(u, y)]))

@@ -73,14 +73,13 @@ class MorphismCollection:
     @classmethod
     def circle(cls, vertices, D: int, field: FieldSpec = QQ) -> "MorphismCollection":
         """One exterior generator of degree 1 per vertex, mapping onto the
-        unit (the cohomology of a circle restricted to a point)."""
-        if D < 1:
-            raise PreconditionFailed("circle collections need truncation >= 1")
+        unit (the cohomology of a circle restricted to a point), truncated
+        at degree D; at D = 0 both sides are the unit."""
         maps = {}
         unit = GradedVectorSpace.unit(field, D)
         for v in vertices:
-            dims = (1, 1) + (0,) * (D - 1)
-            labels = ((("1",),), ((f"u_{v}",),)) + ((),) * (D - 1)
+            dims = ((1, 1) + (0,) * D)[: D + 1]
+            labels = (((("1",),), ((f"u_{v}",),)) + ((),) * D)[: D + 1]
             M = GradedVectorSpace(field, dims, labels)
             mats = [[[1]]] + [[] for _ in range(D)]
             maps[v] = GradedLinearMap(M, unit, mats)
@@ -236,7 +235,7 @@ def _split_terms(P: PointedPoset, collection: MorphismCollection, weak: bool, ma
     betti_of: dict = {}
     terms = []
     for support, dims, up in support_walk(P, order, N, K, D):
-        minimal = tuple(sorted((x for x in up if len(P.down_set(x) & up) == 1), key=str))
+        minimal = P.minimal(up)
         if minimal not in betti_of:
             if len(minimal) == 1:
                 betti_of[minimal] = _CONE

@@ -24,8 +24,7 @@ from .errors import (
 Obj = Any
 
 
-def _skey(x: Obj):
-    return str(x)
+_skey = str
 
 
 class PointedPoset:
@@ -81,26 +80,19 @@ class PointedPoset:
             missing = sorted(self._objset - self._up[self.base], key=_skey)
             raise NoBasePoint(f"base point is not below {missing[0]!r}")
 
-        covs = []
-        for x in self.objects:
-            for y in self.objects:
-                if x != y and y in self._up[x]:
-                    between = (self._up[x] & self._down[y]) - {x, y}
-                    if not between:
-                        covs.append((x, y))
+        # x < y is a cover exactly when x is maximal below y, and y minimal
+        # above x; cover lists and covers come in str order
+        self._lower = {y: self.maximal(self._down[y] - {y}) for y in self.objects}
+        self._upper = {x: self.minimal(self._up[x] - {x}) for x in self.objects}
         self.covers: tuple[tuple[Obj, Obj], ...] = tuple(
-            sorted(covs, key=lambda p: (_skey(p[0]), _skey(p[1])))
+            (x, y) for x in self.objects for y in self._upper[x]
         )
-
-        self._vertices = tuple(
-            v
-            for v in self.objects
-            if v != self.base and self._down[v] == frozenset({self.base, v})
-        )
+        self._vertices = self.minimal(self._objset - {self.base})
         self._vsets = {
             x: frozenset(v for v in self._vertices if v in self._down[x]) for x in self.objects
         }
         self._report: PosetReport | None = None  # set by the first classify(self)
+        self._reductions: dict = {}  # candidate order -> reduce_poset(self, order), if not self
 
     def _toposort(self, succ: dict[Obj, set[Obj]]) -> list[Obj]:
         state: dict[Obj, int] = {}
@@ -159,32 +151,68 @@ class PointedPoset:
         return max(len(s) for s in self._vsets.values()) - 1
 
     def maximal_objects(self) -> tuple[Obj, ...]:
-        return tuple(x for x in self.objects if self._up[x] == frozenset({x}))
+        return self.maximal(self._objset)
+
+    def minimal(self, elems: Iterable[Obj]) -> tuple[Obj, ...]:
+        """The minimal elements of a set of objects, in str order: u is
+        minimal exactly when down(u) meets the set in u alone."""
+        elems = frozenset(elems)
+        return tuple(sorted((u for u in elems if len(self._down[u] & elems) == 1), key=_skey))
+
+    def maximal(self, elems: Iterable[Obj]) -> tuple[Obj, ...]:
+        """The maximal elements of a set of objects, in str order."""
+        elems = frozenset(elems)
+        return tuple(sorted((u for u in elems if len(self._up[u] & elems) == 1), key=_skey))
+
+    def lower_covers(self, x: Obj) -> tuple[Obj, ...]:
+        """The objects x covers, in str order."""
+        return self._lower[x]
+
+    def upper_covers(self, x: Obj) -> tuple[Obj, ...]:
+        """The objects covering x, in str order."""
+        return self._upper[x]
+
+    def components(self, members: Iterable[Obj]) -> dict:
+        """Each member mapped to the str-least object of its connected
+        component in the cover graph induced on ``members``."""
+        members = frozenset(members)
+        rep: dict = {}
+        for r in sorted(members, key=_skey):
+            if r in rep:
+                continue
+            rep[r], todo = r, [r]
+            while todo:
+                x = todo.pop()
+                for y in self._lower[x] + self._upper[x]:
+                    if y in members and y not in rep:
+                        rep[y] = r
+                        todo.append(y)
+        return rep
 
     # -- bounds --------------------------------------------------------
+
+    def _common(self, table: dict, elems: Iterable[Obj]) -> frozenset:
+        """The intersection of ``table[e]`` over a non-empty set of objects."""
+        try:
+            sets = [table[e] for e in elems]
+        except KeyError as exc:
+            raise UnknownObject(f"{exc.args[0]!r} is not an object") from None
+        if not sets:
+            raise UnknownObject("bounds of the empty set are not defined")
+        return frozenset.intersection(*sets)
 
     def bounds(self, elems: Iterable[Obj]) -> "Bounds":
         """Minimal upper bounds, maximal lower bounds, meet and join of a set."""
         elems = list(elems)
-        if not elems:
-            raise UnknownObject("bounds of the empty set are not defined")
-        for e in elems:
-            if e not in self._objset:
-                raise UnknownObject(f"{e!r} is not an object")
-        uppers = frozenset.intersection(*(self._up[e] for e in elems))
-        lowers = frozenset.intersection(*(self._down[e] for e in elems))
-        min_upper = tuple(
-            sorted((u for u in uppers if not any(self.lt(v, u) for v in uppers)), key=_skey)
-        )
-        max_lower = tuple(
-            sorted((u for u in lowers if not any(self.lt(u, v) for v in lowers)), key=_skey)
-        )
+        min_upper = self.minimal(self._common(self._up, elems))
+        max_lower = self.maximal(self._common(self._down, elems))
         meet = max_lower[0] if len(max_lower) == 1 else None
         join = min_upper[0] if len(min_upper) == 1 else None
         return Bounds(min_upper=min_upper, max_lower=max_lower, meet=meet, join=join)
 
     def meet(self, x: Obj, y: Obj) -> Obj | None:
-        return self.bounds([x, y]).meet
+        max_lower = self.maximal(self._common(self._down, (x, y)))
+        return max_lower[0] if len(max_lower) == 1 else None
 
     # -- subposets ------------------------------------------------------
 
@@ -372,36 +400,24 @@ def _is_simplicial(P: PointedPoset):
     return True, None
 
 
-def _is_polyhedral_local(P: PointedPoset):
-    # every down-set is a lower semilattice
-    for x in P.objects:
-        D = sorted(P.down_set(x), key=_skey)
-        for a, b in itertools.combinations(D, 2):
-            lowers = [w for w in D if P.leq(w, a) and P.leq(w, b)]
-            maxl = [w for w in lowers if not any(P.lt(w, v) for v in lowers)]
-            if len(maxl) != 1:
-                return False, (x, a, b)
-    return True, None
-
-
-def _is_polyhedral_meets(P: PointedPoset):
-    # pairs with a common upper bound must have a meet
-    for a, b in itertools.combinations(P.objects, 2):
-        bd = P.bounds([a, b])
-        if bd.min_upper and bd.meet is None:
-            return False, (a, b)
-    return True, None
-
-
-def _is_lower_saturated(P: PointedPoset):
+def _meets_and_saturation(P: PointedPoset):
+    # one pass over the pairs with an upper bound, taking each pair's bounds
+    # once: polyhedral needs a meet, lower saturated a maximal lower bound
+    # with vertex set V(a) & V(b); returns the first failing pair of each
+    poly = sat = None
     for a, b in itertools.combinations(P.objects, 2):
         bd = P.bounds([a, b])
         if not bd.min_upper:
             continue
-        want = P.vertex_set(a) & P.vertex_set(b)
-        if not any(P.vertex_set(w) == want for w in bd.max_lower):
-            return False, (a, b)
-    return True, None
+        if poly is None and bd.meet is None:
+            poly = (a, b)
+        if sat is None:
+            want = P._vsets[a] & P._vsets[b]
+            if not any(P._vsets[w] == want for w in bd.max_lower):
+                sat = (a, b)
+        if poly is not None and sat is not None:
+            break
+    return poly, sat
 
 
 def down_isomorphism(P: PointedPoset, Q: PointedPoset) -> dict | None:
@@ -474,9 +490,9 @@ def classify(P: PointedPoset) -> PosetReport:
     """Classification report: reduced / simplicial / polyhedral /
     lower saturated / regular, each with a witness on failure.
 
-    The two polyhedral characterizations (all down-sets are lower
-    semilattices; pairs with an upper bound have meets) are both run and
-    must agree.  The report is computed once per poset and kept on it.
+    Polyhedral is tested as "pairs with an upper bound have a meet", in one
+    pass over the pairs that also tests lower saturation; the failing pair
+    is the witness.  The report is computed once per poset and kept on it.
     """
     if P._report is None:
         P._report = _classify(P)
@@ -491,19 +507,11 @@ def _classify(P: PointedPoset) -> PosetReport:
     simplicial, w = _is_simplicial(P)
     if w:
         witnesses["simplicial"] = w
-    poly1, w1 = _is_polyhedral_local(P)
-    poly2, w2 = _is_polyhedral_meets(P)
-    if poly1 != poly2:
-        raise AssertionError(
-            f"polyhedral checks disagree: local={poly1} ({w1}), meets={poly2} ({w2})"
-        )
-    if w2:
-        witnesses["polyhedral"] = w2
-    elif w1:
-        witnesses["polyhedral"] = w1
-    sat, w = _is_lower_saturated(P)
-    if w:
-        witnesses["lower_saturated"] = w
+    poly, sat = _meets_and_saturation(P)
+    if poly is not None:
+        witnesses["polyhedral"] = poly
+    if sat is not None:
+        witnesses["lower_saturated"] = sat
     regular, w = _is_regular(P)
     if w:
         witnesses["regular"] = w
@@ -511,8 +519,8 @@ def _classify(P: PointedPoset) -> PosetReport:
         norm=P.norm,
         reduced=reduced,
         simplicial=simplicial,
-        polyhedral=poly1,
-        lower_saturated=sat,
+        polyhedral=poly is None,
+        lower_saturated=sat is None,
         regular=regular,
         witnesses=witnesses,
     )
@@ -531,23 +539,31 @@ def _collapse(P: PointedPoset, x: Obj, y: Obj) -> PointedPoset:
     return PointedPoset(keep, P.base, rel)
 
 
-def reduce_poset(P: PointedPoset, candidate_order: str = "lex") -> tuple[PointedPoset, dict]:
+def reduce_poset(P: PointedPoset, candidate_order: str = "lex") -> tuple[PointedPoset, MappingProxyType]:
     """Collapse covers x < y with x != base and V(x) = V(y) until none left.
 
     Candidates are processed in lexicographic order of (x, y) by default
     (``candidate_order="revlex"`` picks the largest instead, used to probe
     order independence).  Returns the reduced poset and the projection map
-    original object -> image.
+    original object -> image, read-only.  A reduction that collapses
+    something is computed once per poset and candidate order and kept on the
+    poset; a reduced poset is not kept on itself, which would make a cycle
+    that only the garbage collector frees.
     """
     if candidate_order not in ("lex", "revlex"):
         raise ValueError(f"unknown candidate order {candidate_order!r}")
+    if candidate_order in P._reductions:
+        return P._reductions[candidate_order]
     pick = 0 if candidate_order == "lex" else -1
     proj = {o: o for o in P.objects}
     cur = P
     while True:
         cands = collapsible_covers(cur)
         if not cands:
-            return cur, proj
+            result = cur, MappingProxyType(proj)
+            if cur is not P:
+                P._reductions[candidate_order] = result
+            return result
         x, y = cands[pick]
         cur = _collapse(cur, x, y)
         for k, v in proj.items():

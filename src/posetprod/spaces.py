@@ -352,13 +352,9 @@ def hocolim_space(P: PointedPoset, spaces: dict, maps: dict, n_max: int):
     simplex's word, so each chain pairs with the simplices whose words
     avoid its repeats.  Returns (space, express) with express keyed by
     (dim, (chain, simplex))."""
-    objs = sorted(P.objects, key=str)
-    up = {}
-    for a, b in P.covers:
-        up.setdefault(a, []).append(b)
     # the path from x up to y takes the str-least cover still below y
-    hop = {(x, y): min((b for b in up[x] if P.leq(b, y)), key=str)
-           for x in objs for y in P.up_set(x) if y != x}
+    hop = {(x, y): next(b for b in P.upper_covers(x) if P.leq(b, y))
+           for x in P.objects for y in P.up_set(x) if y != x}
 
     def face(c, simp, i):
         if i:
@@ -589,26 +585,12 @@ def colimit_cells(P: PointedPoset, pair: str | tuple, n_max: int):
             by_dim[c not in inside][X.cores[c]].append(c)
     N, K = (dict.fromkeys(verts, tuple(map(len, by_dim[out]))) for out in (False, True))
 
-    objs = sorted(P.objects, key=str)
-    nbrs = {x: [] for x in objs}
-    for x, y in P.covers:
-        nbrs[x].append(y)
-        nbrs[y].append(x)
     # rep_of[S][x]: the str-least object of the component of U_S holding x
     rep_of: dict = {}
     bases = [[] for _ in range(n_max + 1)]
     for support, _, up in support_walk(P, verts, N, K, n_max):
-        rep = rep_of[support] = {}
-        reps = []
-        for r in objs:
-            if r in up and r not in rep:
-                reps.append(r)
-                rep[r], todo = r, [r]
-                while todo:
-                    for y in nbrs[todo.pop()]:
-                        if y in up and y not in rep:
-                            rep[y] = r
-                            todo.append(y)
+        rep = rep_of[support] = P.components(up)
+        reps = sorted(set(rep.values()), key=str)
         cells = [((), 0)]
         for v in verts:
             choices = by_dim[v in support]

@@ -43,34 +43,6 @@ class TransformResult:
     classes: dict
 
 
-def _components(P: PointedPoset, members: set) -> dict:
-    """Connected components of the cover graph induced on ``members``;
-    returns member -> representative (smallest by string)."""
-    adj = {m: [] for m in members}
-    for a, b in P.covers:
-        if a in members and b in members:
-            adj[a].append(b)
-            adj[b].append(a)
-    rep = {}
-    for start in sorted(members, key=str):
-        if start in rep:
-            continue
-        comp = [start]
-        stack = [start]
-        seen = {start}
-        while stack:
-            cur = stack.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    comp.append(nxt)
-                    stack.append(nxt)
-        r = min(comp, key=str)
-        for m in comp:
-            rep[m] = r
-    return rep
-
-
 def simplicial_transform(P: PointedPoset) -> TransformResult:
     """Glue the subset posets of all objects into one simplicial poset."""
     subsets: set = set()
@@ -83,7 +55,7 @@ def simplicial_transform(P: PointedPoset) -> TransformResult:
     comp_of: dict = {}
     for S in subsets:
         members = {x for x in P.objects if S <= P.vertex_set(x)}
-        comp_of[S] = _components(P, members)
+        comp_of[S] = P.components(members)
 
     def class_name(x, S: frozenset) -> str:
         if not S:

@@ -180,11 +180,24 @@ def test_homology_check_route(capsys, monkeypatch):
 
 @pytest.mark.parametrize("via", ["colim", "hocolim"])
 def test_homology_below_the_top_core_of_a_model_space(capsys, via):
-    code, rep = run(capsys, "homology", "fix-e", "--pair", "disk2-circle",
-                    "--max-dim", "0", "--via", via)
+    for pair in ("disk2-circle", "circle-point"):
+        code, rep = run(capsys, "homology", "fix-e", "--pair", pair,
+                        "--max-dim", "0", "--via", via)
+        assert code == 0
+        assert rep["results"]["homology"] == [1]
+        assert rep["results"]["agree"]
+
+
+def test_suite_at_degree_zero(capsys):
+    # the circle collection truncates at degree 0 to the unit
+    code, rep = run(capsys, "suite", "fix-c", "--max-degree", "0")
     assert code == 0
-    assert rep["results"]["homology"] == [1]
-    assert rep["results"]["agree"]
+    res = rep["results"]
+    assert res["all_checks_pass"]
+    assert res["tensor_circle"]["higher_limits"] == [[1]]
+    assert res["homology_circle_point"] == {
+        "homology": [1], "predicted_from_limits": [1], "agree": True, "routes_agree": True,
+    }
 
 
 def test_suite_runs_cross_checks(capsys):
@@ -222,7 +235,7 @@ def test_error_exit_codes(tmp_path, capsys):
     assert "invalid literal" not in err
 
 
-@pytest.mark.parametrize("collection", ["aug:", "aug:x"])
+@pytest.mark.parametrize("collection", ["aug:", "aug:x", "aug:0"])
 def test_collection_without_an_integer_degree_is_a_typed_refusal(capsys, collection):
     code = main(["tensor", "fix-b", "--collection", collection])
     err = capsys.readouterr().err

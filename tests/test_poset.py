@@ -1,7 +1,10 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetprod import errors, poset
 from posetprod.fixtures import (
@@ -11,6 +14,7 @@ from posetprod.fixtures import (
     fix_c,
     fix_d,
     fix_e,
+    random_pointed_poset,
     random_poset_with,
     simplex,
 )
@@ -215,14 +219,109 @@ def test_chains_strict_and_weak():
         poset.chains(P, 3, objects=["a", "zz"])
 
 
+def _is_polyhedral_local(P: PointedPoset):
+    # every down-set is a lower semilattice
+    for x in P.objects:
+        D = sorted(P.down_set(x), key=str)
+        for a, b in itertools.combinations(D, 2):
+            lowers = [w for w in D if P.leq(w, a) and P.leq(w, b)]
+            maxl = [w for w in lowers if not any(P.lt(w, v) for v in lowers)]
+            if len(maxl) != 1:
+                return False, (x, a, b)
+    return True, None
+
+
 def test_classify_implications_on_random_posets():
     for P in random_poset_with(13, "any", 120):
-        rep = classify(P)  # also asserts the two polyhedral algorithms agree
+        rep = classify(P)
+        assert rep.polyhedral == _is_polyhedral_local(P)[0]
         if rep.simplicial:
             assert rep.polyhedral
         if rep.polyhedral:
             assert rep.lower_saturated
         assert rep.norm == max((len(P.vertex_set(x)) for x in P.objects), default=0) - 1
+
+
+def test_reduce_is_computed_once_per_poset_and_order():
+    P = fix_a()
+    R, proj = reduce_poset(P)
+    again = reduce_poset(P)
+    assert again[0] is R and again[1] is proj
+    assert reduce_poset(P, "revlex")[0] is reduce_poset(P, "revlex")[0]
+    with pytest.raises(TypeError):
+        proj["3"] = "3"
+    assert reduce_poset(fix_a()) == (R, proj)
+
+
+_random_posets = st.integers(0, 10**6).map(lambda seed: random_pointed_poset(random.Random(seed), max_objects=9))
+
+
+def _brute_minimal(P, S):
+    return tuple(sorted((u for u in S if not any(P.lt(v, u) for v in S)), key=str))
+
+
+def _brute_maximal(P, S):
+    return tuple(sorted((u for u in S if not any(P.lt(u, v) for v in S)), key=str))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(P=_random_posets, seed=st.integers(0, 10**6))
+def test_order_queries_match_their_definitions(P, seed):
+    rng = random.Random(seed)
+    subsets = [set(P.objects), set(rng.sample(P.objects, rng.randint(0, len(P.objects))))]
+    subsets += [P.up_set(x) for x in P.objects] + [P.down_set(x) for x in P.objects]
+    for S in subsets:
+        assert P.minimal(S) == _brute_minimal(P, S)
+        assert P.maximal(S) == _brute_maximal(P, S)
+    sets = list(itertools.combinations(P.objects, 2)) + [rng.sample(P.objects, min(3, len(P.objects)))]
+    for elems in sets:
+        uppers = {u for u in P.objects if all(P.leq(e, u) for e in elems)}
+        lowers = {w for w in P.objects if all(P.leq(w, e) for e in elems)}
+        bd = P.bounds(elems)
+        assert bd.min_upper == _brute_minimal(P, uppers)
+        assert bd.max_lower == _brute_maximal(P, lowers)
+        assert bd.join == (bd.min_upper[0] if len(bd.min_upper) == 1 else None)
+        assert bd.meet == (bd.max_lower[0] if len(bd.max_lower) == 1 else None)
+        if len(elems) == 2:
+            assert P.meet(*elems) == bd.meet
+    def covers(a, b):
+        return P.lt(a, b) and not any(P.lt(a, c) and P.lt(c, b) for c in P.objects)
+
+    for x in P.objects:
+        assert P.lower_covers(x) == tuple(sorted((a for a in P.objects if covers(a, x)), key=str))
+        assert P.upper_covers(x) == tuple(sorted((b for b in P.objects if covers(x, b)), key=str))
+    assert P.covers == tuple((a, b) for a in P.objects for b in P.objects if covers(a, b))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(P=_random_posets, seed=st.integers(0, 10**6))
+def test_components_match_a_union_find_over_the_covers(P, seed):
+    rng = random.Random(seed)
+    members = set(rng.sample(P.objects, rng.randint(0, len(P.objects))))
+    parent = {m: m for m in members}
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for a, b in P.covers:
+        if a in members and b in members:
+            ra, rb = sorted((find(a), find(b)), key=str)
+            parent[rb] = ra
+    assert P.components(members) == {m: find(m) for m in members}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(P=_random_posets)
+def test_polyhedral_equals_the_local_characterization(P):
+    rep = classify(P)
+    assert rep.polyhedral == _is_polyhedral_local(P)[0]
+    if not rep.polyhedral:
+        # the witness is a pair with an upper bound and no meet
+        a, b = rep.witnesses["polyhedral"]
+        bd = P.bounds([a, b])
+        assert bd.min_upper and bd.meet is None
 
 
 def test_reduce_preserves_polyhedral():
