@@ -168,8 +168,7 @@ def _cmd_tensor(args) -> int:
     started = time.perf_counter()
     P, info = _load_poset(args.poset)
     field = FieldSpec.parse(args.field)
-    verts = sorted(map(str, P.vertices))
-    coll = _parse_collection(args.collection, verts, args.max_degree, field)
+    coll = _parse_collection(args.collection, P.vertices, args.max_degree, field)
     params = {
         "collection": args.collection,
         "max_degree": args.max_degree,
@@ -253,7 +252,7 @@ def _cmd_suite(args) -> int:
             "relations_skipped": pres["skipped_unsound"],
         }
         checks.append(pres["agree"])
-        coll = MorphismCollection.circle(sorted(map(str, P.vertices)), D, field=field)
+        coll = MorphismCollection.circle(P.vertices, D, field=field)
         lims, _, equal = reduction_invariance(P, coll)
         results["tensor_circle"] = {
             "higher_limits": [list(l) for l in lims],

@@ -150,14 +150,6 @@ class CochainComplex:
         return [tuple(s.dims) for s in self.spaces]
 
 
-def check_max_n(weak: bool, max_n: int | None) -> None:
-    """Refuse weak chains without a cap on the levels, and a negative cap."""
-    if max_n is None and weak:
-        raise PreconditionFailed("weak chains need an explicit max_n")
-    if max_n is not None and max_n < 0:
-        raise PreconditionFailed(f"max_n must be >= 0, got {max_n}")
-
-
 def cochain_complex(
     diagram: PosetDiagram,
     objects=None,
@@ -183,7 +175,10 @@ def cochain_complex(
     P = diagram.poset
     field = diagram.field
     D = diagram.truncation
-    check_max_n(weak, max_n)
+    if max_n is None and weak:
+        raise PreconditionFailed("weak chains need an explicit max_n")
+    if max_n is not None and max_n < 0:
+        raise PreconditionFailed(f"max_n must be >= 0, got {max_n}")
     # a strict chain has at most len(P.objects) objects, so level len(P.objects) is empty
     top = len(P.objects) if max_n is None else max_n + 1
     levels = [sorted(level) for level in chains(P, top, weak, objects)]

@@ -38,14 +38,33 @@ from math import gcd, lcm, prod
 from .errors import MixedFields, MixedTruncation, PreconditionFailed
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality for every
+# n below the smallest strong pseudoprime to all of them (Sorenson and
+# Webster 2015), about 3.3 * 10**24.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Whether n is prime, for n below ``_PRIME_LIMIT``."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -62,6 +81,8 @@ class FieldSpec:
 
     @classmethod
     def Fp(cls, p: int) -> "FieldSpec":
+        if p >= _PRIME_LIMIT:
+            raise PreconditionFailed(f"F_p is supported for p below {_PRIME_LIMIT} only, got {p}")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         return cls("Fp", p)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexMismatch, MissingSection, PreconditionFailed
-from .limits import PosetDiagram, check_max_n, higher_limits
+from .limits import PosetDiagram, higher_limits
 from .linalg import (
     QQ,
     FieldSpec,
@@ -214,7 +214,7 @@ class TensorLimits:
 _CONE = (1,)
 
 
-def _split_terms(P: PointedPoset, collection: MorphismCollection, weak: bool, max_n: int | None):
+def _split_terms(P: PointedPoset, collection: MorphismCollection):
     """Every summand of the split with W_S != 0, or None when some a_v is
     not surjective.
 
@@ -242,18 +242,13 @@ def _split_terms(P: PointedPoset, collection: MorphismCollection, weak: bool, ma
             else:
                 # chains starting in the up-set stay in it; the rest carry zeros
                 diagram = PosetDiagram.indicator(P, minimal, field, D=0)
-                lims = higher_limits(diagram, objects=up, weak=weak, max_n=max_n)
+                lims = higher_limits(diagram, objects=up)
                 betti_of[minimal] = tuple(b for (b,) in lims)
         terms.append(SplitTerm(support, dims, betti_of[minimal]))
     return tuple(terms)
 
 
-def tensor_limits(
-    P: PointedPoset,
-    collection: MorphismCollection,
-    weak: bool = False,
-    max_n: int | None = None,
-) -> TensorLimits:
+def tensor_limits(P: PointedPoset, collection: MorphismCollection) -> TensorLimits:
     """Higher limits of the tensor diagram, per level and internal degree,
     with the summands of the split route when it answered.
 
@@ -262,10 +257,9 @@ def tensor_limits(
     cochain complex instead.  Both answers have the shape and trimming of
     ``higher_limits``.
     """
-    check_max_n(weak, max_n)
-    terms = _split_terms(P, collection, weak, max_n)
+    terms = _split_terms(P, collection)
     if terms is None:
-        return TensorLimits(higher_limits(build_T(P, collection), weak=weak, max_n=max_n), None)
+        return TensorLimits(higher_limits(build_T(P, collection)), None)
     # every W_S is non-zero and every Betti list ends non-zero, so the sum
     # needs no trimming
     out = [[0] * (collection.truncation + 1) for _ in range(max([1] + [len(t.betti) for t in terms]))]
@@ -276,15 +270,10 @@ def tensor_limits(
     return TensorLimits([tuple(level) for level in out], terms)
 
 
-def polyhedral_tensor(
-    P: PointedPoset,
-    collection: MorphismCollection,
-    weak: bool = False,
-    max_n: int | None = None,
-) -> list[tuple[int, ...]]:
+def polyhedral_tensor(P: PointedPoset, collection: MorphismCollection) -> list[tuple[int, ...]]:
     """Higher limits of the tensor diagram, per level and internal degree
     (see ``tensor_limits`` for the routes)."""
-    return tensor_limits(P, collection, weak=weak, max_n=max_n).limits
+    return tensor_limits(P, collection).limits
 
 
 def reduction_invariance(P: PointedPoset, collection: MorphismCollection):

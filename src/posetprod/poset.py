@@ -18,6 +18,7 @@ from .errors import (
     DuplicateObject,
     NoBasePoint,
     NoCollapseAvailable,
+    PreconditionFailed,
     UnknownObject,
 )
 
@@ -25,6 +26,14 @@ Obj = Any
 
 
 _skey = str
+
+
+def _name(value) -> str:
+    """An object name read from poset data: a string, or a number as its
+    string."""
+    if type(value) not in (str, int, float):
+        raise PreconditionFailed(f"object names must be strings or numbers, not {value!r}")
+    return str(value)
 
 
 class PointedPoset:
@@ -256,10 +265,19 @@ class PointedPoset:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PointedPoset":
+        """The poset that ``to_dict`` wrote.  Names may be strings or
+        numbers and are read as strings; any other shape is refused."""
+        if not isinstance(data, dict):
+            raise PreconditionFailed("poset data must be an object with objects, base and covers")
         for key in ("objects", "base", "covers"):
             if key not in data:
                 raise UnknownObject(f"poset data is missing {key!r}")
-        return cls(data["objects"], data["base"], [tuple(c) for c in data["covers"]])
+        objects, covers = data["objects"], data["covers"]
+        if not isinstance(objects, list):
+            raise PreconditionFailed("'objects' must be a list of names")
+        if not isinstance(covers, list) or not all(isinstance(c, list) and len(c) == 2 for c in covers):
+            raise PreconditionFailed("'covers' must be a list of [lower, upper] name pairs")
+        return cls(map(_name, objects), _name(data["base"]), [tuple(map(_name, c)) for c in covers])
 
     def __eq__(self, other):
         if not isinstance(other, PointedPoset):

@@ -28,12 +28,11 @@ colimit, and with ``check_route`` compares the two on the colimit.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import InsufficientTruncation, PreconditionFailed
-from .linalg import QQ, FieldSpec, rank
+from .linalg import QQ, FieldSpec, GradedLinearMap, GradedVectorSpace, rank
 from .poset import PointedPoset, chains, support_walk
 
 
@@ -120,26 +119,6 @@ class FiniteSimplicialSet:
                             f"face identity fails on core {c!r}: d_{i} d_{j} != d_{j-1} d_{i}"
                         )
 
-    def to_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "complete": self.complete,
-            "cores": {str(c): d for c, d in sorted(self.cores.items(), key=lambda kv: str(kv[0]))},
-            "faces": {
-                str(c): [[str(f[0]), list(f[1])] for f in fs]
-                for c, fs in sorted(self.core_faces.items(), key=lambda kv: str(kv[0]))
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FiniteSimplicialSet":
-        cores = {c: int(d) for c, d in data["cores"].items()}
-        faces = {
-            c: tuple((f[0], tuple(int(j) for j in f[1])) for f in fs)
-            for c, fs in data.get("faces", {}).items()
-        }
-        return cls(cores, faces, int(data["n_max"]), complete=bool(data.get("complete", False)))
-
 
 class SimplicialMap:
     """Map determined by core images; degeneracy words transport along."""
@@ -198,30 +177,6 @@ def _canonical_chain(chain, simp):
     return (kept, (core, _peel(word, common))), tuple(sorted(common, reverse=True))
 
 
-class _Express(Mapping):
-    """Read-only map from every simplex that ``keys()`` lists to its
-    canonical name ``value(key)``, computed on demand."""
-
-    def __init__(self, keys, value):
-        self._keys = keys
-        self._value = value
-
-    @cached_property
-    def _keyset(self):
-        return frozenset(self._keys())
-
-    def __getitem__(self, key):
-        if key not in self._keyset:
-            raise KeyError(key)
-        return self._value(key)
-
-    def __iter__(self):
-        return self._keys()
-
-    def __len__(self):
-        return len(self._keyset)
-
-
 # -- products, colimits and homotopy colimits -------------------------------
 
 
@@ -260,19 +215,15 @@ def _product(factors, n_max: int) -> FiniteSimplicialSet:
 
 
 def product_space(X: FiniteSimplicialSet, Y: FiniteSimplicialSet, n_max: int | None = None):
-    """Dimension-wise pairs; returns (space, express) with express keyed by
-    (dim, (simplex of X, simplex of Y))."""
+    """Dimension-wise pairs; returns (space, name).  ``name((n, (s, t)))``
+    takes an n-simplex s of X and an n-simplex t of Y, degenerate or not,
+    and returns the canonical (core, word) simplex of the product they
+    name."""
     if n_max is None:
         n_max = min(X.n_max, Y.n_max)
     if n_max > min(X.n_max, Y.n_max):
         raise PreconditionFailed("product truncation exceeds a factor truncation")
-
-    def keys():
-        for n in range(n_max + 1):
-            for pair in product(X.simplices(n), Y.simplices(n)):
-                yield (n, pair)
-
-    return _product((X, Y), n_max), _Express(keys, lambda key: _canonical(key[1]))
+    return _product((X, Y), n_max), lambda key: _canonical(key[1])
 
 
 class _UnionFind:
@@ -312,8 +263,10 @@ def colimit_space(P: PointedPoset, spaces: dict, maps: dict, n_max: int):
     it injective; otherwise PreconditionFailed.  Along injective maps a
     class of simplices is nondegenerate exactly when its members are, so
     the union-find runs over the cores (x, (c, ())) only, and each class is
-    named by its str-least member.  Returns (space, lookup) with lookup
-    keyed by (dim, (object, simplex)).
+    named by its str-least member.  Returns (space, name):
+    ``name((n, (x, s)))`` takes an object x and an n-simplex s of
+    spaces[x], degenerate or not, and returns the canonical (core, word)
+    simplex of the colimit that s lands on.
     """
     for (x, y), f in maps.items():
         if not _injective_on_cores(f):
@@ -331,17 +284,11 @@ def colimit_space(P: PointedPoset, spaces: dict, maps: dict, n_max: int):
             if d:
                 faces[r] = tuple((rep[(x, f)], w) for f, w in spaces[x].core_faces[c])
 
-    def keys():
-        for n in range(n_max + 1):
-            for x in P.objects:
-                for s in spaces[x].simplices(n):
-                    yield (n, (x, s))
-
-    def value(key):
+    def name(key):
         _, (x, (c, word)) = key
         return (rep[(x, c)], word)
 
-    return FiniteSimplicialSet(cores, faces, n_max), _Express(keys, value)
+    return FiniteSimplicialSet(cores, faces, n_max), name
 
 
 def hocolim_space(P: PointedPoset, spaces: dict, maps: dict, n_max: int):
@@ -350,8 +297,10 @@ def hocolim_space(P: PointedPoset, spaces: dict, maps: dict, n_max: int):
     chain's first object; the zeroth face pushes along the first hop.  It
     is degenerate at i exactly when the chain repeats there and i is in the
     simplex's word, so each chain pairs with the simplices whose words
-    avoid its repeats.  Returns (space, express) with express keyed by
-    (dim, (chain, simplex))."""
+    avoid its repeats.  Returns (space, name): ``name((n, (c, s)))`` takes
+    a weakly increasing chain c of n+1 objects and an n-simplex s of the
+    space at c[0], degenerate or not, and returns the canonical (core,
+    word) simplex of the homotopy colimit they name."""
     # the path from x up to y takes the str-least cover still below y
     hop = {(x, y): next(b for b in P.upper_covers(x) if P.leq(b, y))
            for x in P.objects for y in P.up_set(x) if y != x}
@@ -379,14 +328,7 @@ def hocolim_space(P: PointedPoset, spaces: dict, maps: dict, n_max: int):
                     cores[simp] = n
                     if n:
                         faces[simp] = tuple(face(c, simp[1], i) for i in range(n + 1))
-
-    def keys():
-        for n, level in enumerate(levels):
-            for c in level:
-                for s in spaces[c[0]].simplices(n):
-                    yield (n, (c, s))
-
-    return FiniteSimplicialSet(cores, faces, n_max), _Express(keys, lambda key: _canonical_chain(*key[1]))
+    return FiniteSimplicialSet(cores, faces, n_max), lambda key: _canonical_chain(*key[1])
 
 
 # -- homology -------------------------------------------------------------
@@ -484,30 +426,32 @@ def disk_space(n_max: int) -> FiniteSimplicialSet:
     )
 
 
+# name: (X, A, the inclusion on A's cores, the degree-0 rows of the
+# restriction H^*(X) -> H^*(A), the dims of H^*(X), the dims of H^*(A)).
+# Each row is a component of A, with a 1 in the column of the component of
+# X that contains it.  For all four pairs the restriction is zero above
+# degree 0, where X or A has no cohomology.
+_PAIRS = {
+    "circle-point": (circle_space, point_space, {"v": "v"}, [[1]], (1, 1), (1,)),
+    "disk2-circle": (disk_space, circle_space, {"v": "v", "e": "e"}, [[1]], (1,), (1, 1)),
+    "interval-endpoints": (interval_space, two_point_space, {"a0": "v0", "a1": "v1"}, [[1], [1]], (1,), (2,)),
+    "point-point": (point_space, point_space, {"v": "v"}, [[1]], (1,), (1,)),
+}
+
+PAIR_NAMES = tuple(_PAIRS)
+
+
+def _pair(name: str):
+    if name not in _PAIRS:
+        raise PreconditionFailed(f"unknown pair {name!r}")
+    return _PAIRS[name]
+
+
 def pair_spaces(name: str, n_max: int):
     """A cofibration pair (X, A, inclusion) from the built-in library."""
-    if name == "circle-point":
-        X = circle_space(n_max)
-        A = point_space(n_max)
-        inc = SimplicialMap(A, X, {"v": ("v", ())})
-    elif name == "disk2-circle":
-        X = disk_space(n_max)
-        A = circle_space(n_max)
-        inc = SimplicialMap(A, X, {"v": ("v", ()), "e": ("e", ())})
-    elif name == "interval-endpoints":
-        X = interval_space(n_max)
-        A = two_point_space(n_max)
-        inc = SimplicialMap(A, X, {"a0": ("v0", ()), "a1": ("v1", ())})
-    elif name == "point-point":
-        X = point_space(n_max)
-        A = point_space(n_max)
-        inc = SimplicialMap(A, X, {"v": ("v", ())})
-    else:
-        raise PreconditionFailed(f"unknown pair {name!r}")
-    return X, A, inc
-
-
-PAIR_NAMES = ("circle-point", "disk2-circle", "interval-endpoints", "point-point")
+    big, small, on_cores = _pair(name)[:3]
+    X, A = big(n_max), small(n_max)
+    return X, A, SimplicialMap(A, X, {a: (x, ()) for a, x in on_cores.items()})
 
 
 def polyhedral_product_space(
@@ -523,7 +467,11 @@ def polyhedral_product_space(
     on the vertices below x and the small one elsewhere; cover maps include
     the small factor into the big one.  ``vertex_order`` fixes the factor
     order; any permutation gives an isomorphic space.  The colimit needs an
-    injective inclusion (see ``colimit_space``).
+    injective inclusion (see ``colimit_space``).  Returns (space, name) as
+    ``colimit_space`` or ``hocolim_space`` does: ``name`` takes (n, (x, s))
+    with s an n-simplex of the block at object x (for the colimit) or
+    (n, (c, s)) with s one of the block at c[0] (for the homotopy colimit),
+    and returns the canonical (core, word) simplex of the space.
     """
     if via not in ("colim", "hocolim"):
         raise PreconditionFailed(f"via must be colim or hocolim, not {via!r}")
@@ -622,45 +570,16 @@ def colimit_cells(P: PointedPoset, pair: str | tuple, n_max: int):
 
 
 def induced_collection(P: PointedPoset, pair: str, D: int, field: FieldSpec = QQ):
-    """Cohomology of the pair's spaces as a morphism collection: for each
-    vertex, the restriction map from the big space's cohomology to the small
-    one's."""
-    from .linalg import GradedLinearMap, GradedVectorSpace
+    """Cohomology of the pair's spaces as a morphism collection: at every
+    vertex, the restriction H^*(X) -> H^*(A) of the pair table, truncated
+    at degree D."""
     from .polytensor import MorphismCollection
 
-    verts = sorted(P.vertices, key=str)
-    if pair == "circle-point":
-        return MorphismCollection.circle(verts, D, field=field)
-
-    def space(dims, names):
-        full = list(dims) + [0] * (D + 1 - len(dims))
-        full = full[: D + 1]
-        lab = [tuple((n,) for n in ns) for ns in names] + [()] * (D + 1 - len(names))
-        return GradedVectorSpace(field, tuple(full), tuple(lab[: D + 1]))
-
-    def glm(M, N, deg0_rows):
-        mats = [deg0_rows]
-        for d in range(1, D + 1):
-            mats.append([[field.zero()] * M.dims[d] for _ in range(N.dims[d])])
-        return GradedLinearMap(M, N, mats)
-
-    maps = {}
-    for v in verts:
-        if pair == "disk2-circle":
-            M = space((1,), [("1",)])
-            N = space((1, 1), [("1",), (f"u_{v}",)])
-            maps[v] = glm(M, N, [[field.one()]])
-        elif pair == "interval-endpoints":
-            M = space((1,), [("1",)])
-            N = space((2,), [(f"p0_{v}", f"p1_{v}")])
-            maps[v] = glm(M, N, [[field.one()], [field.one()]])
-        elif pair == "point-point":
-            M = space((1,), [("1",)])
-            N = space((1,), [("1",)])
-            maps[v] = glm(M, N, [[field.one()]])
-        else:
-            raise PreconditionFailed(f"unknown pair {pair!r}")
-    return MorphismCollection(maps, field=field, truncation=D)
+    rows, x_dims, a_dims = _pair(pair)[3:]
+    M, N = (GradedVectorSpace(field, (dims + (0,) * D)[: D + 1]) for dims in (x_dims, a_dims))
+    degree0 = [list(enumerate(row)) for row in rows]
+    restriction = GradedLinearMap.from_rows(M, N, [degree0] + [[()] * n for n in N.dims[1:]])
+    return MorphismCollection(dict.fromkeys(P.vertices, restriction), field=field, truncation=D)
 
 
 def polyprod_homology(

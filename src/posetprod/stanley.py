@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import comb
 
 from .errors import NotPolyhedral, NotSimplicial, PreconditionFailed
@@ -36,30 +36,10 @@ class RingPresentation:
     degrees: dict
     relations: list
     tags: list
-    scale: int = 1
     skipped_unsound: int = 0
-    bound: int = 2
-    meta: dict = dc_field(default_factory=dict)
 
     def monomial_degree(self, mono: Monomial) -> int:
         return sum(self.degrees[g] for g in mono)
-
-    def to_dict(self) -> dict:
-        rels = []
-        for poly, tag in zip(self.relations, self.tags):
-            terms = sorted(
-                ([int(c) if c == int(c) else str(c), list(m)] for m, c in poly.items()),
-                key=lambda t: t[1],
-            )
-            rels.append({"terms": terms, "tag": list(tag)})
-        return {
-            "generators": list(self.generators),
-            "degrees": {g: self.degrees[g] for g in self.generators},
-            "relations": rels,
-            "scale": self.scale,
-            "bound": self.bound,
-            "skipped_unsound": self.skipped_unsound,
-        }
 
 
 def _meet_of(P: PointedPoset, S) -> object | None:
@@ -185,9 +165,7 @@ def ideal_generators(
         degrees=degrees,
         relations=relations,
         tags=tags,
-        scale=scale,
         skipped_unsound=skipped,
-        bound=bound,
     )
     _assert_homogeneous(pres)
     return pres
@@ -302,18 +280,16 @@ def in_kernel(P: PointedPoset, poly: Polynomial, D: int, scale: int = 1) -> bool
     return not pi_evaluate(P, poly, D, scale=scale)
 
 
-def presentation_report(
-    P: PointedPoset,
-    D: int = 4,
-    scale: int = 1,
-    bound: int = 3,
-    field: FieldSpec = QQ,
-) -> dict:
+# the subset-size bound that presentation_report starts from
+_FIRST_BOUND = 3
+
+
+def presentation_report(P: PointedPoset, D: int = 4, scale: int = 1, field: FieldSpec = QQ) -> dict:
     """Quotient dimensions against the limit dimensions, with honest
     disagreement reporting.
 
-    On mismatch the subset-size bound is raised step by step (up to the
-    number of generators) before giving up; the returned dict records both
+    On mismatch the subset-size bound is raised step by step from
+    ``_FIRST_BOUND`` (up to the number of generators) before giving up; the returned dict records both
     dimension vectors, the bound that was used, and how many subsets were
     skipped as unsound.
     """
@@ -321,7 +297,7 @@ def presentation_report(
     lims = polyhedral_tensor(P, col)
     limit_dims = tuple(lims[0]) if lims else (0,) * (D + 1)
     n_gens = len(P.objects) - 1
-    b = bound
+    b = _FIRST_BOUND
     while True:
         pres = ideal_generators(P, scale=scale, bound=b)
         qdims = quotient_dims(pres, D, field=field)

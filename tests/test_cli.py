@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -301,3 +302,54 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["f_vector"] == [2, 2]
+
+
+_SQUARE = {"objects": [0, 1, 2, 3], "base": 0, "covers": [[0, 1], [0, 2], [1, 3], [2, 3]]}
+
+
+@pytest.mark.parametrize("argv", [["tensor"], ["suite"], ["stransform"], ["limits", "--upset", "3"]])
+def test_number_names_read_as_strings(tmp_path, capsys, argv):
+    numbers, strings = tmp_path / "numbers.json", tmp_path / "strings.json"
+    numbers.write_text(json.dumps(_SQUARE))
+    strings.write_text(json.dumps({
+        "objects": [str(o) for o in _SQUARE["objects"]],
+        "base": str(_SQUARE["base"]),
+        "covers": [[str(a), str(b)] for a, b in _SQUARE["covers"]],
+    }))
+    code, by_number = run(capsys, argv[0], str(numbers), *argv[1:])
+    assert code == 0
+    code, by_string = run(capsys, argv[0], str(strings), *argv[1:])
+    assert code == 0
+    assert by_number["results"] == by_string["results"]
+
+
+@pytest.mark.parametrize("data", [
+    {"objects": 5, "base": 0, "covers": []},
+    {"objects": [0, 1], "base": 0, "covers": 5},
+    {"objects": [0, [1]], "base": 0, "covers": []},
+    {"objects": [0, 1], "base": 0, "covers": [[0, 1, 1]]},
+    {"objects": [0, 1], "base": None, "covers": [[0, 1]]},
+    [0, 1],
+])
+def test_malformed_poset_files_are_typed_refusals(tmp_path, capsys, data):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(data))
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_a_large_prime_field_answers_at_once(capsys):
+    started = time.perf_counter()
+    code, rep = run(capsys, "homology", "fix-b", "--field", str(2**61 - 1))
+    assert time.perf_counter() - started < 1.0
+    assert code == 0 and rep["results"]["agree"] is True
+
+
+def test_a_prime_past_the_deterministic_range_is_a_typed_refusal(capsys):
+    code = main(["homology", "fix-b", "--field", str(10**30 + 57)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "supported for p below" in captured.err and "Traceback" not in captured.err

@@ -9,7 +9,7 @@ from sympy import GF, Matrix, kronecker_product
 from sympy import QQ as SYMPY_QQ
 from sympy.polys.matrices import DomainMatrix
 
-from posetprod.errors import MixedFields, MixedTruncation
+from posetprod.errors import MixedFields, MixedTruncation, PreconditionFailed
 from posetprod.fixtures import random_pointed_poset
 from posetprod.limits import PosetDiagram, cochain_complex
 from posetprod.linalg import (
@@ -19,6 +19,7 @@ from posetprod.linalg import (
     GradedLinearMap,
     GradedVectorSpace,
     _echelon,
+    _is_prime,
     find_section,
     kernel_basis,
     rank,
@@ -40,6 +41,26 @@ def test_fieldspec_parse_and_arith():
     assert QQ.conv("2/3") == Fraction(2, 3)
     with pytest.raises(ZeroDivisionError):
         f5.conv(Fraction(1, 5))
+
+
+def test_primality_equals_trial_division_below_20000():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(20000) if _is_prime(n)] == [n for n in range(20000) if trial(n)]
+
+
+@pytest.mark.parametrize("n", [2047, 3215031751, 3825123056546413051])
+def test_strong_pseudoprimes_are_refused(n):
+    with pytest.raises(ValueError, match="not prime"):
+        FieldSpec.Fp(n)
+
+
+def test_primes_past_the_deterministic_range_are_refused():
+    # 10**30 + 57 is prime, but above the range where the bases decide
+    with pytest.raises(PreconditionFailed, match="supported for p below"):
+        FieldSpec.parse(str(10**30 + 57))
+    assert FieldSpec.parse(str(2**61 - 1)).p == 2**61 - 1
 
 
 def test_conv_returns_canonical_elements():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetprod.errors import IndexMismatch, MissingSection, PreconditionFailed
+from posetprod.errors import IndexMismatch, MissingSection
 from posetprod.fixtures import cube, fix_a, fix_b, fix_c, fix_e, random_poset_with
 from posetprod.limits import PosetDiagram, check_diagram, higher_limits, lim0_basis
 from posetprod.linalg import QQ, FieldSpec, GradedLinearMap, GradedVectorSpace
@@ -95,16 +95,14 @@ def _collection(kind, P, seed, D, field):
     seed=st.integers(0, 10**6),
     field=st.sampled_from([QQ, FieldSpec.Fp(2), FieldSpec.Fp(101)]),
     D=st.integers(1, 3),
-    chains=st.sampled_from([(False, None), (False, 1), (True, 1), (True, 2)]),
 )
-def test_split_route_equals_direct_route(poset, kind, seed, field, D, chains):
+def test_split_route_equals_direct_route(poset, kind, seed, field, D):
     # random collections include kernels in degree 0, so supports are not
     # bounded by the truncation there
     col = _collection(kind, poset, seed, D, field)
-    weak, max_n = chains
-    found = tensor_limits(poset, col, weak=weak, max_n=max_n)
+    found = tensor_limits(poset, col)
     assert found.terms is not None
-    assert found.limits == higher_limits(build_T(poset, col), weak=weak, max_n=max_n)
+    assert found.limits == higher_limits(build_T(poset, col))
 
 
 def test_non_surjective_collections_take_the_direct_route():
@@ -124,22 +122,14 @@ def test_non_surjective_collections_take_the_direct_route():
     found = tensor_limits(P, col)
     assert found.terms is None
     assert found.limits == higher_limits(build_T(P, col))
-    weak = polyhedral_tensor(P, col, weak=True, max_n=2)
-    assert weak == higher_limits(build_T(P, col), weak=True, max_n=2)
 
 
 def test_chain_arguments_are_checked():
     P = fix_b()
-    col = MorphismCollection.augmentation(P.vertices, D=1)
-    with pytest.raises(PreconditionFailed, match="explicit max_n"):
-        polyhedral_tensor(P, col, weak=True)
-    with pytest.raises(PreconditionFailed, match="max_n must be >= 0"):
-        polyhedral_tensor(P, col, max_n=-1)
-    with pytest.raises(IndexMismatch):
-        polyhedral_tensor(P, MorphismCollection({}, field=QQ, truncation=1))
-    for weak in (False, True):
-        with pytest.raises(PreconditionFailed, match="max_n must be >= 0, got -1"):
-            tensor_limits(P, col, weak=weak, max_n=-1)
+    empty = MorphismCollection({}, field=QQ, truncation=1)
+    for limits in (polyhedral_tensor, tensor_limits):
+        with pytest.raises(IndexMismatch):
+            limits(P, empty)
 
 
 def test_build_T_shapes_and_labels():
@@ -215,7 +205,7 @@ def test_level_zero_matches_split_subspace_dims():
     P = fix_c()
     col = MorphismCollection.circle(P.vertices, D=2)
     strict = polyhedral_tensor(P, col)
-    weak = polyhedral_tensor(P, col, weak=True, max_n=3)
+    weak = higher_limits(build_T(P, col), weak=True, max_n=3)
     assert strict == weak
 
 

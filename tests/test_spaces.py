@@ -26,6 +26,7 @@ from posetprod.spaces import (
     colimit_space,
     disk_space,
     homology,
+    induced_collection,
     interval_space,
     pair_spaces,
     point_space,
@@ -118,13 +119,13 @@ def test_torus_as_product():
 
 def test_product_express_is_natural():
     S1 = circle_space(3)
-    T2, express = product_space(S1, S1, 3)
+    T2, name = product_space(S1, S1, 3)
     for n in range(1, 4):
         for s in S1.simplices(n):
             for t in S1.simplices(n):
-                simp = express[(n, (s, t))]
+                simp = name((n, (s, t)))
                 for i in range(n + 1):
-                    via_pair = express[(n - 1, (S1.face(s, i), S1.face(t, i)))]
+                    via_pair = name((n - 1, (S1.face(s, i), S1.face(t, i))))
                     assert T2.face(simp, i) == via_pair
 
 
@@ -180,12 +181,14 @@ def test_full_edge_gives_torus():
 
 def test_block_inclusions_are_injective():
     P = fix_b()
-    X, A, inc = pair_spaces("circle-point", 3)
-    space, lookup = polyhedral_product_space(P, "circle-point", 3, via="colim")
+    X, A, _ = pair_spaces("circle-point", 3)
+    _, name = polyhedral_product_space(P, "circle-point", 3, via="colim")
+    verts = sorted(P.vertices, key=str)
     for x in P.objects:
+        block = spaces._product([X if v in P.vertex_set(x) else A for v in verts], 3)
         for n in range(4):
-            imgs = {k: v for k, v in lookup.items() if k[0] == n and k[1][0] == x}
-            assert len(set(imgs.values())) == len(imgs)
+            simps = block.simplices(n)
+            assert len({name((n, (x, s))) for s in simps}) == len(simps)
 
 
 def test_homology_matches_shifted_limits():
@@ -200,18 +203,46 @@ def test_homology_matches_shifted_limits():
     assert rep["agree"]
 
 
+def _components(S):
+    """The component of each vertex of S, numbered in the str order of the
+    components' least vertices."""
+    uf = _UnionFind()
+    for v in S.nondegenerate(0):
+        uf.find(v)
+    for e in S.nondegenerate(1):
+        (a, _), (b, _) = S.core_faces[e]
+        uf.union(a, b)
+    roots = sorted({uf.find(v) for v in S.nondegenerate(0)}, key=str)
+    return {v: roots.index(uf.find(v)) for v in S.nondegenerate(0)}
+
+
+@pytest.mark.parametrize("D", range(4))
+@pytest.mark.parametrize("pair", PAIR_NAMES)
+def test_pair_table_matches_the_spaces_it_names(pair, D):
+    X, A, inc = pair_spaces(pair, D + 1)
+    in_x, in_a = _components(X), _components(A)
+    for field in (QQ, F2):
+        collection = induced_collection(fix_b(), pair, D, field=field)
+        assert set(collection.maps) == set(fix_b().vertices)
+        for restriction in collection.maps.values():
+            assert restriction.source.dims == homology(X, D, field)
+            assert restriction.target.dims == homology(A, D, field)
+            rows = restriction.nonzero_rows[0]
+            for a, j in in_a.items():
+                # one 1, in the column of the component of X holding a
+                assert rows[j] == [(in_x[inc.on_cores[a][0]], 1)]
+
+
+def test_unknown_pairs_are_refused():
+    for build in (lambda: pair_spaces("disk3-sphere", 2), lambda: induced_collection(fix_b(), "disk3-sphere", 2)):
+        with pytest.raises(PreconditionFailed, match="unknown pair 'disk3-sphere'"):
+            build()
+
+
 def test_point_pair_collapses_everything():
     rep = polyprod_homology(fix_b(), "point-point", 2)
     assert rep["homology"] == (1, 0)
     assert rep["agree"]
-
-
-def test_serialization_roundtrip():
-    D2 = disk_space(3)
-    back = FiniteSimplicialSet.from_dict(D2.to_dict())
-    assert back.cores == D2.cores
-    assert back.core_faces == D2.core_faces
-    assert homology(back, 2) == (1, 0, 0)
 
 
 def test_field_choice_in_homology():
@@ -272,12 +303,9 @@ def test_colimit_refuses_a_pair_whose_inclusion_is_not_injective():
 
 def test_product_express_holds_exactly_the_simplex_pairs():
     S1 = circle_space(3)
-    _, express = product_space(S1, S1, 3)
-    assert len(express) == sum(len(S1.simplices(n)) ** 2 for n in range(4))
-    assert express[(2, (("e", (1,)), ("e", (0,))))] == ((("e", (1,)), ("e", (0,))), ())
-    assert express[(2, (("e", (1,)), ("v", (1, 0))))] == ((("e", ()), ("v", (0,))), (1,))
-    assert (1, (("e", ()), ("v", ()))) not in express
-    assert (2, (("e", (0, 1)), ("v", (1, 0)))) not in express
+    _, name = product_space(S1, S1, 3)
+    assert name((2, (("e", (1,)), ("e", (0,))))) == ((("e", (1,)), ("e", (0,))), ())
+    assert name((2, (("e", (1,)), ("v", (1, 0))))) == ((("e", ()), ("v", (0,))), (1,))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
