@@ -66,13 +66,21 @@ rep2 = polyprod_homology(fix_b(), "circle-point", n_max=3)
 print("\nbigon circle-point:", rep2)
 
 # The gluing is a choice: the colimit identifies simplices outright, the
-# homotopy colimit keeps gluing data as prisms (and takes the simplicial
-# route, its only one).  For these posets both give the same homology.  Over the square the top face contains all four
-# vertices, so the glued space is the 4-torus ((1, 4, 6) through degree 2).
+# homotopy colimit keeps gluing data as prisms.  It has a cellular route
+# too: one cell per strict chain x_0 < ... < x_p of objects and tuple of
+# factor cores of the block at x_0 (the Bousfield-Kan double complex).  For
+# these posets both give the same homology.  Over the square the top face
+# contains all four vertices, so the glued space is the 4-torus ((1, 4, 6)
+# through degree 2).
 sq = cube(2)
 hc = polyprod_homology(sq, "circle-point", n_max=3, via="colim")["homology"]
-hh = polyprod_homology(sq, "circle-point", n_max=3, via="hocolim")["homology"]
-print("\n4-torus over the square, colim vs hocolim:", hc, hh)
+hoco = polyprod_homology(sq, "circle-point", n_max=3, via="hocolim")
+print("\n4-torus over the square, colim vs hocolim:", hc, hoco["homology"])
+print("hocolim route:", hoco["route"], "with cells per dimension", hoco["cells"])
+
+# ``check_route`` builds the homotopy colimit as a simplicial set as well.
+checked = polyprod_homology(sq, "circle-point", n_max=3, via="hocolim", check_route=True)
+print("simplicial hocolim:", checked["simplicial_homology"], "routes agree:", checked["routes_agree"])
 
 # Truncation is explicit: a product or colimit built up to n_max only
 # certifies homology through degree n_max - 1, and asking beyond raises

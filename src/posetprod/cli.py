@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check-route",
         action="store_true",
-        help="also build the colimit as a simplicial set (the cellular route answers); exit 1 if the routes disagree",
+        help="also build the colimit or hocolim as a simplicial set (the cellular route answers); exit 1 if the routes disagree",
     )
 
     p = add("suite", _cmd_suite, "run every applicable computation with cross-checks")

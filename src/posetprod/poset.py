@@ -251,7 +251,11 @@ class PointedPoset:
                 raise NoBasePoint("cannot delete the base point")
         else:
             raise ValueError(f"unknown direction {direction!r}")
-        rel = [(a, b) for a in keep for b in keep if a != b and self.leq(a, b)]
+        # a down- or up-set holds every cover chain between its members; a
+        # cover chain through a deleted x has l < x < u in it, for l and u covers of x
+        rel = [(a, b) for a, b in self.covers if a in keep and b in keep]
+        if direction == "delete":
+            rel.extend((a, b) for a in self._lower[x] for b in self._upper[x])
         return PointedPoset(keep, newbase, rel)
 
     # -- serialization ----------------------------------------------------

@@ -17,13 +17,15 @@ is (see ``_betti``).
 
 Homology of a polyhedral product has two routes.  The simplicial route
 builds the colimit or homotopy colimit of the blocks as a simplicial set
-and takes ``homology``.  The cellular route answers the colimit of a pair
-A <= X without building it: its cells are tuples of cores of X, one per
-component of the up-set of their support (``colimit_cells``), walked with
-the split route of the tensor limits (``poset.support_walk``), and the same
-elimination ranks their boundaries.  ``polyprod_homology`` takes the
-cellular route for the colimit, the simplicial one for the homotopy
-colimit, and with ``check_route`` compares the two on the colimit.
+and takes ``homology``.  The cellular route answers either gluing of a
+pair A <= X without building it, and the same elimination ranks the
+boundaries of its cells.  The colimit's cells are tuples of cores of X, one
+per component of the up-set of their support (``colimit_cells``), walked
+with the split route of the tensor limits (``poset.support_walk``).  The
+homotopy colimit's are a strict chain of objects with a tuple of factor
+cores of the block at its bottom (``hocolim_cells``, the Bousfield-Kan
+double complex).  ``polyprod_homology`` takes the cellular route for both
+gluings, and with ``check_route`` compares it with the simplicial one.
 """
 
 from __future__ import annotations
@@ -102,8 +104,16 @@ class FiniteSimplicialSet:
                 out.append((c, idx))
         return out
 
+    @cached_property
+    def _by_dim(self) -> list:
+        by_dim = [[] for _ in range(self.n_max + 1)]
+        for c in self._str_order:
+            by_dim[self.cores[c]].append(c)
+        return by_dim
+
     def nondegenerate(self, n: int):
-        return [c for c in self._str_order if self.cores[c] == n]
+        """The n-cores in str order."""
+        return list(self._by_dim[n]) if 0 <= n <= self.n_max else []
 
     def _check_identities(self):
         for c, d in self.cores.items():
@@ -503,6 +513,35 @@ def polyhedral_product_space(
     return hocolim_space(P, spaces, maps, n_max)
 
 
+def _core_tuples(factors, top: int) -> list:
+    """The tuples of one core per factor, with their dimensions d <= top
+    summed: (s, d).  ``factors[k][e]`` lists the e-cores of factor k, for
+    e = 0..top."""
+    cells = [((), 0)]
+    for by_dim in factors:
+        cells = [(s + (c,), d + e) for s, d in cells for e in range(top + 1 - d) for c in by_dim[e]]
+    return cells
+
+
+def _tensor_faces(s, tables) -> list:
+    """The Koszul-signed boundary of the tensor s of cores, degenerate faces
+    dropped: (k, f, sign) replaces s[k] by its face f.  ``tables[k]`` sends
+    each core of factor k to its dimension and ``_core_boundary``."""
+    out = []
+    sign = 1
+    for k, (c, table) in enumerate(zip(s, tables)):
+        d, boundary = table[c]
+        out.extend((k, f, sign * e) for f, e in boundary)
+        if d % 2:
+            sign = -sign
+    return out
+
+
+def _boundary_table(F: FiniteSimplicialSet) -> dict:
+    """Each core of F with its dimension and ``_core_boundary``."""
+    return {c: (d, _core_boundary(F, c)) for c, d in F.cores.items()}
+
+
 def colimit_cells(P: PointedPoset, pair: str | tuple, n_max: int):
     """The cellular chain complex of the colimit of the block diagram, in
     dimensions 0..n_max; returns (bases, faces) as ``_betti`` reads them.
@@ -527,10 +566,8 @@ def colimit_cells(P: PointedPoset, pair: str | tuple, n_max: int):
     verts = sorted(P.vertices, key=str)
     inside = {inc.on_cores[a][0] for a in A.cores}
     # by_dim[outside][d]: the d-cores of X outside A (or in A), d <= n_max
-    by_dim = {out: [[] for _ in range(n_max + 1)] for out in (False, True)}
-    for c in sorted(X.cores, key=str):
-        if X.cores[c] <= n_max:
-            by_dim[c not in inside][X.cores[c]].append(c)
+    by_dim = {out: [[c for c in X.nondegenerate(d) if (c not in inside) == out] for d in range(n_max + 1)]
+              for out in (False, True)}
     N, K = (dict.fromkeys(verts, tuple(map(len, by_dim[out]))) for out in (False, True))
 
     # rep_of[S][x]: the str-least object of the component of U_S holding x
@@ -539,31 +576,87 @@ def colimit_cells(P: PointedPoset, pair: str | tuple, n_max: int):
     for support, _, up in support_walk(P, verts, N, K, n_max):
         rep = rep_of[support] = P.components(up)
         reps = sorted(set(rep.values()), key=str)
-        cells = [((), 0)]
-        for v in verts:
-            choices = by_dim[v in support]
-            cells = [(s + (c,), d + e) for s, d in cells for e in range(n_max + 1 - d) for c in choices[e]]
-        for s, d in cells:
+        for s, d in _core_tuples([by_dim[v in support] for v in verts], n_max):
             bases[d].extend((s, r) for r in reps)
 
-    boundary = {c: _core_boundary(X, c) for c in X.cores}
+    tables = [_boundary_table(X)] * len(verts)
 
     def faces(cell):
         s, r = cell
         support = tuple(v for v, c in zip(verts, s) if c not in inside)
         out = []
-        sign = 1
-        for k, c in enumerate(s):
-            for f, e in boundary[c]:
-                # the face leaves the support when its core falls into A
-                leaves = c not in inside and f in inside
-                face_support = tuple(v for v in support if v != verts[k]) if leaves else support
-                out.append(((s[:k] + (f,) + s[k + 1:], rep_of[face_support][r]), sign * e))
-            if X.cores[c] % 2:
-                sign = -sign
+        for k, f, e in _tensor_faces(s, tables):
+            # the face leaves the support when its core falls into A
+            leaves = s[k] not in inside and f in inside
+            face_support = tuple(v for v in support if v != verts[k]) if leaves else support
+            out.append(((s[:k] + (f,) + s[k + 1:], rep_of[face_support][r]), e))
         return out
 
     return bases, faces
+
+
+def hocolim_cells(P: PointedPoset, pair: str | tuple, n_max: int):
+    """The cellular chain complex of the homotopy colimit of the block
+    diagram, in dimensions 0..n_max; returns (bases, faces) as ``_betti``
+    reads them.
+
+    It is the total complex of the normalized double complex of the
+    simplicial replacement (Bousfield and Kan 1972, LNM 304, ch. XII),
+    whose diagonal ``hocolim_space`` builds, with each block's chains
+    replaced by the tensor product of its factors' chains (Eilenberg-Zilber
+    again, natural in the blocks).  A cell (c, s) is a strict chain
+    c = (x_0 < ... < x_p) and a tuple s of cores of the block at x_0, one
+    per vertex in str order: a core of X on V(x_0), of A elsewhere; its
+    dimension is p plus those of s.  Its boundary is sum_(i>=1) (-1)^i
+    (c minus x_i, s), plus (c minus x_0, s pushed into the block at x_1,
+    the inclusion applied on V(x_1) - V(x_0)) unless a pushed core turns
+    degenerate, plus (-1)^p times the tensor boundary of s.  No
+    injectivity is needed.
+    """
+    X, A, inc = pair_spaces(pair, n_max) if isinstance(pair, str) else pair
+    verts = sorted(P.vertices, key=str)
+    by_dim = {F: [F.nondegenerate(d) for d in range(n_max + 1)] for F in (X, A)}
+    table = {F: _boundary_table(F) for F in (X, A)}
+    factors = {x: [X if v in P.vertex_set(x) else A for v in verts] for x in P.objects}
+    tables = {x: [table[F] for F in fs] for x, fs in factors.items()}
+    # block[x]: the core tuples of the block at x, lowest dimension first
+    block = {x: sorted(_core_tuples([by_dim[F] for F in fs], n_max), key=lambda sd: sd[1])
+             for x, fs in factors.items()}
+    bases = [[] for _ in range(n_max + 1)]
+    for p, level in enumerate(chains(P, n_max)):
+        for c in level:
+            for s, d in block[c[0]]:
+                if p + d > n_max:
+                    break
+                bases[p + d].append((c, s))
+
+    # grown[(x, y)]: the factors that go through the inclusion from the block at x to the one at y
+    grown = {(x, y): [k for k, v in enumerate(verts) if v in P.vertex_set(y) and v not in P.vertex_set(x)]
+             for x in P.objects for y in P.up_set(x) if y != x}
+
+    def pushed(hop, s):
+        """s in the block at hop[1], or None if a core turns degenerate."""
+        img = list(s)
+        for k in grown[hop]:
+            img[k], word = inc.on_cores[s[k]]
+            if word:
+                return None
+        return tuple(img)
+
+    def faces(cell):
+        c, s = cell
+        p = len(c) - 1
+        out = [((c[:i] + c[i + 1:], s), -1 if i % 2 else 1) for i in range(1, p + 1)]
+        if p and (t := pushed(c[:2], s)) is not None:
+            out.append(((c[1:], t), 1))
+        sign = -1 if p % 2 else 1
+        out.extend(((c, s[:k] + (f,) + s[k + 1:]), sign * e) for k, f, e in _tensor_faces(s, tables[c[0]]))
+        return out
+
+    return bases, faces
+
+
+_CELLS = {"colim": colimit_cells, "hocolim": hocolim_cells}
 
 
 # -- comparison with the cochain side --------------------------------------
@@ -596,26 +689,20 @@ def polyprod_homology(
     collection: the predicted k-th dimension sums lim^n in internal degree
     k - n.
 
-    The colimit is answered by its cellular chains (``colimit_cells``), the
-    homotopy colimit by its simplicial set.  ``route`` names the route that
-    answered and ``cells`` counts its cells (or cores) per dimension.  With
-    ``check_route`` the colimit is also built as a simplicial set, and
-    ``simplicial_homology`` and ``routes_agree`` report the comparison.
+    Both gluings are answered by their cellular chains (``colimit_cells``,
+    ``hocolim_cells``); ``route`` names the route and ``cells`` counts its
+    cells per dimension.  With ``check_route`` the space is also built as a
+    simplicial set, and ``simplicial_homology`` and ``routes_agree`` report
+    the comparison.
     """
-    if check_route and via == "hocolim":
-        raise PreconditionFailed("check_route compares the two routes of the colimit; the hocolim has one route")
+    if via not in _CELLS:
+        raise PreconditionFailed(f"via must be colim or hocolim, not {via!r}")
     upto = n_max - 1
-    if via == "colim":
-        bases, faces = colimit_cells(P, pair, n_max)
-        h = _betti(bases, faces, upto, field)
-        route, cells = "cellular", tuple(map(len, bases))
-    else:
-        space, _ = polyhedral_product_space(P, pair, n_max, via=via)
-        h = homology(space, upto, field)
-        route, cells = "simplicial", tuple(len(space.nondegenerate(n)) for n in range(n_max + 1))
-    out = {"homology": h, "n_max": n_max, "via": via, "route": route, "cells": cells}
+    bases, faces = _CELLS[via](P, pair, n_max)
+    h = _betti(bases, faces, upto, field)
+    out = {"homology": h, "n_max": n_max, "via": via, "route": "cellular", "cells": tuple(map(len, bases))}
     if check_route:
-        space, _ = polyhedral_product_space(P, pair, n_max, via="colim")
+        space, _ = polyhedral_product_space(P, pair, n_max, via=via)
         out["simplicial_homology"] = homology(space, upto, field)
         out["routes_agree"] = out["simplicial_homology"] == h
     if compare:

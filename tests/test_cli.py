@@ -157,7 +157,7 @@ def test_homology_results_keep_their_keys_and_name_the_route(capsys):
     code, rep = run(capsys, "homology", "fix-e", "--max-dim", "1", "--no-compare", "--via", "hocolim")
     assert code == 0
     assert set(rep["results"]) == {"homology"}
-    assert rep["route"] == {"name": "simplicial", "cells": [3, 4, 0]}
+    assert rep["route"] == {"name": "cellular", "cells": [3, 4, 0]}
 
 
 def test_homology_check_route(capsys, monkeypatch):
@@ -167,16 +167,21 @@ def test_homology_check_route(capsys, monkeypatch):
     assert res["homology"] == res["simplicial_homology"] == [1, 2, 2]
     assert res["routes_agree"] is True and res["agree"] is True
 
-    # the hocolim has only the simplicial route
-    code, rep = run(capsys, "homology", "fix-b", "--via", "hocolim", "--check-route")
-    assert code == 2 and rep is None
+    # the hocolim is checked against its simplicial set
+    code, rep = run(capsys, "homology", "fix-b", "--max-dim", "2", "--via", "hocolim", "--check-route")
+    assert code == 0
+    res = rep["results"]
+    assert res["homology"] == res["simplicial_homology"] == [1, 2, 2]
+    assert res["routes_agree"] is True and res["agree"] is True
+    assert rep["route"]["name"] == "cellular"
 
     # a disagreement between the routes is a failed verification
     monkeypatch.setattr("posetprod.spaces.homology", lambda *a, **k: (1, 0, 0))
-    code, rep = run(capsys, "homology", "fix-b", "--max-dim", "2", "--check-route")
-    assert code == 1
-    assert rep["results"]["routes_agree"] is False
-    assert rep["results"]["agree"] is True
+    for via in ("colim", "hocolim"):
+        code, rep = run(capsys, "homology", "fix-b", "--max-dim", "2", "--via", via, "--check-route")
+        assert code == 1
+        assert rep["results"]["routes_agree"] is False
+        assert rep["results"]["agree"] is True
 
 
 @pytest.mark.parametrize("via", ["colim", "hocolim"])

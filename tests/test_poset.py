@@ -130,6 +130,26 @@ def test_sub_poset():
     assert set(X.objects) == {"*", "a", "b", "d"}
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), pick=st.integers(0, 10**6))
+def test_sub_poset_equals_the_all_pairs_construction(seed, pick):
+    P = random_pointed_poset(random.Random(seed), max_objects=9)
+    x = P.objects[pick % len(P.objects)]
+    keeps = {
+        "down": (P.down_set(x), P.base),
+        "down-strict": (P.down_set(x) - {x}, P.base),
+        "up": (P.up_set(x), x),
+        "delete": (set(P.objects) - {x}, P.base),
+    }
+    for direction, (keep, base) in keeps.items():
+        if x == P.base and direction in ("down-strict", "delete"):
+            continue
+        Q = P.sub_poset(x, direction)
+        R = PointedPoset(keep, base, [(a, b) for a in keep for b in keep if P.lt(a, b)])
+        assert (Q.objects, Q.covers, Q.base, Q.vertices) == (R.objects, R.covers, R.base, R.vertices)
+        assert Q == R
+
+
 def test_reduce_chain():
     P = PointedPoset(["*", "v", "w"], "*", [("*", "v"), ("v", "w")])
     R, proj = reduce_poset(P)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from posetprod.errors import InsufficientTruncation, PreconditionFailed
 from posetprod import spaces
-from posetprod.fixtures import cube, fix_a, fix_b, fix_c, fix_e, random_pointed_poset
+from posetprod.fixtures import cube, fix_a, fix_b, fix_c, fix_e, random_pointed_poset, simplex
 from posetprod.linalg import F2, QQ, FieldSpec
 from posetprod.poset import PointedPoset
 from posetprod.spaces import (
@@ -25,6 +25,7 @@ from posetprod.spaces import (
     colimit_cells,
     colimit_space,
     disk_space,
+    hocolim_cells,
     homology,
     induced_collection,
     interval_space,
@@ -288,9 +289,21 @@ def test_colimit_refuses_a_collapsing_cover_map():
         colimit_space(P, {"*": S1, "v": S1}, {("*", "v"): collapse}, 3)
 
 
+def _glue_pair(n_max):
+    """The two points of A both sent to the one point of X."""
+    X, A = point_space(n_max), two_point_space(n_max)
+    return X, A, SimplicialMap(A, X, {"a0": ("v", ()), "a1": ("v", ())})
+
+
+def _collapse_pair(n_max):
+    """The circle A mapped onto the point X: its edge goes to a degenerate
+    simplex."""
+    X, A = point_space(n_max), circle_space(n_max)
+    return X, A, SimplicialMap(A, X, {"v": ("v", ()), "e": ("v", (0,))})
+
+
 def test_colimit_refuses_a_pair_whose_inclusion_is_not_injective():
-    X, A = point_space(3), two_point_space(3)
-    glue = SimplicialMap(A, X, {"a0": ("v", ()), "a1": ("v", ())})
+    X, A, glue = _glue_pair(3)
     with pytest.raises(PreconditionFailed):
         polyhedral_product_space(fix_e(), (X, A, glue), 3, via="colim")
     with pytest.raises(PreconditionFailed, match="distinct cores"):
@@ -299,6 +312,8 @@ def test_colimit_refuses_a_pair_whose_inclusion_is_not_injective():
     # of A x A join the two points of each other block into a circle
     space, _ = polyhedral_product_space(fix_e(), (X, A, glue), 3, via="hocolim")
     assert homology(space, 2) == (1, 1, 0)
+    rep = polyprod_homology(fix_e(), (X, A, glue), 3, via="hocolim", compare=False, check_route=True)
+    assert rep["homology"] == rep["simplicial_homology"] == (1, 1, 0)
 
 
 def test_product_express_holds_exactly_the_simplex_pairs():
@@ -324,8 +339,27 @@ def test_cellular_route_equals_the_simplicial_colimit(seed, pair, field, top):
     _assert_boundary_squares_to_zero(P, pair, top + 1)
 
 
-def _assert_boundary_squares_to_zero(P, pair, n_max):
-    bases, faces = colimit_cells(P, pair, n_max)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10**6),
+    pair=st.sampled_from(PAIR_NAMES + ("glue", "collapse")),
+    field=st.sampled_from([QQ, F2]),
+    top=st.integers(0, 3),
+)
+def test_cellular_route_equals_the_simplicial_hocolim(seed, pair, field, top):
+    P = random_pointed_poset(random.Random(seed), max_objects=7)
+    # neither map need be injective on cores for the homotopy colimit
+    if pair in ("glue", "collapse"):
+        pair = {"glue": _glue_pair, "collapse": _collapse_pair}[pair](top + 1)
+    rep = polyprod_homology(P, pair, top + 1, via="hocolim", field=field, compare=False)
+    space, _ = polyhedral_product_space(P, pair, top + 1, via="hocolim")
+    assert rep["route"] == "cellular"
+    assert rep["homology"] == homology(space, top, field)
+    _assert_boundary_squares_to_zero(P, pair, top + 1, hocolim_cells)
+
+
+def _assert_boundary_squares_to_zero(P, pair, n_max, cells=colimit_cells):
+    bases, faces = cells(P, pair, n_max)
     for level in bases[2:]:
         for cell in level:
             twice = Counter()
@@ -341,9 +375,12 @@ def test_cell_counts_of_the_cellular_route():
     rep = polyprod_homology(cube(3), "circle-point", 4)
     assert rep["route"] == "cellular" and rep["cells"] == (1, 8, 28, 56, 70)
     assert rep["homology"] == (1, 8, 28, 56) and rep["agree"]
-    # the hocolim keeps its simplicial route and counts cores
+    # the hocolim's cells: a strict chain and a core tuple of the block at its bottom
     rep = polyprod_homology(fix_e(), "circle-point", 2, via="hocolim", compare=False)
-    assert rep["route"] == "simplicial" and rep["cells"] == (3, 4, 0)
+    assert rep["route"] == "cellular" and rep["cells"] == (3, 4, 0)
+    rep = polyprod_homology(simplex(3), "circle-point", 5, via="hocolim", compare=False)
+    assert rep["cells"] == (16, 97, 210, 194, 65, 0)
+    assert rep["homology"] == (1, 4, 6, 4, 1)
 
 
 def test_cellular_route_drops_degenerate_faces():
@@ -367,8 +404,12 @@ def test_check_route_compares_with_the_simplicial_colimit():
     assert rep["homology"] == rep["simplicial_homology"] == (1, 2, 2)
     assert rep["routes_agree"] and rep["agree"]
     assert "routes_agree" not in polyprod_homology(fix_b(), "circle-point", 3)
-    with pytest.raises(PreconditionFailed, match="hocolim has one route"):
-        polyprod_homology(fix_b(), "circle-point", 3, via="hocolim", check_route=True)
+    # the hocolim is compared with its simplicial set
+    rep = polyprod_homology(fix_b(), "circle-point", 3, via="hocolim", field=F2, check_route=True)
+    assert rep["homology"] == rep["simplicial_homology"] == (1, 2, 2)
+    assert rep["routes_agree"] and rep["agree"]
+    with pytest.raises(PreconditionFailed, match="via must be colim or hocolim"):
+        polyprod_homology(fix_b(), "circle-point", 3, via="bogus")
 
 
 _CELL_ORDER = """
@@ -382,9 +423,10 @@ def rank(rows, ncols, field, pivots=None):
 spaces.rank = rank
 out = []
 for P, pair in ((fix_c(), "disk2-circle"), (random_pointed_poset(random.Random(7), 7), "interval-endpoints")):
-    bases, faces = spaces.colimit_cells(P, pair, 3)
-    out.append([[[str(c), [str(f) for f in faces(c)]] for c in level] for level in bases])
-    out.append(spaces.polyprod_homology(P, pair, 3, compare=False)["homology"])
+    for cells, via in ((spaces.colimit_cells, "colim"), (spaces.hocolim_cells, "hocolim")):
+        bases, faces = cells(P, pair, 3)
+        out.append([[[str(c), [str(f) for f in faces(c)]] for c in level] for level in bases])
+        out.append(spaces.polyprod_homology(P, pair, 3, via=via, compare=False)["homology"])
 print(json.dumps([out, shapes]))
 """
 
