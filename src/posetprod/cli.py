@@ -8,6 +8,7 @@ bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -16,10 +17,10 @@ import time
 from .errors import PosetProdError
 from .fixtures import FIXTURES
 from .limits import PosetDiagram, higher_limits
-from .linalg import QQ, FieldSpec
+from .linalg import FieldSpec, GradedVectorSpace
 from .poset import PointedPoset, classify, reduce_poset
 # polyhedral_tensor is not called here, but perfbench/tracer.py requires this binding (ROADMAP item 1)
-from .polytensor import MorphismCollection, build_T, polyhedral_tensor, reduction_invariance, tensor_limits  # noqa: F401
+from .polytensor import MorphismCollection, polyhedral_tensor, reduction_invariance, tensor_limits  # noqa: F401
 from .spaces import PAIR_NAMES, polyprod_homology
 from .stanley import hilbert_from_fvector, presentation_report
 from .transform import f_transform_predict, f_vector, simplicial_transform
@@ -51,35 +52,15 @@ def _parse_collection(text: str, vertices, D: int, field: FieldSpec) -> Morphism
     raise PosetProdError(f"unknown --collection {text!r}; use aug[:d] with an integer d >= 1, or circle")
 
 
-def _emit(args, command, input_info, parameters, results, started, extra: dict | None = None) -> None:
-    report = {
-        "command": command,
-        "input": input_info,
-        "parameters": parameters,
-        "results": results,
-        "elapsed_s": round(time.perf_counter() - started, 6),
-        **(extra or {}),
-    }
-    indent = 2 if args.pretty else None
-    print(json.dumps(report, indent=indent, sort_keys=True))
-
-
-def _cmd_check(args) -> int:
-    started = time.perf_counter()
-    P, info = _load_poset(args.poset)
-    rep = classify(P)
-    results = rep.to_dict()
+def _cmd_check(P, field, args):
+    results = classify(P).to_dict()
     results["objects"] = len(P.objects)
-    results["vertices"] = sorted(map(str, P.vertices))
-    _emit(args, "check", info, {"expect": args.expect}, results, started)
-    if args.expect:
-        return 0 if all(results.get(e, False) for e in args.expect) else 1
-    return 0
+    results["vertices"] = list(map(str, P.vertices))
+    code = 0 if all(results.get(e, False) for e in args.expect or ()) else 1
+    return results, {"expect": args.expect}, code, {}
 
 
-def _cmd_reduce(args) -> int:
-    started = time.perf_counter()
-    P, info = _load_poset(args.poset)
+def _cmd_reduce(P, field, args):
     R, proj = reduce_poset(P)
     results = {
         "reduced": R.to_dict(),
@@ -87,21 +68,14 @@ def _cmd_reduce(args) -> int:
         "objects_before": len(P.objects),
         "objects_after": len(R.objects),
     }
-    _emit(args, "reduce", info, {}, results, started)
-    return 0
+    return results, {}, 0, {}
 
 
-def _cmd_fvector(args) -> int:
-    started = time.perf_counter()
-    P, info = _load_poset(args.poset)
-    results = {"f_vector": list(f_vector(P)), "norm": P.norm}
-    _emit(args, "fvector", info, {}, results, started)
-    return 0
+def _cmd_fvector(P, field, args):
+    return {"f_vector": list(f_vector(P)), "norm": P.norm}, {}, 0, {}
 
 
-def _cmd_stransform(args) -> int:
-    started = time.perf_counter()
-    P, info = _load_poset(args.poset)
+def _cmd_stransform(P, field, args):
     res = simplicial_transform(P)
     results = {
         "transform": res.poset.to_dict(),
@@ -112,85 +86,60 @@ def _cmd_stransform(args) -> int:
     }
     if classify(P).regular:
         results["f_vector_predicted"] = list(f_transform_predict(P))
-    _emit(args, "stransform", info, {}, results, started)
-    return 0
+    return results, {}, 0, {}
 
 
-def _cmd_hilbert(args) -> int:
-    started = time.perf_counter()
-    P, info = _load_poset(args.poset)
-    field = FieldSpec.parse(args.field)
+def _cmd_hilbert(P, field, args):
     params = {
         "max_degree": args.max_degree,
         "grading": args.grading,
-        "field": str(field),
         "method": args.method,
     }
-    code = 0
     if args.method == "fvector":
         dims = hilbert_from_fvector(f_vector(P), args.max_degree, scale=args.grading)
-        results = {"dims": list(dims)}
-    else:
-        rep = presentation_report(P, D=args.max_degree, scale=args.grading, field=field)
-        results = {
-            "dims": list(rep["limit_dims"] if args.method == "limit" else rep["quotient_dims"]),
-            "quotient_dims": list(rep["quotient_dims"]),
-            "limit_dims": list(rep["limit_dims"]),
-            "agree": rep["agree"],
-            "relations_skipped": rep["skipped_unsound"],
-            "bound_used": rep["bound_used"],
-        }
-        if not rep["agree"]:
-            code = 1
-    _emit(args, "hilbert", info, params, results, started)
-    return code
+        return {"dims": list(dims)}, params, 0, {}
+    rep = presentation_report(P, D=args.max_degree, scale=args.grading, field=field)
+    results = {
+        "dims": list(rep["limit_dims"] if args.method == "limit" else rep["quotient_dims"]),
+        "quotient_dims": list(rep["quotient_dims"]),
+        "limit_dims": list(rep["limit_dims"]),
+        "agree": rep["agree"],
+        "relations_skipped": rep["skipped_unsound"],
+        "bound_used": rep["bound_used"],
+    }
+    return results, params, 0 if rep["agree"] else 1, {}
 
 
-def _cmd_limits(args) -> int:
-    started = time.perf_counter()
-    P, info = _load_poset(args.poset)
-    field = FieldSpec.parse(args.field)
+def _cmd_limits(P, field, args):
     if args.upset:
         diagram = PosetDiagram.indicator(P, args.upset, field=field)
         kind = "indicator"
     else:
-        from .linalg import GradedVectorSpace
-
         diagram = PosetDiagram.constant(P, GradedVectorSpace(field, (1,)))
         kind = "constant"
-    lims = higher_limits(diagram)
-    results = {"diagram": kind, "higher_limits": [list(l) for l in lims]}
-    _emit(args, "limits", info, {"upset": args.upset, "field": str(field)}, results, started)
-    return 0
+    results = {"diagram": kind, "higher_limits": [list(l) for l in higher_limits(diagram)]}
+    return results, {"upset": args.upset}, 0, {}
 
 
-def _cmd_tensor(args) -> int:
-    started = time.perf_counter()
-    P, info = _load_poset(args.poset)
-    field = FieldSpec.parse(args.field)
+def _cmd_tensor(P, field, args):
     coll = _parse_collection(args.collection, P.vertices, args.max_degree, field)
     params = {
         "collection": args.collection,
         "max_degree": args.max_degree,
-        "field": str(field),
         "check_reduction": args.check_reduction,
     }
-    found = tensor_limits(P, coll)
-    lims = found.limits
-    results = {"higher_limits": [list(l) for l in lims]}
-    code = 0
+    found = tensor_limits(P, coll, check_route=args.check_route)
+    results = {"higher_limits": [list(l) for l in found.limits]}
+    checks = []
     if args.check_route:
-        direct = higher_limits(build_T(P, coll))
-        results["direct_limits"] = [list(l) for l in direct]
-        results["routes_agree"] = direct == lims
-        if direct != lims:
-            code = 1
+        results["direct_limits"] = [list(l) for l in found.direct]
+        results["routes_agree"] = found.routes_agree
+        checks.append(found.routes_agree)
     if args.check_reduction:
         _, lims_reduced, equal = reduction_invariance(P, coll)
         results["reduced_limits"] = [list(l) for l in lims_reduced]
         results["reduction_invariant"] = equal
-        if not equal:
-            code = 1
+        checks.append(equal)
     # null when the direct route answered, because some a_v is not surjective
     supports = None
     if found.terms is not None:
@@ -198,14 +147,10 @@ def _cmd_tensor(args) -> int:
             {"support": [str(v) for v in t.support], "dims": list(t.dims), "betti": list(t.betti)}
             for t in found.non_acyclic_terms()
         ]
-    _emit(args, "tensor", info, params, results, started, {"non_acyclic_supports": supports})
-    return code
+    return results, params, 0 if all(checks) else 1, {"non_acyclic_supports": supports}
 
 
-def _cmd_homology(args) -> int:
-    started = time.perf_counter()
-    P, info = _load_poset(args.poset)
-    field = FieldSpec.parse(args.field)
+def _cmd_homology(P, field, args):
     rep = polyprod_homology(
         P, args.pair, args.max_dim + 1, via=args.via, field=field, compare=not args.no_compare,
         check_route=args.check_route,
@@ -214,31 +159,24 @@ def _cmd_homology(args) -> int:
         "pair": args.pair,
         "max_dim": args.max_dim,
         "via": args.via,
-        "field": str(field),
         "compare": not args.no_compare,
     }
     results = {"homology": list(rep["homology"])}
-    code = 0
+    checks = []
     if not args.no_compare:
         results["predicted_from_limits"] = list(rep["predicted"])
         results["higher_limits"] = [list(l) for l in rep["limits"]]
         results["agree"] = rep["agree"]
-        if not rep["agree"]:
-            code = 1
+        checks.append(rep["agree"])
     if args.check_route:
         results["simplicial_homology"] = list(rep["simplicial_homology"])
         results["routes_agree"] = rep["routes_agree"]
-        if not rep["routes_agree"]:
-            code = 1
+        checks.append(rep["routes_agree"])
     route = {"name": rep["route"], "cells": list(rep["cells"])}
-    _emit(args, "homology", info, params, results, started, {"route": route})
-    return code
+    return results, params, 0 if all(checks) else 1, {"route": route}
 
 
-def _cmd_suite(args) -> int:
-    started = time.perf_counter()
-    P, info = _load_poset(args.poset)
-    field = FieldSpec.parse(args.field)
+def _cmd_suite(P, field, args):
     D = args.max_degree
     rep = classify(P)
     results: dict = {"classification": rep.to_dict(), "f_vector": list(f_vector(P))}
@@ -253,12 +191,14 @@ def _cmd_suite(args) -> int:
         }
         checks.append(pres["agree"])
         coll = MorphismCollection.circle(P.vertices, D, field=field)
-        lims, _, equal = reduction_invariance(P, coll)
+        found = tensor_limits(P, coll, check_route=True)
+        _, _, equal = reduction_invariance(P, coll)
         results["tensor_circle"] = {
-            "higher_limits": [list(l) for l in lims],
+            "higher_limits": [list(l) for l in found.limits],
             "reduction_invariant": equal,
+            "routes_agree": found.routes_agree,
         }
-        checks.append(equal)
+        checks += [equal, found.routes_agree]
     if rep.regular:
         actual = f_vector(simplicial_transform(P).poset)
         predicted = f_transform_predict(P)
@@ -279,9 +219,8 @@ def _cmd_suite(args) -> int:
     if cross_check:
         results["homology_circle_point"]["routes_agree"] = hom["routes_agree"]
         checks.append(hom["routes_agree"])
-    results["all_checks_pass"] = all(checks) if checks else True
-    _emit(args, "suite", info, {"max_degree": D, "field": str(field)}, results, started)
-    return 0 if results["all_checks_pass"] else 1
+    results["all_checks_pass"] = all(checks)
+    return results, {"max_degree": D}, 0 if results["all_checks_pass"] else 1, {}
 
 
 def _int_at_least(minimum: int):
@@ -311,9 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pretty", action="store_true", help="indent the JSON report")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, field=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("poset", help="path to a poset JSON file or a fixture name")
+        if field:
+            p.add_argument("--field", default="q", help="q or a prime")
         p.set_defaults(fn=fn)
         return p
 
@@ -330,10 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("stransform", _cmd_stransform, "simplicial transform with embedding")
 
-    p = add("hilbert", _cmd_hilbert, "graded dimensions of the face ring")
+    p = add("hilbert", _cmd_hilbert, "graded dimensions of the face ring", field=True)
     p.add_argument("--max-degree", type=_non_negative, default=4)
     p.add_argument("--grading", type=_int_at_least(1), default=1, help="degree scale per vertex")
-    p.add_argument("--field", default="q", help="q or a prime")
     p.add_argument(
         "--method",
         choices=["presentation", "limit", "fvector"],
@@ -341,14 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="presentation/limit cross-check both sides; fvector counts faces",
     )
 
-    p = add("limits", _cmd_limits, "higher limits of an indicator or constant diagram")
+    p = add("limits", _cmd_limits, "higher limits of an indicator or constant diagram", field=True)
     p.add_argument("--upset", action="append", help="generator of the up-set (repeatable)")
-    p.add_argument("--field", default="q")
 
-    p = add("tensor", _cmd_tensor, "higher limits of a tensor-product diagram")
+    p = add("tensor", _cmd_tensor, "higher limits of a tensor-product diagram", field=True)
     p.add_argument("--collection", default="aug:1", help="aug[:d] or circle")
     p.add_argument("--max-degree", type=_non_negative, default=4)
-    p.add_argument("--field", default="q")
     p.add_argument("--check-reduction", action="store_true")
     p.add_argument(
         "--check-route",
@@ -356,11 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="also build the tensor diagram and its cochain complex (the direct route); exit 1 if the routes disagree",
     )
 
-    p = add("homology", _cmd_homology, "homology of the polyhedral-product space")
+    p = add("homology", _cmd_homology, "homology of the polyhedral-product space", field=True)
     p.add_argument("--pair", choices=list(PAIR_NAMES), default="circle-point")
     p.add_argument("--max-dim", type=_non_negative, default=2)
     p.add_argument("--via", choices=["colim", "hocolim"], default="colim")
-    p.add_argument("--field", default="q")
     p.add_argument("--no-compare", action="store_true", help="skip the higher-limit comparison")
     p.add_argument(
         "--check-route",
@@ -368,9 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="also build the colimit or hocolim as a simplicial set (the cellular route answers); exit 1 if the routes disagree",
     )
 
-    p = add("suite", _cmd_suite, "run every applicable computation with cross-checks")
+    p = add("suite", _cmd_suite, "run every applicable computation with cross-checks", field=True)
     p.add_argument("--max-degree", type=_non_negative, default=4)
-    p.add_argument("--field", default="q")
     p.add_argument(
         "--space-limit",
         type=int,
@@ -381,17 +317,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: print its JSON report and return its exit code, or
+    print the error and return 2 on bad input.  Each ``_cmd_*`` takes the
+    poset, the field (None without ``--field``) and the arguments, and returns
+    results, parameters, exit code and any extra top-level report keys."""
+    args = _parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.fn(args)
-    except PosetProdError as exc:
+        P, info = _load_poset(args.poset)
+        field = FieldSpec.parse(args.field) if "field" in args else None
+        results, parameters, code, extra = args.fn(P, field, args)
+    except (PosetProdError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if field is not None:
+        parameters["field"] = str(field)
+    report = {
+        "command": args.command,
+        "input": info,
+        "parameters": parameters,
+        "results": results,
+        "elapsed_s": round(time.perf_counter() - started, 6),
+        **extra,
+    }
+    print(json.dumps(report, indent=2 if args.pretty else None, sort_keys=True))
+    return code
 
 
 if __name__ == "__main__":

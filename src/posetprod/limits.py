@@ -127,9 +127,8 @@ def check_diagram(diagram: PosetDiagram) -> list[str]:
                     out.append(tail.compose(diagram.cover_maps[(u, y)]))
         return out
 
-    objs = sorted(P.objects, key=str)
-    for x in objs:
-        for y in objs:
+    for x in P.objects:
+        for y in P.objects:
             if x != y and P.lt(x, y):
                 paths = all_paths(x, y)
                 if any(p != paths[0] for p in paths[1:]):

@@ -116,7 +116,7 @@ def _vertex_order(P: PointedPoset, collection: MorphismCollection, vertex_order=
             f"poset vertices are {sorted(map(str, verts))}"
         )
     if vertex_order is None:
-        return sorted(verts, key=str)
+        return P.vertices
     order = list(vertex_order)
     if set(order) != verts or len(order) != len(verts):
         raise IndexMismatch("vertex_order must enumerate each vertex exactly once")
@@ -199,11 +199,18 @@ class TensorLimits:
     """Higher limits of a tensor diagram with the summands that gave them.
 
     ``terms`` holds every summand with W_S != 0 when the split route
-    answered, and is None when the direct route did.
+    answered, and is None when the direct route did.  ``direct`` holds the
+    direct route's answer when ``check_route`` asked for it, else None.
     """
 
     limits: list[tuple[int, ...]]
     terms: tuple[SplitTerm, ...] | None
+    direct: list[tuple[int, ...]] | None = None
+
+    @property
+    def routes_agree(self) -> bool | None:
+        """Whether the direct route gave ``limits``; None when it was not run."""
+        return None if self.direct is None else self.direct == self.limits
 
     def non_acyclic_terms(self) -> list[SplitTerm]:
         """The summands whose Delta(U_S) has reduced cohomology in the levels
@@ -248,18 +255,21 @@ def _split_terms(P: PointedPoset, collection: MorphismCollection):
     return tuple(terms)
 
 
-def tensor_limits(P: PointedPoset, collection: MorphismCollection) -> TensorLimits:
+def tensor_limits(P: PointedPoset, collection: MorphismCollection, check_route: bool = False) -> TensorLimits:
     """Higher limits of the tensor diagram, per level and internal degree,
     with the summands of the split route when it answered.
 
     The split route sums W_S (x) H^n(Delta(U_S)) over the supports; when
     some a_v is not surjective the direct route builds the diagram and its
     cochain complex instead.  Both answers have the shape and trimming of
-    ``higher_limits``.
+    ``higher_limits``.  With ``check_route`` the direct route also runs
+    after the split, and ``direct`` and ``routes_agree`` report the
+    comparison; when the direct route answered it is not run twice.
     """
     terms = _split_terms(P, collection)
     if terms is None:
-        return TensorLimits(higher_limits(build_T(P, collection)), None)
+        lims = higher_limits(build_T(P, collection))
+        return TensorLimits(lims, None, lims if check_route else None)
     # every W_S is non-zero and every Betti list ends non-zero, so the sum
     # needs no trimming
     out = [[0] * (collection.truncation + 1) for _ in range(max([1] + [len(t.betti) for t in terms]))]
@@ -267,7 +277,8 @@ def tensor_limits(P: PointedPoset, collection: MorphismCollection) -> TensorLimi
         for level, b in zip(out, t.betti):
             for d, w in enumerate(t.dims):
                 level[d] += w * b
-    return TensorLimits([tuple(level) for level in out], terms)
+    direct = higher_limits(build_T(P, collection)) if check_route else None
+    return TensorLimits([tuple(level) for level in out], terms, direct)
 
 
 def polyhedral_tensor(P: PointedPoset, collection: MorphismCollection) -> list[tuple[int, ...]]:

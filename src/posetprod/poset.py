@@ -145,7 +145,7 @@ class PointedPoset:
 
     @property
     def vertices(self) -> tuple[Obj, ...]:
-        """Minimal objects distinct from the base point."""
+        """Minimal objects distinct from the base point, in str order."""
         return self._vertices
 
     def vertex_set(self, x: Obj) -> frozenset[Obj]:
@@ -552,12 +552,15 @@ def _collapse(P: PointedPoset, x: Obj, y: Obj) -> PointedPoset:
     """Collapse the cover x < y onto x.
 
     The new order is the reachability closure of the old strict order on
-    Obj minus y together with u <= x for every u < y.  Antisymmetry holds
-    because x < y is a cover; the constructor re-checks.
+    Obj minus y together with u <= x for every u < y.  Covers generate it:
+    the covers of P away from y, l < u for each cover chain l < y < u, and
+    l < x for each other lower cover l of y.  Antisymmetry holds because
+    x < y is a cover; the constructor re-checks.
     """
     keep = [o for o in P.objects if o != y]
-    rel = [(a, b) for a in keep for b in keep if a != b and P.lt(a, b)]
-    rel += [(u, x) for u in P.objects if u != x and u != y and P.lt(u, y)]
+    rel = [(a, b) for a, b in P.covers if y not in (a, b)]
+    rel += [(l, u) for l in P.lower_covers(y) for u in P.upper_covers(y)]
+    rel += [(l, x) for l in P.lower_covers(y) if l != x]
     return PointedPoset(keep, P.base, rel)
 
 

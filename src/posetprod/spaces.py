@@ -487,13 +487,13 @@ def polyhedral_product_space(
         raise PreconditionFailed(f"via must be colim or hocolim, not {via!r}")
     X, A, inc = pair_spaces(pair, n_max) if isinstance(pair, str) else pair
     if vertex_order is None:
-        verts = sorted(P.vertices, key=str)
+        verts = P.vertices
     else:
         verts = list(vertex_order)
         if set(verts) != set(P.vertices) or len(verts) != len(P.vertices):
             raise PreconditionFailed("vertex_order must permute the vertices")
     spaces = {}
-    for x in sorted(P.objects, key=str):
+    for x in P.objects:
         vx = P.vertex_set(x)
         spaces[x] = _product([X if v in vx else A for v in verts], n_max)
     maps = {}
@@ -563,7 +563,7 @@ def colimit_cells(P: PointedPoset, pair: str | tuple, n_max: int):
     X, A, inc = pair_spaces(pair, n_max) if isinstance(pair, str) else pair
     if not _injective_on_cores(inc):
         raise PreconditionFailed("the inclusion of A does not send cores to distinct cores of X")
-    verts = sorted(P.vertices, key=str)
+    verts = P.vertices
     inside = {inc.on_cores[a][0] for a in A.cores}
     # by_dim[outside][d]: the d-cores of X outside A (or in A), d <= n_max
     by_dim = {out: [[c for c in X.nondegenerate(d) if (c not in inside) == out] for d in range(n_max + 1)]
@@ -614,7 +614,7 @@ def hocolim_cells(P: PointedPoset, pair: str | tuple, n_max: int):
     injectivity is needed.
     """
     X, A, inc = pair_spaces(pair, n_max) if isinstance(pair, str) else pair
-    verts = sorted(P.vertices, key=str)
+    verts = P.vertices
     by_dim = {F: [F.nondegenerate(d) for d in range(n_max + 1)] for F in (X, A)}
     table = {F: _boundary_table(F) for F in (X, A)}
     factors = {x: [X if v in P.vertex_set(x) else A for v in verts] for x in P.objects}

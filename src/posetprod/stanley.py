@@ -252,8 +252,8 @@ def pi_evaluate(P: PointedPoset, poly: Polynomial, D: int, scale: int = 1):
     object of the reduced poset, with exponent-vector components.
     """
     R, proj = reduce_poset(P)
-    verts = sorted(R.vertices, key=str)
-    out: dict = {y: {} for y in sorted(R.objects, key=str)}
+    verts = R.vertices
+    out: dict = {y: {} for y in R.objects}
     for mono, coef in poly.items():
         imgs = [proj[g] for g in mono]
         e = Counter()

@@ -97,7 +97,7 @@ def check_embedding(P: PointedPoset) -> dict:
     t = simplicial_transform(P)
     out = {"injective": True, "order_embedding": True}
     seen: dict = {}
-    for x in sorted(P.objects, key=str):
+    for x in P.objects:
         img = t.embed[x]
         if img in seen:
             out["injective"] = False
@@ -105,8 +105,8 @@ def check_embedding(P: PointedPoset) -> dict:
         else:
             seen[img] = x
     SP = t.poset
-    for x in sorted(P.objects, key=str):
-        for y in sorted(P.objects, key=str):
+    for x in P.objects:
+        for y in P.objects:
             if P.leq(x, y) != SP.leq(t.embed[x], t.embed[y]):
                 out["order_embedding"] = False
                 out.setdefault("witness_order", (x, y))

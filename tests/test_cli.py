@@ -9,6 +9,8 @@ import pytest
 
 from posetprod.cli import main
 from posetprod.fixtures import fix_b
+from posetprod.limits import PosetDiagram
+from posetprod.linalg import GradedVectorSpace
 
 
 def run(capsys, *argv):
@@ -116,6 +118,15 @@ def test_tensor_with_reduction_check(capsys):
     assert rep["results"]["higher_limits"] == [[1, 2, 4, 6]]
 
 
+def _break_the_direct_tensor_route(monkeypatch):
+    """Make ``build_T`` return the constant diagram of the unit, whose
+    limits differ from those of any tensor diagram the tests use."""
+    monkeypatch.setattr(
+        "posetprod.polytensor.build_T",
+        lambda P, coll, **k: PosetDiagram.constant(P, GradedVectorSpace.unit(coll.field, coll.truncation)),
+    )
+
+
 def test_tensor_names_non_acyclic_supports_and_checks_the_route(capsys, monkeypatch):
     code, rep = run(capsys, "tensor", "fix-a", "--max-degree", "3", "--check-route")
     assert code == 0
@@ -129,11 +140,13 @@ def test_tensor_names_non_acyclic_supports_and_checks_the_route(capsys, monkeypa
     assert rep["non_acyclic_supports"] == []
     assert "routes_agree" not in rep["results"]
 
-    # a disagreement between the routes is a failed verification
-    monkeypatch.setattr("posetprod.cli.higher_limits", lambda *a, **k: [(1, 0, 0, 0)])
+    # a disagreement between the routes is a failed verification; only the
+    # direct route builds T, so a wrong T changes the direct route alone
+    _break_the_direct_tensor_route(monkeypatch)
     code, rep = run(capsys, "tensor", "fix-a", "--max-degree", "3", "--check-route")
     assert code == 1
     assert rep["results"]["routes_agree"] is False
+    assert rep["results"]["higher_limits"] == [[1, 2, 3, 4], [0, 0, 1, 2]]
 
 
 def test_homology_subcommand(capsys):
@@ -217,11 +230,46 @@ def test_suite_runs_cross_checks(capsys):
     assert res["homology_circle_point"]["routes_agree"] is True
 
 
+def test_suite_checks_the_tensor_routes(capsys, monkeypatch):
+    for poset in ("fix-b", "fix-c"):
+        code, rep = run(capsys, "suite", poset, "--max-degree", "3")
+        assert code == 0
+        assert rep["results"]["tensor_circle"]["routes_agree"] is True
+
+    _break_the_direct_tensor_route(monkeypatch)
+    code, rep = run(capsys, "suite", "fix-c", "--max-degree", "3")
+    assert code == 1
+    res = rep["results"]
+    assert res["tensor_circle"]["routes_agree"] is False
+    assert res["tensor_circle"]["reduction_invariant"] is True
+    assert res["all_checks_pass"] is False
+
+
 def test_suite_reports_homology_beyond_the_space_limit(capsys):
     code, rep = run(capsys, "suite", "fix-c", "--max-degree", "3", "--space-limit", "0")
     assert code == 0
     hom = rep["results"]["homology_circle_point"]
     assert hom == {"homology": [1, 4, 6, 4], "predicted_from_limits": [1, 4, 6, 4], "agree": True}
+
+
+def test_repeated_calls_do_not_share_state(capsys):
+    # the parser is built once per process; each call starts from its defaults
+    code, rep = run(capsys, "check", "fix-c", "--expect", "polyhedral")
+    assert code == 0 and rep["parameters"]["expect"] == ["polyhedral"]
+    code, rep = run(capsys, "check", "fix-c")
+    assert code == 0 and rep["parameters"]["expect"] is None
+
+    code, rep = run(capsys, "limits", "fix-a", "--upset", "3", "--upset", "4")
+    assert rep["parameters"]["upset"] == ["3", "4"]
+    code, rep = run(capsys, "limits", "fix-a", "--upset", "3")
+    assert code == 0 and rep["parameters"]["upset"] == ["3"]
+    code, rep = run(capsys, "limits", "fix-a")
+    assert code == 0 and rep["parameters"]["upset"] is None
+
+    code, rep = run(capsys, "--pretty", "fvector", "fix-b")
+    assert code == 0
+    code = main(["fvector", "fix-b"])
+    assert "\n  " not in capsys.readouterr().out
 
 
 def test_error_exit_codes(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posetprod import polytensor
 from posetprod.errors import IndexMismatch, MissingSection
 from posetprod.fixtures import cube, fix_a, fix_b, fix_c, fix_e, random_poset_with
 from posetprod.limits import PosetDiagram, check_diagram, higher_limits, lim0_basis
@@ -122,6 +123,30 @@ def test_non_surjective_collections_take_the_direct_route():
     found = tensor_limits(P, col)
     assert found.terms is None
     assert found.limits == higher_limits(build_T(P, col))
+
+
+def test_check_route_reports_the_direct_route(monkeypatch):
+    P = fix_a()
+    col = MorphismCollection.augmentation(P.vertices, D=3)
+    assert tensor_limits(P, col).direct is None
+    assert tensor_limits(P, col).routes_agree is None
+    found = tensor_limits(P, col, check_route=True)
+    assert found.terms is not None
+    assert found.direct == found.limits == [(1, 2, 3, 4), (0, 0, 1, 2)]
+    assert found.routes_agree is True
+
+    # when the direct route answers, it is built once and agrees with itself
+    unit = GradedVectorSpace.unit(QQ, 1)
+    dead = MorphismCollection({"v": GradedLinearMap(unit, unit, [[[0]], []])})
+    Q = PointedPoset(["*", "v"], "*", [("*", "v")])
+    built = []
+    original = polytensor.build_T
+    monkeypatch.setattr(polytensor, "build_T", lambda *a, **k: built.append(a) or original(*a, **k))
+    found = tensor_limits(Q, dead, check_route=True)
+    assert found.terms is None
+    assert found.direct == found.limits == [(1, 0)]
+    assert found.routes_agree is True
+    assert len(built) == 1
 
 
 def test_chain_arguments_are_checked():

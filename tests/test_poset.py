@@ -276,6 +276,19 @@ def test_reduce_is_computed_once_per_poset_and_order():
 _random_posets = st.integers(0, 10**6).map(lambda seed: random_pointed_poset(random.Random(seed), max_objects=9))
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(P=_random_posets)
+def test_collapse_equals_the_all_pairs_construction(P):
+    for x, y in poset.collapsible_covers(P):
+        Q = poset._collapse(P, x, y)
+        keep = [o for o in P.objects if o != y]
+        rel = [(a, b) for a in keep for b in keep if P.lt(a, b)]
+        rel += [(u, x) for u in keep if u != x and P.lt(u, y)]
+        R = PointedPoset(keep, P.base, rel)
+        assert (Q.objects, Q.covers, Q.base, Q.vertices) == (R.objects, R.covers, R.base, R.vertices)
+        assert Q == R
+
+
 def _brute_minimal(P, S):
     return tuple(sorted((u for u in S if not any(P.lt(v, u) for v in S)), key=str))
 
