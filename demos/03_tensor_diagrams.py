@@ -60,12 +60,13 @@ print("level 1 is nonzero:", any(lims_bad[1]))
 # the same collection applies on both sides).
 polys = random_poset_with(20260815, "polyhedral", 3, max_objects=6)
 for P in polys:
-    _, _, equal = reduction_invariance(P, MorphismCollection.circle(P.vertices, D=2))
+    coll = MorphismCollection.circle(P.vertices, D=2)
+    _, _, equal = reduction_invariance(P, coll, polyhedral_tensor(P, coll))
     print("reduction-invariant on", len(P.objects), "objects:", equal)
 
 # fix_a is a counterexample outside the polyhedral class: reducing it
 # collapses 5 and 6 into one top and the level-1 class dies.
-lims_a, lims_ra, equal_a = reduction_invariance(bad, aug)
+lims_a, lims_ra, equal_a = reduction_invariance(bad, aug, lims_bad)
 print("fix_a invariant under reduction?", equal_a)
 print("  over P:  ", lims_a)
 print("  reduced: ", lims_ra)

@@ -23,7 +23,7 @@ from .poset import PointedPoset, classify, reduce_poset
 from .polytensor import MorphismCollection, polyhedral_tensor, reduction_invariance, tensor_limits  # noqa: F401
 from .spaces import PAIR_NAMES, polyprod_homology
 from .stanley import hilbert_from_fvector, presentation_report
-from .transform import f_transform_predict, f_vector, simplicial_transform
+from .transform import f_transform_predict, f_vector, simplicial_transform, transform_f_vector
 
 
 def _load_poset(source: str):
@@ -96,7 +96,7 @@ def _cmd_hilbert(P, field, args):
         "method": args.method,
     }
     if args.method == "fvector":
-        dims = hilbert_from_fvector(f_vector(P), args.max_degree, scale=args.grading)
+        dims = hilbert_from_fvector(transform_f_vector(P), args.max_degree, scale=args.grading)
         return {"dims": list(dims)}, params, 0, {}
     rep = presentation_report(P, D=args.max_degree, scale=args.grading, field=field)
     results = {
@@ -136,7 +136,7 @@ def _cmd_tensor(P, field, args):
         results["routes_agree"] = found.routes_agree
         checks.append(found.routes_agree)
     if args.check_reduction:
-        _, lims_reduced, equal = reduction_invariance(P, coll)
+        _, lims_reduced, equal = reduction_invariance(P, coll, found.limits)
         results["reduced_limits"] = [list(l) for l in lims_reduced]
         results["reduction_invariant"] = equal
         checks.append(equal)
@@ -192,7 +192,7 @@ def _cmd_suite(P, field, args):
         checks.append(pres["agree"])
         coll = MorphismCollection.circle(P.vertices, D, field=field)
         found = tensor_limits(P, coll, check_route=True)
-        _, _, equal = reduction_invariance(P, coll)
+        _, _, equal = reduction_invariance(P, coll, found.limits)
         results["tensor_circle"] = {
             "higher_limits": [list(l) for l in found.limits],
             "reduction_invariant": equal,
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=["presentation", "limit", "fvector"],
         default="presentation",
-        help="presentation/limit cross-check both sides; fvector counts faces",
+        help="presentation/limit cross-check both sides; fvector counts the faces of the simplicial transform s(P)",
     )
 
     p = add("limits", _cmd_limits, "higher limits of an indicator or constant diagram", field=True)

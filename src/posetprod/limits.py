@@ -145,9 +145,6 @@ class CochainComplex:
     spaces: list
     deltas: list
 
-    def dims(self):
-        return [tuple(s.dims) for s in self.spaces]
-
 
 def cochain_complex(
     diagram: PosetDiagram,

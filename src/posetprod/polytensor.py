@@ -155,25 +155,17 @@ def build_T(P: PointedPoset, collection: MorphismCollection, vertex_order=None) 
     return PosetDiagram(P, spaces, cover_maps)
 
 
-def build_section_S(
-    P: PointedPoset,
-    collection: MorphismCollection,
-    diagram: PosetDiagram | None = None,
-    sections: dict | None = None,
-    vertex_order=None,
-) -> dict:
+def build_section_S(P: PointedPoset, collection: MorphismCollection) -> dict:
     """Upward maps S(x -> y): T(x) -> T(y) on covers, splitting the diagram.
 
     Built from vertex sections s_v; the composite T(y -> x) . S(x -> y) is
     checked to be the identity on every cover.
     """
-    order = _vertex_order(P, collection, vertex_order)
-    if diagram is None:
-        diagram = build_T(P, collection, vertex_order=vertex_order)
-    sv = collection.section_maps(sections)
+    diagram = build_T(P, collection)
+    sv = collection.section_maps()
     out = {}
     for x, y in P.covers:
-        up = _cover_tensor(P, collection, order, x, y, sv)
+        up = _cover_tensor(P, collection, P.vertices, x, y, sv)
         if not diagram.cover_maps[(x, y)].compose(up).is_identity():
             raise AssertionError(f"section on cover ({x}, {y}) fails to split the structure map")
         out[(x, y)] = up
@@ -287,28 +279,29 @@ def polyhedral_tensor(P: PointedPoset, collection: MorphismCollection) -> list[t
     return tensor_limits(P, collection).limits
 
 
-def reduction_invariance(P: PointedPoset, collection: MorphismCollection):
-    """Compare the higher limits over P and over its reduction.
+def reduction_invariance(P: PointedPoset, collection: MorphismCollection, lims: list[tuple[int, ...]]):
+    """Compare the higher limits ``lims`` over P, as ``tensor_limits`` gave
+    them, with those over its reduction.
 
     Returns (lims, lims_reduced, equal).  Reduction keeps the vertices, so
-    the same collection applies on both sides.
+    the same collection applies on both sides; when P is already reduced,
+    the reduction is P itself and its limits are ``lims``.
     """
-    lims = polyhedral_tensor(P, collection)
     R, _ = reduce_poset(P)
-    lims_r = polyhedral_tensor(R, collection)
+    lims_r = lims if R is P else polyhedral_tensor(R, collection)
     n = max(len(lims), len(lims_r))
     zero = (0,) * (collection.truncation + 1)
     pad = lambda l: l + [zero] * (n - len(l))
     return lims, lims_r, pad(list(lims)) == pad(list(lims_r))
 
 
-def random_surjective_collection(rng, vertices, D: int, field: FieldSpec = QQ, max_extra: int = 1) -> MorphismCollection:
+def random_surjective_collection(rng, vertices, D: int, field: FieldSpec = QQ) -> MorphismCollection:
     """Sampler of small surjective collections; each map is an identity block
     next to a random block, so a section always exists."""
     maps = {}
     for v in vertices:
         n_dims = [1] + [rng.randrange(0, 2) for _ in range(D)]
-        m_dims = [n + rng.randrange(0, max_extra + 1) for n in n_dims]
+        m_dims = [n + rng.randrange(0, 2) for n in n_dims]
         N = GradedVectorSpace(field, n_dims)
         M = GradedVectorSpace(field, m_dims)
         mats = []

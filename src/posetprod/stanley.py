@@ -109,7 +109,7 @@ def ideal_generators(
     report = classify(P)
     if not report.polyhedral:
         raise NotPolyhedral(f"witness: {report.witnesses.get('polyhedral')}")
-    gens = tuple(sorted((x for x in P.objects if x != P.base), key=str))
+    gens = tuple(x for x in P.objects if x != P.base)
     degrees = {g: scale * len(P.vertex_set(g)) for g in gens}
     relations: list = []
     tags: list = []
@@ -122,7 +122,7 @@ def ideal_generators(
     # bounds and meets must be taken after the cover identifications above,
     # i.e. in the reduction (its objects are a subset of ours)
     R, _ = reduce_poset(P)
-    rgens = tuple(sorted((x for x in R.objects if x != R.base), key=str))
+    rgens = tuple(x for x in R.objects if x != R.base)
     candidates = []
     seen = set()
     for size in range(2, max(2, bound) + 1):
@@ -132,10 +132,10 @@ def ideal_generators(
     if include_vertex_sets:
         for x in rgens:
             S = tuple(sorted(R.vertex_set(x), key=str))
+            # vertices are minimal non-base objects, so S is an antichain
             if len(S) >= 2 and S not in seen:
-                if all(not R.leq(a, b) and not R.leq(b, a) for a, b in itertools.combinations(S, 2)):
-                    candidates.append(S)
-                    seen.add(S)
+                candidates.append(S)
+                seen.add(S)
 
     for S in sorted(candidates):
         ubs = R.bounds(S).min_upper

@@ -20,7 +20,7 @@ from .errors import (
     NotRegular,
     OrderNotAntisymmetric,
 )
-from .poset import PointedPoset, classify
+from .poset import PointedPoset, classify, support_walk
 
 
 def f_vector(P: PointedPoset) -> tuple[int, ...]:
@@ -43,50 +43,52 @@ class TransformResult:
     classes: dict
 
 
+def _faces(P: PointedPoset):
+    """Yield (S, members) for each face (S, C) of the transform: S a support
+    with U_S = {x : S <= V(x)} non-empty, read from ``support_walk``, and
+    members the objects of a component C of U_S, in str order.  S = {} has
+    the one component U_S = P."""
+    ones = {v: (1,) for v in P.vertices}
+    for support, _, up in support_walk(P, P.vertices, ones, ones, 0):
+        groups: dict = {}
+        for x, rep in P.components(up).items():
+            groups.setdefault(rep, []).append(x)
+        S = frozenset(support)
+        for members in groups.values():
+            yield S, tuple(sorted(members, key=str))
+
+
 def simplicial_transform(P: PointedPoset) -> TransformResult:
-    """Glue the subset posets of all objects into one simplicial poset."""
-    subsets: set = set()
-    for x in P.objects:
-        vx = sorted(P.vertex_set(x), key=str)
-        for r in range(len(vx) + 1):
-            for S in combinations(vx, r):
-                subsets.add(frozenset(S))
+    """Glue the subset posets of all objects into one simplicial poset.
 
-    comp_of: dict = {}
-    for S in subsets:
-        members = {x for x in P.objects if S <= P.vertex_set(x)}
-        comp_of[S] = P.components(members)
-
-    def class_name(x, S: frozenset) -> str:
-        if not S:
-            return P.base
-        rep = comp_of[S][x]
-        return f"{','.join(sorted(S, key=str))}@{rep}"
-
-    to_class = {}
-    classes = {}
-    for x in P.objects:
-        vx = sorted(P.vertex_set(x), key=str)
-        for r in range(len(vx) + 1):
-            for S in combinations(vx, r):
-                fs = frozenset(S)
-                name = class_name(x, fs)
-                to_class[(x, fs)] = name
-                if name not in classes:
-                    rep = comp_of[fs].get(x)
-                    members = tuple(sorted((m for m, rr in comp_of[fs].items() if rr == rep), key=str)) if fs else tuple(sorted(P.objects, key=str))
-                    classes[name] = (fs, members)
-
-    covers = set()
-    for (x, fs), name in to_class.items():
-        for v in fs:
-            covers.add((to_class[(x, fs - {v})], name))
+    The face (S, C) is named by S and the str-least object of C; S = {} is
+    the base point.
+    """
+    to_class: dict = {}
+    classes: dict = {}
+    for S, members in _faces(P):
+        name = f"{','.join(sorted(S, key=str))}@{members[0]}" if S else P.base
+        classes[name] = (S, members)
+        for x in members:
+            to_class[(x, S)] = name
+    # U_S lies in U_{S - v}, so one member of C names every cover below (S, C)
+    covers = {(to_class[(members[0], S - {v})], name) for name, (S, members) in classes.items() for v in S}
     try:
         SP = PointedPoset(sorted(classes, key=str), P.base, sorted(covers))
     except CycleError as e:
         raise OrderNotAntisymmetric(str(e)) from e
-    embed = {x: to_class[(x, frozenset(P.vertex_set(x)))] for x in P.objects}
+    embed = {x: to_class[(x, P.vertex_set(x))] for x in P.objects}
     return TransformResult(SP, to_class, embed, classes)
+
+
+def transform_f_vector(P: PointedPoset) -> tuple[int, ...]:
+    """f(s(P)) counted from the faces (S, C) without building s(P): entry i
+    is the number of faces with |S| = i + 1."""
+    counts = [0] * (P.norm + 1)
+    for S, _ in _faces(P):
+        if S:
+            counts[len(S) - 1] += 1
+    return tuple(counts)
 
 
 def check_embedding(P: PointedPoset) -> dict:

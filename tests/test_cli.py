@@ -7,8 +7,9 @@ import time
 
 import pytest
 
+from posetprod import polytensor
 from posetprod.cli import main
-from posetprod.fixtures import fix_b
+from posetprod.fixtures import cube, fix_b
 from posetprod.limits import PosetDiagram
 from posetprod.linalg import GradedVectorSpace
 
@@ -76,6 +77,40 @@ def test_hilbert_methods(capsys):
     code, rep = run(capsys, "hilbert", "fix-b", "--max-degree", "4", "--field", "101", "--grading", "2")
     assert code == 0
     assert rep["results"]["dims"] == [1, 0, 2, 0, 4]
+
+
+def test_hilbert_fvector_counts_the_faces_of_the_transform(tmp_path, capsys):
+    # fix-c is not simplicial: f(P) = (4, 4, 0, 1) would give [1, 4, 8, 12, 17]
+    code, rep = run(capsys, "hilbert", "fix-c", "--max-degree", "4", "--method", "fvector")
+    assert code == 0
+    assert rep["results"]["dims"] == [1, 4, 10, 20, 35]
+
+    path = tmp_path / "cube4.json"
+    path.write_text(json.dumps(cube(4).to_dict()))
+    code, rep = run(capsys, "hilbert", str(path), "--max-degree", "4", "--method", "fvector")
+    assert code == 0
+    assert rep["results"]["dims"] == [1, 16, 136, 816, 3876]
+
+
+def test_reduction_checks_reuse_the_split_over_p(capsys, monkeypatch):
+    calls = []
+    split = polytensor._split_terms
+
+    def counted(P, collection):
+        calls.append(P)
+        return split(P, collection)
+
+    monkeypatch.setattr(polytensor, "_split_terms", counted)
+    # fix-c is reduced, so the reduction check walks nothing new; suite walks
+    # the circle, the augmentation (hilbert) and the homology comparison
+    for argv, expected in [
+        (["suite", "fix-c"], 3),
+        (["tensor", "fix-c", "--collection", "circle", "--check-reduction"], 1),
+        (["tensor", "fix-a", "--collection", "circle", "--check-reduction"], 2),
+    ]:
+        calls.clear()
+        run(capsys, *argv)
+        assert len(calls) == expected, argv
 
 
 def test_hilbert_flags_presentation_gaps(tmp_path, capsys):

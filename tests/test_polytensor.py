@@ -247,14 +247,14 @@ def test_reduction_keeps_limits_on_polyhedral_posets():
         covers = list(P.covers) + [(x, xx)] + [(xx, u) for u in sorted(P.up_set(x) - {x}, key=str)]
         Q = PointedPoset(list(P.objects) + [xx], P.base, covers)
         col = MorphismCollection.augmentation(Q.vertices, D=2)
-        lims, lims_r, same = reduction_invariance(Q, col)
+        lims, lims_r, same = reduction_invariance(Q, col, polyhedral_tensor(Q, col))
         assert same, (Q.to_dict(), lims, lims_r)
 
 
 def test_reduction_can_change_limits_without_polyhedrality():
     P = fix_a()
     col = MorphismCollection.augmentation(P.vertices, D=2)
-    lims, lims_r, same = reduction_invariance(P, col)
+    lims, lims_r, same = reduction_invariance(P, col, polyhedral_tensor(P, col))
     assert not same
     assert lims_r == [(1, 2, 3)]
 

@@ -1,16 +1,27 @@
 import random
 
 import pytest
+import transform_oracle as oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetprod.errors import NoSuchRank, NotRegular
-from posetprod.fixtures import cube, fix_a, fix_b, fix_c, fix_e, random_poset_with, simplex
+from posetprod.fixtures import FIXTURES, cube, fix_a, fix_b, fix_c, fix_e, random_pointed_poset, random_poset_with, simplex
+from posetprod.polytensor import MorphismCollection, polyhedral_tensor
 from posetprod.poset import PointedPoset, classify, down_isomorphism
+from posetprod.stanley import hilbert_from_fvector
 from posetprod.transform import (
     check_embedding,
     f_transform_predict,
     f_vector,
     nu,
     simplicial_transform,
+    transform_f_vector,
+)
+
+_posets = st.one_of(
+    st.sampled_from(sorted(FIXTURES)).map(lambda name: FIXTURES[name]()),
+    st.integers(0, 10**6).map(lambda seed: random_pointed_poset(random.Random(seed), max_objects=9)),
 )
 
 
@@ -153,3 +164,25 @@ def test_class_map_and_embed_are_consistent():
     # vertex classes glue across every object containing the vertex
     names = {t.to_class[(x, frozenset({v}))] for x in P.objects for v in P.vertex_set(x)}
     assert len(names) == 4
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(P=_posets)
+def test_transform_equals_the_subset_by_subset_construction(P):
+    new, old = simplicial_transform(P), oracle.simplicial_transform(P)
+    assert new.poset == old.poset
+    assert new.to_class == old.to_class
+    assert new.embed == old.embed
+    assert new.classes == old.classes
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(P=_posets, grading=st.sampled_from([1, 2]))
+def test_transform_f_vector_gives_the_level_zero_limit(P, grading):
+    # k[P] and k[s(P)] have the same Hilbert function, and Stanley's
+    # f-vector formula holds on the simplicial poset s(P)
+    f = transform_f_vector(P)
+    assert f == f_vector(simplicial_transform(P).poset)
+    D = 4
+    col = MorphismCollection.augmentation(P.vertices, D, gen_degree=grading)
+    assert hilbert_from_fvector(f, D, scale=grading) == polyhedral_tensor(P, col)[0]
