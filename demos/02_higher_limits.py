@@ -52,11 +52,6 @@ assert lims == [(1,), (1,)]
 labels, vecs = lim0_basis(ind)[0]
 print("lim^0 basis over", labels, "->", [[int(v) for v in vec] for vec in vecs])
 
-# Restriction: the same numbers arise from the indicator's own up-set with
-# the sub-diagram structure.  Passing ``objects`` restricts the complex.
-sub = higher_limits(ind, objects=P.up_set("3") | P.up_set("4"))
-print("restricted to the up-set:", sub)
-
 # Everything works verbatim over a finite field.
 F5 = FieldSpec.parse("5")
 ind5 = PosetDiagram.indicator(P, ["3", "4"], field=F5)

@@ -325,9 +325,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command: print its JSON report and return its exit code, or
-    print the error and return 2 on bad input.  Each ``_cmd_*`` takes the
-    poset, the field (None without ``--field``) and the arguments, and returns
-    results, parameters, exit code and any extra top-level report keys."""
+    print the error and return 2 on bad input or when memory runs out.  Each
+    ``_cmd_*`` takes the poset, the field (None without ``--field``) and the
+    arguments, and returns results, parameters, exit code and any extra
+    top-level report keys."""
     args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
@@ -336,6 +337,9 @@ def main(argv=None) -> int:
         results, parameters, code, extra = args.fn(P, field, args)
     except (PosetProdError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     if field is not None:
         parameters["field"] = str(field)

@@ -23,6 +23,7 @@ from .linalg import (
     GradedLinearMap,
     GradedVectorSpace,
     _product,
+    kernel_basis,
     rank,
 )
 from .poset import PointedPoset, chains
@@ -148,18 +149,14 @@ class CochainComplex:
 
 def cochain_complex(
     diagram: PosetDiagram,
-    objects=None,
     weak: bool = False,
     max_n: int | None = None,
 ) -> CochainComplex:
     """Build the chain-indexed cochain complex of the diagram.
 
-    ``objects`` restricts the chains to a subset of the poset (the order is
-    inherited); by default all objects are used, and one outside the poset
-    raises ``UnknownObject``.  ``max_n`` caps the levels and must be at
-    least 0; for strict chains the complex stops by itself at the longest
-    chain, and weak chains need it.  The
-    chains come from ``poset.chains``, sorted within each level.
+    ``max_n`` caps the levels and must be at least 0; for strict chains the
+    complex stops by itself at the longest chain, and weak chains need it.
+    The chains come from ``poset.chains``, sorted within each level.
 
     Each structure map F(x_1) -> F(x_0) is composed once per pair and kept
     for the rest of the call.  Every row of a differential is summed in a
@@ -177,7 +174,7 @@ def cochain_complex(
         raise PreconditionFailed(f"max_n must be >= 0, got {max_n}")
     # a strict chain has at most len(P.objects) objects, so level len(P.objects) is empty
     top = len(P.objects) if max_n is None else max_n + 1
-    levels = [sorted(level) for level in chains(P, top, weak, objects)]
+    levels = [sorted(level) for level in chains(P, top, weak)]
 
     spaces = []
     offsets = []
@@ -204,7 +201,7 @@ def cochain_complex(
         for c in levels[n + 1]:
             # per degree, one {column: value} per row of chain c; distinct
             # faces of a weak chain can coincide, so values add up and
-            # from_rows drops those that cancel
+            # the constructor drops those that cancel
             accs = [[{} for _ in range(m)] for m in diagram.spaces[c[0]].dims]
             for k in range(len(c)):
                 coffs = offsets[n].get(c[:k] + c[k + 1:])
@@ -223,7 +220,7 @@ def cochain_complex(
                             acc[i] = acc.get(i, 0) + sign
             for block, acc_d in zip(rows, accs):
                 block.extend(acc.items() for acc in acc_d)
-        deltas.append(GradedLinearMap.from_rows(spaces[n], spaces[n + 1], rows))
+        deltas.append(GradedLinearMap(spaces[n], spaces[n + 1], rows))
 
     for a, b in zip(deltas, deltas[1:]):
         if any(any(_product(bd, ad, field)) for ad, bd in zip(a.nonzero_rows, b.nonzero_rows)):
@@ -233,7 +230,6 @@ def cochain_complex(
 
 def higher_limits(
     diagram: PosetDiagram,
-    objects=None,
     weak: bool = False,
     max_n: int | None = None,
 ) -> list[tuple[int, ...]]:
@@ -242,7 +238,7 @@ def higher_limits(
     Entry n is a tuple of length D+1 giving dim lim^n in each internal
     degree; trailing all-zero levels are trimmed (level 0 always kept).
     """
-    cx = cochain_complex(diagram, objects=objects, weak=weak, max_n=max_n)
+    cx = cochain_complex(diagram, weak=weak, max_n=max_n)
     D = diagram.truncation
     want = len(cx.deltas) if weak else len(cx.spaces)
     if max_n is not None:
@@ -270,14 +266,10 @@ def lim0_basis(diagram: PosetDiagram):
     Returns a list over internal degrees of (labels, basis vectors).
     """
     cx = cochain_complex(diagram)
-    out = []
-    if not cx.deltas:
-        for d in range(diagram.truncation + 1):
-            n = cx.spaces[0].dims[d]
-            vecs = [[diagram.field.one() if j == i else diagram.field.zero() for j in range(n)] for i in range(n)]
-            out.append((cx.spaces[0].labels[d], vecs))
-        return out
-    rk = cx.deltas[0].rank_kernel()
-    for d, (_, _, kb) in enumerate(rk):
-        out.append((cx.spaces[0].labels[d], kb))
-    return out
+    space = cx.spaces[0]
+    # without a differential every cochain is a cycle: the kernel of no rows
+    rows = cx.deltas[0].nonzero_rows if cx.deltas else [[]] * len(space.dims)
+    return [
+        (labels, kernel_basis(r, n, diagram.field))
+        for labels, r, n in zip(space.labels, rows, space.dims)
+    ]

@@ -12,27 +12,27 @@ d^2 = 0 check of cochain complexes, and a tensor of maps takes each row as
 the product of its factors' rows over one enumeration of the tensor basis
 (``_tensor_basis``).
 
-Rank, kernel bases and linear solves all go through one sparse elimination,
-``_echelon``.  It reads the same row format: each row a list of (column,
-value) pairs with distinct columns.  It pivots on the leading column,
-reducing the other rows of a pivot's bucket by the pivot row as it stands,
-and makes the pivot rows monic and back-substitutes to the reduced row
-echelon form only when a kernel or a solution is asked for.  Its forward
-phase is int arithmetic in both fields: mod p over F_p, and over Q on
-primitive integer rows, each scaled by the lcm of its denominators, reduced
-by cross-multiplication and divided by its content (the gcd of its
-entries), so that no Fraction is made.  Only the reduced form is built
-from Fractions.
-``rank`` takes such rows and can report its pivot columns, which lets a
-caller clear rows of the next matrix of a complex; ``kernel_basis`` and
-``solve_matrix`` take dense matrices and convert them.
+Pair rows are the only matrix format taken: the ``GradedLinearMap``
+constructor, ``rank`` and ``kernel_basis`` all read them.  Rank, kernel
+bases and the sections of ``find_section`` all go through one sparse
+elimination, ``_echelon``, on rows of (column, value) pairs with distinct
+columns.  It pivots on the leading column, reducing the other rows of a
+pivot's bucket by the pivot row as it stands, and makes the pivot rows
+monic and back-substitutes to the reduced row echelon form only when a
+kernel or a section is asked for.  Its forward phase is int arithmetic in
+both fields: mod p over F_p, and over Q on primitive integer rows, each
+scaled by the lcm of its denominators, reduced by cross-multiplication and
+divided by its content (the gcd of its entries), so that no Fraction is
+made.  Only the reduced form is built from Fractions.  ``rank`` can report
+its pivot columns, which lets a caller clear rows of the next matrix of a
+complex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, product
+from itertools import product
 from math import gcd, lcm, prod
 
 from .errors import MixedFields, MixedTruncation, PreconditionFailed
@@ -170,11 +170,6 @@ def _product(a_rows, b_rows, field: FieldSpec) -> list[dict]:
     return out
 
 
-def _pairs(rows) -> list:
-    """The non-zero (column, value) pairs of each dense row."""
-    return [list(zip(compress(count(), row), filter(None, row))) for row in rows]
-
-
 def _dense(rows, ncols: int, field: FieldSpec) -> list:
     """The dense matrix of sparse rows, each of length ``ncols``."""
     z = field.zero()
@@ -223,7 +218,7 @@ def _integral(row) -> dict:
 
 
 def _echelon(rows, ncols: int, field: FieldSpec, reduced: bool = False) -> dict:
-    """The one elimination routine behind rank, kernel_basis and solve_matrix.
+    """The one elimination routine behind rank, kernel_basis and find_section.
 
     Each row is a list of (column, value) pairs with distinct columns below
     ``ncols``.  Over F_p the values are converted with ``field.conv``; over
@@ -292,14 +287,9 @@ def rank(rows, ncols: int, field: FieldSpec, pivots: set | None = None) -> int:
 
 
 def kernel_basis(rows, ncols: int, field: FieldSpec):
-    """Basis of the right kernel of a dense matrix as a list of length-ncols
-    vectors, one per free column of the reduced row echelon form, in column
-    order."""
-    return _kernel(_pairs(rows), ncols, field)
-
-
-def _kernel(rows, ncols: int, field: FieldSpec):
-    """``kernel_basis`` of the matrix with the given pair rows."""
+    """Basis of the right kernel of the matrix with the given pair rows, as
+    a list of length-ncols vectors, one per free column of the reduced row
+    echelon form, in column order."""
     R = _echelon(rows, ncols, field, reduced=True)
     basis = {j: [field.zero()] * ncols for j in range(ncols) if j not in R}
     for j, v in basis.items():
@@ -311,18 +301,11 @@ def _kernel(rows, ncols: int, field: FieldSpec):
     return list(basis.values())
 
 
-def solve_matrix(A, B, field: FieldSpec):
-    """One solution X of A X = B, or None.  A is n x m, B is n x k; the free
-    unknowns of the reduced row echelon form are set to zero."""
-    m = len(A[0]) if A else 0
-    k = len(B[0]) if B else 0
-    X = _solve(_pairs(list(A[i]) + list(B[i]) for i in range(len(A))), m, k, field)
-    return None if X is None else _dense(X, k, field)
-
-
 def _solve(aug, m: int, k: int, field: FieldSpec):
-    """``solve_matrix`` given the pair rows of [A | B], with A of m and B of
-    k columns; the solution comes back as m pair rows, sorted by column."""
+    """One solution X of A X = B, or None, given the pair rows of [A | B],
+    with A of m and B of k columns.  The free unknowns of the reduced row
+    echelon form are set to zero; X comes back as m pair rows, sorted by
+    column."""
     R = _echelon(aug, m + k, field, reduced=True)
     if any(c >= m for c in R):
         return None
@@ -391,26 +374,10 @@ class GradedLinearMap:
     ``nonzero_rows[d]`` holds the rows of the degree-d matrix, of shape
     (target.dims[d], source.dims[d]): per target basis element, the non-zero
     (column, value) pairs of its row, sorted by column, each value a
-    canonical field element.  The constructor takes dense matrices;
-    ``from_rows`` takes rows.  A map is not mutated after it is built.
+    canonical field element.  A map is not mutated after it is built.
     """
 
-    def __init__(self, source: GradedVectorSpace, target: GradedVectorSpace, mats):
-        _check_pair(source, target)
-        conv = source.field.conv
-        rows = []
-        for d in range(len(source.dims)):
-            m = [list(map(conv, row)) for row in mats[d]]
-            if len(m) != target.dims[d] or any(len(r) != source.dims[d] for r in m):
-                raise ValueError(
-                    f"degree {d}: matrix shape {len(m)}x? does not match "
-                    f"{target.dims[d]}x{source.dims[d]}"
-                )
-            rows.append(_pairs(m))
-        self.field, self.source, self.target, self.nonzero_rows = source.field, source, target, rows
-
-    @classmethod
-    def from_rows(cls, source: GradedVectorSpace, target: GradedVectorSpace, rows) -> "GradedLinearMap":
+    def __init__(self, source: GradedVectorSpace, target: GradedVectorSpace, rows):
         """The map whose degree-d matrix has the rows ``rows[d]``, one
         iterable of (column, value) pairs per target basis element, with
         distinct columns in range(source.dims[d]).  Values are converted
@@ -427,18 +394,16 @@ class GradedLinearMap:
                     cols = [j for j, _ in r]
                     raise ValueError(f"degree {d}: columns {cols} are not distinct in range({ncols})")
             out.append(m)
-        self = cls.__new__(cls)
         self.field, self.source, self.target, self.nonzero_rows = source.field, source, target, out
-        return self
 
     @classmethod
     def identity(cls, space: GradedVectorSpace) -> "GradedLinearMap":
         one = space.field.one()
-        return cls.from_rows(space, space, [[[(i, one)] for i in range(n)] for n in space.dims])
+        return cls(space, space, [[[(i, one)] for i in range(n)] for n in space.dims])
 
     @classmethod
     def zero(cls, source: GradedVectorSpace, target: GradedVectorSpace) -> "GradedLinearMap":
-        return cls.from_rows(source, target, [[()] * n for n in target.dims])
+        return cls(source, target, [[()] * n for n in target.dims])
 
     @property
     def mats(self) -> list:
@@ -454,7 +419,7 @@ class GradedLinearMap:
             [r.items() for r in _product(a, b, self.field)]
             for a, b in zip(self.nonzero_rows, other.nonzero_rows)
         ]
-        return GradedLinearMap.from_rows(other.source, self.target, rows)
+        return GradedLinearMap(other.source, self.target, rows)
 
     def is_identity(self) -> bool:
         if self.source.dims != self.target.dims:
@@ -469,14 +434,6 @@ class GradedLinearMap:
             and self.target.dims == other.target.dims
             and self.nonzero_rows == other.nonzero_rows
         )
-
-    def rank_kernel(self):
-        """Per-degree (rank, kernel dimension, kernel basis vectors)."""
-        out = []
-        for m, nc in zip(self.nonzero_rows, self.source.dims):
-            kb = _kernel(m, nc, self.field)
-            out.append((nc - len(kb), len(kb), kb))
-        return out
 
     def __repr__(self):
         return f"GradedLinearMap({self.source.dims} -> {self.target.dims})"
@@ -530,12 +487,12 @@ def tensor_maps(maps: list[GradedLinearMap]) -> GradedLinearMap:
         m = [[] for _ in rows]
         for row, b in zip(m, rows):
             # most factors are identities, so units are skipped rather than
-            # multiplied; from_rows makes each product a field element
+            # multiplied; the constructor makes each product a field element
             for parts in product(*[f.nonzero_rows[e][i] for f, (e, i) in zip(maps, b)]):
                 col = index[tuple((e, j) for (e, _), (j, _) in zip(b, parts))]
                 row.append((col, prod(v for _, v in parts if v != 1)))
         out.append(m)
-    return GradedLinearMap.from_rows(src, tgt, out)
+    return GradedLinearMap(src, tgt, out)
 
 
 def truncated_polynomial(name: str, gen_degree: int, D: int, field: FieldSpec = QQ):
@@ -556,7 +513,7 @@ def truncated_polynomial(name: str, gen_degree: int, D: int, field: FieldSpec = 
             labels.append(())
     space = GradedVectorSpace(field, dims, [tuple((l,) for l in ls) if ls else () for ls in labels])
     unit = GradedVectorSpace.unit(field, D)
-    aug = GradedLinearMap.from_rows(space, unit, [[[(0, 1)]]] + [[] for _ in range(D)])
+    aug = GradedLinearMap(space, unit, [[[(0, 1)]]] + [[] for _ in range(D)])
     return space, aug
 
 
@@ -568,4 +525,4 @@ def find_section(a: GradedLinearMap) -> GradedLinearMap | None:
         if X is None:
             return None
         rows.append(X)
-    return GradedLinearMap.from_rows(a.target, a.source, rows)
+    return GradedLinearMap(a.target, a.source, rows)

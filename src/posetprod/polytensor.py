@@ -39,7 +39,8 @@ from .linalg import (
     tensor_maps,
     truncated_polynomial,
 )
-from .poset import PointedPoset, reduce_poset, support_walk
+from .poset import PointedPoset, chains, reduce_poset, support_walk
+from .spaces import _betti
 
 
 class MorphismCollection:
@@ -81,8 +82,7 @@ class MorphismCollection:
             dims = ((1, 1) + (0,) * D)[: D + 1]
             labels = (((("1",),), ((f"u_{v}",),)) + ((),) * D)[: D + 1]
             M = GradedVectorSpace(field, dims, labels)
-            mats = [[[1]]] + [[] for _ in range(D)]
-            maps[v] = GradedLinearMap(M, unit, mats)
+            maps[v] = GradedLinearMap(M, unit, [[[(0, 1)]]] + [[] for _ in range(D)])
         return cls(maps, field=field, truncation=D)
 
     def source(self, v) -> GradedVectorSpace:
@@ -91,19 +91,14 @@ class MorphismCollection:
     def target(self, v) -> GradedVectorSpace:
         return self.maps[v].target
 
-    def section_maps(self, provided: dict | None = None) -> dict:
-        """A right inverse for every a_v, found degree by degree unless
-        supplied; raises MissingSection when none exists."""
+    def section_maps(self) -> dict:
+        """A right inverse for every a_v, found degree by degree; raises
+        MissingSection when none exists."""
         out = {}
         for v in sorted(self.maps, key=str):
-            if provided and v in provided:
-                s = provided[v]
-                if not self.maps[v].compose(s).is_identity():
-                    raise MissingSection(f"supplied section at {v!r} is not a right inverse")
-            else:
-                s = find_section(self.maps[v])
-                if s is None:
-                    raise MissingSection(f"no section exists at vertex {v!r}")
+            s = find_section(self.maps[v])
+            if s is None:
+                raise MissingSection(f"no section exists at vertex {v!r}")
             out[v] = s
         return out
 
@@ -213,6 +208,19 @@ class TensorLimits:
 _CONE = (1,)
 
 
+def _chain_betti(P: PointedPoset, up, field: FieldSpec) -> tuple[int, ...]:
+    """The Betti numbers of the order complex Delta(U) of the objects ``up``,
+    per level, trimmed like ``higher_limits``: the strict chains of U, with
+    the signed deletion faces, ranked by ``spaces._betti``.  Over a field
+    its cohomology has the same Betti numbers as its homology."""
+    levels = chains(P, len(up), objects=up)
+    faces = lambda c: [(c[:i] + c[i + 1:], (-1) ** i) for i in range(len(c))]
+    betti = list(_betti(levels, faces, len(levels) - 1, field))
+    while len(betti) > 1 and betti[-1] == 0:
+        betti.pop()
+    return tuple(betti)
+
+
 def _split_terms(P: PointedPoset, collection: MorphismCollection):
     """Every summand of the split with W_S != 0, or None when some a_v is
     not surjective.
@@ -220,7 +228,7 @@ def _split_terms(P: PointedPoset, collection: MorphismCollection):
     The supports come from ``support_walk`` on the Hilbert series N_v and
     K_v = ker a_v, in vertex order.  Betti numbers are memoized by the
     minimal objects of U_S; a single minimal object makes Delta(U_S) a
-    cone.
+    cone; otherwise they come from the chains of U_S (``_chain_betti``).
     """
     order = _vertex_order(P, collection)
     field, D = collection.field, collection.truncation
@@ -236,13 +244,7 @@ def _split_terms(P: PointedPoset, collection: MorphismCollection):
     for support, dims, up in support_walk(P, order, N, K, D):
         minimal = P.minimal(up)
         if minimal not in betti_of:
-            if len(minimal) == 1:
-                betti_of[minimal] = _CONE
-            else:
-                # chains starting in the up-set stay in it; the rest carry zeros
-                diagram = PosetDiagram.indicator(P, minimal, field, D=0)
-                lims = higher_limits(diagram, objects=up)
-                betti_of[minimal] = tuple(b for (b,) in lims)
+            betti_of[minimal] = _CONE if len(minimal) == 1 else _chain_betti(P, up, field)
         terms.append(SplitTerm(support, dims, betti_of[minimal]))
     return tuple(terms)
 
@@ -304,13 +306,9 @@ def random_surjective_collection(rng, vertices, D: int, field: FieldSpec = QQ) -
         m_dims = [n + rng.randrange(0, 2) for n in n_dims]
         N = GradedVectorSpace(field, n_dims)
         M = GradedVectorSpace(field, m_dims)
-        mats = []
-        for n, m in zip(n_dims, m_dims):
-            mat = [[0] * m for _ in range(n)]
-            for i in range(n):
-                mat[i][i] = 1
-                for j in range(n, m):
-                    mat[i][j] = rng.randrange(-2, 3)
-            mats.append(mat)
-        maps[v] = GradedLinearMap(M, N, mats)
+        rows = [
+            [[(i, 1)] + [(j, rng.randrange(-2, 3)) for j in range(n, m)] for i in range(n)]
+            for n, m in zip(n_dims, m_dims)
+        ]
+        maps[v] = GradedLinearMap(M, N, rows)
     return MorphismCollection(maps, field=field, truncation=D)

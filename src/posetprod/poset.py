@@ -293,7 +293,8 @@ class PointedPoset:
         )
 
     def __hash__(self):
-        return hash((self.objects, self.base, tuple(sorted(self.covers))))
+        # a set, not a sorted tuple: names of mixed types do not compare
+        return hash((self.objects, self.base, frozenset(self.covers)))
 
     def __repr__(self):
         return f"PointedPoset({len(self.objects)} objects, base={self.base!r})"

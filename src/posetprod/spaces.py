@@ -671,7 +671,7 @@ def induced_collection(P: PointedPoset, pair: str, D: int, field: FieldSpec = QQ
     rows, x_dims, a_dims = _pair(pair)[3:]
     M, N = (GradedVectorSpace(field, (dims + (0,) * D)[: D + 1]) for dims in (x_dims, a_dims))
     degree0 = [list(enumerate(row)) for row in rows]
-    restriction = GradedLinearMap.from_rows(M, N, [degree0] + [[()] * n for n in N.dims[1:]])
+    restriction = GradedLinearMap(M, N, [degree0] + [[()] * n for n in N.dims[1:]])
     return MorphismCollection(dict.fromkeys(P.vertices, restriction), field=field, truncation=D)
 
 

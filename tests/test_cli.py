@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from posetprod import polytensor
+from posetprod import cli, polytensor
 from posetprod.cli import main
 from posetprod.fixtures import cube, fix_b
 from posetprod.limits import PosetDiagram
@@ -380,6 +380,20 @@ def test_limits_unknown_upset_generator_is_a_typed_refusal(capsys):
     assert captured.out == ""
     assert "'zz' is not an object" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_out_of_memory_is_exit_2(monkeypatch, capsys):
+    # exit 1 means "a verification came out false"; running out of memory
+    # is a refusal, not a disagreement
+    def exhausted(P):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "simplicial_transform", exhausted)
+    code = main(["stransform", "fix-b"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
 
 
 def test_module_entry_point():

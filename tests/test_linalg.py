@@ -23,7 +23,6 @@ from posetprod.linalg import (
     find_section,
     kernel_basis,
     rank,
-    solve_matrix,
     tensor_collection,
     tensor_maps,
     truncated_polynomial,
@@ -84,7 +83,7 @@ def test_rref_and_rank_known_matrix():
     # difference matrix of the commuting square; one relation among the rows
     m = [[-1, 0, 1, 0], [-1, 0, 0, 1], [0, -1, 1, 0], [0, -1, 0, 1]]
     assert rank(_pair_rows(m), 4, QQ) == 3
-    kb = kernel_basis(m, 4, QQ)
+    kb = kernel_basis(_pair_rows(m), 4, QQ)
     assert len(kb) == 1
     v = kb[0]
     scale = next(x for x in v if x != 0)
@@ -94,24 +93,32 @@ def test_rref_and_rank_known_matrix():
 def test_kernel_of_empty_and_zero():
     assert kernel_basis([], 3, QQ) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert rank(_pair_rows([[0, 0]]), 2, QQ) == 0
-    assert len(kernel_basis([[0, 0]], 2, QQ)) == 2
+    assert len(kernel_basis(_pair_rows([[0, 0]]), 2, QQ)) == 2
 
 
-def test_solve_matrix():
-    A, I = [[1, 2], [3, 4]], [[1, 0], [0, 1]]
-    X = solve_matrix(A, I, QQ)
-    assert _sympy_product(A, X, QQ) == I
-    # inconsistent system
-    assert solve_matrix([[1, 1], [1, 1]], [[1], [0]], QQ) is None
-    # underdetermined: any solution acceptable
-    X = solve_matrix([[1, 1]], [[5]], QQ)
-    assert _sympy_product([[1, 1]], X, QQ) == [[5]]
+def test_find_section_on_square_singular_and_wide_maps():
+    def section(A):
+        src, tgt = GradedVectorSpace(QQ, (len(A[0]),)), GradedVectorSpace(QQ, (len(A),))
+        return find_section(_from_dense(src, tgt, [A]))
+
+    A = [[1, 2], [3, 4]]
+    assert _sympy_product(A, section(A).mats[0], QQ) == [[1, 0], [0, 1]]
+    # rank 1 onto a 2-dimensional target
+    assert section([[1, 1], [1, 1]]) is None
+    # more columns than rows: any right inverse is acceptable
+    assert _sympy_product([[1, 1]], section([[1, 1]]).mats[0], QQ) == [[1]]
 
 
 def _pair_rows(rows):
-    """A dense matrix in the row format rank reads: (column, value) pairs,
-    zeros included, since rank must drop what is zero in the field."""
+    """A dense matrix in the row format the library reads: (column, value)
+    pairs, zeros included, since the reader must drop what is zero in the
+    field."""
     return [list(enumerate(row)) for row in rows]
+
+
+def _from_dense(src, tgt, mats):
+    """The graded map with the dense matrices ``mats``, one per degree."""
+    return GradedLinearMap(src, tgt, [_pair_rows(m) for m in mats])
 
 
 def _sympy_matrix(rows, ncols: int, field: FieldSpec) -> DomainMatrix:
@@ -217,17 +224,22 @@ def test_rank_kernel_and_solve_match_sympy(system):
     pivots = set()
     assert rank(_pair_rows(A), nc, field, pivots) == M.rank()
     assert pivots == set(M.rref()[1])
-    kb = kernel_basis(A, nc, field)
+    kb = kernel_basis(_pair_rows(A), nc, field)
     assert kb == _sympy_kernel_basis(A, nc, field)
     assert _canonical(kb, field)
     if not A:
         return
-    X = solve_matrix(A, B, field)
-    solvable = M.rank() == M.hstack(_sympy_matrix(B, k, field)).rank()
-    assert (X is not None) == solvable
-    if X is not None:
-        assert _canonical(X, field)
-        assert _sympy_product(A, X, field) == _conv(B, field)
+    # the map with A in degree 0 and B in degree 1 has a section exactly
+    # when both have full row rank
+    nr = len(A)
+    a = _from_dense(GradedVectorSpace(field, (nc, k)), GradedVectorSpace(field, (nr, nr)), [A, B])
+    s = find_section(a)
+    assert (s is not None) == (M.rank() == nr == _sympy_matrix(B, k, field).rank())
+    if s is not None:
+        assert a.compose(s).is_identity()
+        assert all(_stored_rows_are_canonical(m, field) for m in s.nonzero_rows)
+        identity = [[int(i == j) for j in range(nr)] for i in range(nr)]
+        assert _sympy_product(A, s.mats[0], field) == _sympy_product(B, s.mats[1], field) == identity
 
 
 def test_forward_pivot_rows_over_q_stay_within_the_hadamard_bound():
@@ -264,24 +276,30 @@ def test_non_canonical_entries_are_converted_first():
     # 5 is zero in F_5, whatever the size of the matrix
     assert rank(_pair_rows([[5]]), 1, f5) == 0
     assert rank(_pair_rows([[5] * 100 for _ in range(100)]), 100, f5) == 0
-    assert kernel_basis([[5, 10]], 2, f5) == [[1, 0], [0, 1]]
-    assert solve_matrix([[5]], [[1]], f5) is None
-    assert solve_matrix([[5]], [[5]], f5) == [[0]]
+    assert kernel_basis(_pair_rows([[5, 10]]), 2, f5) == [[1, 0], [0, 1]]
+
+    def section(a, field):
+        line = GradedVectorSpace(field, (1,))
+        return find_section(GradedLinearMap(line, line, [[[(0, a)]]]))
+
+    assert section(5, f5) is None
     # -1 is 4 in F_5
     assert rank(_pair_rows([[-1, 2]]), 2, f5) == 1
-    assert kernel_basis([[-1, 2]], 2, f5) == [[2, 1]]
-    assert solve_matrix([[-1]], [[1]], f5) == [[4]]
+    assert kernel_basis(_pair_rows([[-1, 2]]), 2, f5) == [[2, 1]]
+    assert section(-1, f5).mats == [[[4]]]
     # 1/2 is 3 in F_5
     assert rank(_pair_rows([[Fraction(1, 2), 1]]), 2, f5) == 1
-    assert kernel_basis([[Fraction(1, 2), 1]], 2, f5) == [[3, 1]]
-    assert solve_matrix([[Fraction(1, 2)]], [[1]], f5) == [[2]]
-    assert _canonical(kernel_basis([[-1, 2]], 2, f5) + kernel_basis([[Fraction(1, 2), 1]], 2, f5), f5)
-    assert _canonical(solve_matrix([[-1]], [[1]], f5) + solve_matrix([[Fraction(1, 2)]], [[1]], f5), f5)
+    assert kernel_basis(_pair_rows([[Fraction(1, 2), 1]]), 2, f5) == [[3, 1]]
+    assert section(Fraction(1, 2), f5).mats == [[[2]]]
+    assert _canonical(
+        kernel_basis(_pair_rows([[-1, 2]]), 2, f5) + kernel_basis(_pair_rows([[Fraction(1, 2), 1]]), 2, f5), f5
+    )
+    assert _canonical(section(-1, f5).mats[0] + section(Fraction(1, 2), f5).mats[0], f5)
     # plain ints over Q come back as Fractions
     assert rank(_pair_rows([[2, 4], [1, 2]]), 2, QQ) == 1
-    kb = kernel_basis([[2, 4]], 2, QQ)
+    kb = kernel_basis(_pair_rows([[2, 4]]), 2, QQ)
     assert kb == [[-2, 1]] and _canonical(kb, QQ)
-    X = solve_matrix([[2]], [[1]], QQ)
+    X = section(2, QQ).mats[0]
     assert X == [[Fraction(1, 2)]] and _canonical(X, QQ)
 
 
@@ -298,7 +316,7 @@ def _graded_maps(draw):
 
     def gmap(src, tgt):
         mats = [[[draw(entry) for _ in range(n)] for _ in range(m)] for n, m in zip(src.dims, tgt.dims)]
-        return GradedLinearMap(src, tgt, mats)
+        return _from_dense(src, tgt, mats)
 
     U, V, W, X, Y, Z = (space() for _ in range(6))
     return field, gmap(U, V), gmap(W, U), gmap(X, Y), gmap(Z, Z)
@@ -371,13 +389,13 @@ def _stored_rows_are_canonical(rows, field: FieldSpec) -> bool:
 @given(_dense_maps())
 def test_sparse_storage_matches_dense_construction(case):
     field, src, tgt, mats, seed = case
-    dense = GradedLinearMap(src, tgt, mats)
+    dense = _from_dense(src, tgt, mats)
     # all pairs, zeros included, in reverse column order
-    sparse = GradedLinearMap.from_rows(src, tgt, [[list(enumerate(row))[::-1] for row in m] for m in mats])
-    assert sparse == dense
-    assert sparse.mats == dense.mats == [_conv(m, field) for m in mats]
-    assert sparse.nonzero_rows == dense.nonzero_rows
-    assert all(_stored_rows_are_canonical(m, field) for m in sparse.nonzero_rows)
+    reverse = GradedLinearMap(src, tgt, [[list(enumerate(row))[::-1] for row in m] for m in mats])
+    assert reverse == dense
+    assert reverse.mats == dense.mats == [_conv(m, field) for m in mats]
+    assert reverse.nonzero_rows == dense.nonzero_rows
+    assert all(_stored_rows_are_canonical(m, field) for m in reverse.nonzero_rows)
     # the faces (x, y) of a weak chain (x, x, y) coincide with opposite
     # signs, so that entry cancels and must not be stored
     P = random_pointed_poset(random.Random(seed), max_objects=4)
@@ -390,14 +408,14 @@ def test_sparse_storage_matches_dense_construction(case):
             assert column[(c[0], c[2])] not in dict(row)
 
 
-def test_from_rows_checks_shapes():
+def test_constructor_checks_row_shapes():
     a, b = GradedVectorSpace(QQ, (2,)), GradedVectorSpace(QQ, (1,))
-    assert GradedLinearMap.from_rows(a, b, [[[(1, 3), (0, 0)]]]).mats == [[[0, 3]]]
+    assert GradedLinearMap(a, b, [[[(1, 3), (0, 0)]]]).mats == [[[0, 3]]]
     for rows in ([[]], [[[(0, 1)], [(0, 1)]]], [[[(2, 1)]]], [[[(-1, 1)]]], [[[(0, 1), (0, 2)]]]):
         with pytest.raises(ValueError):
-            GradedLinearMap.from_rows(a, b, rows)
+            GradedLinearMap(a, b, rows)
     with pytest.raises(MixedFields):
-        GradedLinearMap.from_rows(a, GradedVectorSpace(F2, (1,)), [[[]]])
+        GradedLinearMap(a, GradedVectorSpace(F2, (1,)), [[[]]])
 
 
 def test_graded_space_and_mixing_errors():
@@ -454,13 +472,13 @@ def test_tensor_maps_match_label_order():
     a = GradedVectorSpace(QQ, (1, 1), ((("x0",),), (("x1",),)))
     b = GradedVectorSpace(QQ, (1, 2), ((("y0",),), (("y1",), ("y2",))))
     f = GradedLinearMap.identity(a)
-    g = GradedLinearMap(b, b, [[[1]], [[0, 1], [1, 0]]])  # swap y1,y2
+    g = _from_dense(b, b, [[[1]], [[0, 1], [1, 0]]])  # swap y1,y2
     t = tensor_maps([f, g])
     assert t.source.dims == (1, 3)
     # degree 1 basis is (x0y1, x0y2, x1y0); swap exchanges the first two
     assert t.mats[1] == [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
     # functoriality: (f.f') tensor (g.g') == (f tensor g).(f' tensor g')
-    g2 = GradedLinearMap(b, b, [[[2]], [[1, 1], [0, 1]]])
+    g2 = _from_dense(b, b, [[[2]], [[1, 1], [0, 1]]])
     lhs = tensor_maps([f.compose(f), g.compose(g2)])
     rhs = tensor_maps([f, g]).compose(tensor_maps([f, g2]))
     assert lhs == rhs
@@ -476,7 +494,7 @@ def test_tensor_of_maps_random_functoriality():
         s2 = GradedVectorSpace(QQ, dims2)
 
         def rmap(sp):
-            return GradedLinearMap(
+            return _from_dense(
                 sp, sp,
                 [[[rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)] for n in sp.dims],
             )
@@ -494,18 +512,18 @@ def test_graded_map_shapes_and_ops():
     z = GradedLinearMap.zero(a, a)
     assert idm.is_identity() and not z.is_identity()
     with pytest.raises(ValueError):
-        GradedLinearMap(a, a, [[[1]], [[1]]])
-    rk = idm.rank_kernel()
-    assert [r for r, _, _ in rk] == [2, 1]
-    assert [k for _, k, _ in rk] == [0, 0]
+        _from_dense(a, a, [[[1]], [[1]]])
+    assert [rank(m, n, QQ) for m, n in zip(idm.nonzero_rows, a.dims)] == [2, 1]
+    assert [kernel_basis(m, n, QQ) for m, n in zip(idm.nonzero_rows, a.dims)] == [[], []]
+    assert [len(kernel_basis(m, n, QQ)) for m, n in zip(z.nonzero_rows, a.dims)] == [2, 1]
 
 
 def test_find_section_absent_for_non_surjection():
     a = GradedVectorSpace(QQ, (1, 0))
     b = GradedVectorSpace(QQ, (1, 1))
-    f = GradedLinearMap(a, b, [[[1]], [[]]])  # degree 1: 1x0 matrix
+    f = _from_dense(a, b, [[[1]], [[]]])  # degree 1: 1x0 matrix
     assert find_section(f) is None
-    g = GradedLinearMap(b, a, [[[1]], []])  # degree 1: 0x1 matrix
+    g = _from_dense(b, a, [[[1]], []])  # degree 1: 0x1 matrix
     s = find_section(g)
     assert s is not None and g.compose(s).is_identity()
 
@@ -533,6 +551,6 @@ def test_rank_at_a_prime_beyond_int64_products():
 def test_kron_block_convention():
     # in degree 0 the tensor of two maps is the Kronecker product, rows and
     # columns ordered (row of the first, row of the second) lexicographically
-    f = GradedLinearMap(GradedVectorSpace(QQ, (2,)), GradedVectorSpace(QQ, (1,)), [[[1, 2]]])
-    g = GradedLinearMap(GradedVectorSpace(QQ, (2,)), GradedVectorSpace(QQ, (2,)), [[[0, 1], [1, 0]]])
+    f = _from_dense(GradedVectorSpace(QQ, (2,)), GradedVectorSpace(QQ, (1,)), [[[1, 2]]])
+    g = _from_dense(GradedVectorSpace(QQ, (2,)), GradedVectorSpace(QQ, (2,)), [[[0, 1], [1, 0]]])
     assert tensor_maps([f, g]).mats[0] == [[0, 1, 0, 2], [1, 0, 2, 0]]

@@ -395,6 +395,16 @@ def test_json_roundtrip():
     assert Q == P
 
 
+def test_hash_accepts_names_of_mixed_types():
+    # names need only be hashable; int and str do not compare with <
+    covers = [("*", 1), ("*", 2), (1, 3), (2, 3)]
+    P = PointedPoset(["*", 1, 2, 3], "*", covers)
+    Q = PointedPoset([3, 2, 1, "*"], "*", covers[::-1] + [("*", 3)])
+    assert classify(P).polyhedral
+    assert P == Q and hash(P) == hash(Q)
+    assert len({P, Q, fix_c()}) == 2
+
+
 def test_norm_and_vertex_monotonicity():
     for P in random_poset_with(15, "any", 50):
         for x, y in P.covers:
