@@ -15,7 +15,6 @@ from posetprod.fixtures import cube, fix_b, fix_e
 from posetprod.spaces import (
     PAIR_NAMES,
     circle_space,
-    pair_spaces,
     product_space,
 )
 

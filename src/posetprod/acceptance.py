@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field as dc_field
 
-from .fixtures import FIXTURES, fix_a, fix_b, fix_c, fix_d, fix_e, random_poset_with
+from .fixtures import FIXTURES, fix_a, fix_b, fix_c, fix_e, random_poset_with
 from .limits import PosetDiagram, cochain_complex, higher_limits
 from .linalg import F2, QQ, FieldSpec, rank
 from .polytensor import MorphismCollection, build_T, polyhedral_tensor, random_surjective_collection

@@ -12,6 +12,18 @@ bound z of S satisfies V(z) = union of V over S, so sets failing that test
 are skipped and counted; the quotient can then be strictly larger than the
 limit.  ``presentation_report`` compares both sides and flags disagreement
 instead of hiding it.
+
+``quotient_dims`` eliminates only what needs elimination.  The
+identifications x - y merge generators into classes (the collapsible covers
+join exactly the classes of ``reduce_poset``'s projection, and identified
+generators have equal degrees).  Rewritten on the classes, the relations
+with a single term generate a monomial ideal M (the no-upper relations are
+all of this kind), so each degree's basis holds only the standard monomials,
+those no generator of M divides.  Only the multiples of the remaining
+relations by standard monomials are ranked.  The answer is exact, since
+k[X]/(x - y, M, J) is (k[X/~]/M)/J and the standard monomials are a basis of
+k[X/~]/M.  Monomials are ordered by the library's ``str`` key, so object
+names of any hashable type work.
 """
 
 from __future__ import annotations
@@ -24,9 +36,9 @@ from math import comb
 from .errors import NotPolyhedral, NotSimplicial, PreconditionFailed
 from .linalg import QQ, FieldSpec, rank
 from .polytensor import MorphismCollection, polyhedral_tensor
-from .poset import PointedPoset, classify, collapsible_covers, reduce_poset
+from .poset import PointedPoset, _skey, classify, collapsible_covers, reduce_poset
 
-Monomial = tuple  # sorted tuple of generator names, with repetition
+Monomial = tuple  # tuple of generator names sorted by str, with repetition
 Polynomial = dict  # Monomial -> coefficient
 
 
@@ -44,7 +56,7 @@ class RingPresentation:
 
 def _meet_of(P: PointedPoset, S) -> object | None:
     """Iterated pairwise meet; None when some step is not defined."""
-    items = sorted(S, key=str)
+    items = sorted(S, key=_skey)
     cur = items[0]
     for nxt in items[1:]:
         cur = P.meet(cur, nxt)
@@ -87,9 +99,9 @@ def _bound_relation(P: PointedPoset, S, uppers):
             if m != base:
                 (lhs if r % 2 else evens).append(m)
     poly: Polynomial = {}
-    _add_term(poly, tuple(sorted(lhs, key=str)), 1)
+    _add_term(poly, tuple(sorted(lhs, key=_skey)), 1)
     for z in uppers:
-        _add_term(poly, tuple(sorted(evens + [z], key=str)), -1)
+        _add_term(poly, tuple(sorted(evens + [z], key=_skey)), -1)
     return poly or None
 
 
@@ -131,13 +143,13 @@ def ideal_generators(
             seen.add(S)
     if include_vertex_sets:
         for x in rgens:
-            S = tuple(sorted(R.vertex_set(x), key=str))
+            S = tuple(sorted(R.vertex_set(x), key=_skey))
             # vertices are minimal non-base objects, so S is an antichain
             if len(S) >= 2 and S not in seen:
                 candidates.append(S)
                 seen.add(S)
 
-    for S in sorted(candidates):
+    for S in sorted(candidates, key=lambda S: tuple(map(_skey, S))):
         ubs = R.bounds(S).min_upper
         if not ubs:
             # only the inclusion-minimal empty-bound sets are needed
@@ -146,7 +158,7 @@ def ideal_generators(
                 for i in range(len(S))
             )
             if minimal:
-                relations.append({tuple(sorted(S)): 1})
+                relations.append({tuple(sorted(S, key=_skey)): 1})
                 tags.append(("no-upper", *S))
             continue
         union = set()
@@ -183,47 +195,98 @@ def simplicial_ideal_generators(P: PointedPoset, scale: int = 1) -> RingPresenta
     return pres
 
 
-def _monomials_of_degree(gens, degrees, d: int):
-    """All monomials of weighted degree d, as sorted generator tuples."""
-    out = []
+def _standard_bases(weights, D: int, divisors):
+    """The standard monomials of degrees 0..D, one list per degree, as
+    non-decreasing tuples of generator positions.  ``divisors[i]`` holds the
+    monomial relations that involve generator i, as (position, exponent)
+    pairs; a monomial one of them divides is pruned with all its multiples."""
+    bases: list = [[] for _ in range(D + 1)]
+    exps = [0] * len(weights)
 
-    def rec(i, remaining, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        if i == len(gens):
-            return
-        g = gens[i]
-        w = degrees[g]
-        rec(i + 1, remaining, acc)
-        k = 1
-        while w * k <= remaining:
-            rec(i + 1, remaining - w * k, acc + [g] * k)
-            k += 1
+    def extend(start, deg, mono):
+        bases[deg].append(mono)
+        for i in range(start, len(weights)):
+            e = deg + weights[i]
+            if e > D:
+                continue
+            exps[i] += 1
+            if not any(all(exps[h] >= k for h, k in g) for g in divisors[i]):
+                extend(i, e, mono + (i,))
+            exps[i] -= 1
 
-    rec(0, d, [])
-    return sorted(out)
+    extend(0, 0, ())
+    return bases
 
 
 def quotient_dims(pres: RingPresentation, D: int, field: FieldSpec = QQ):
-    """Dimensions of the graded quotient by the relation ideal, degrees 0..D."""
-    bases = [_monomials_of_degree(pres.generators, pres.degrees, d) for d in range(D + 1)]
+    """Dimensions of the graded quotient by the relation ideal, degrees 0..D.
+
+    Identifications c(x - y) merge generators into classes, and every other
+    relation is rewritten on the classes.  A rewritten relation with one
+    term generates the monomial ideal M; each degree's basis holds only the
+    standard monomials, those no generator of M divides.  Only the
+    multiples m f of the remaining relations f by standard monomials m are
+    ranked, with their terms in M dropped.  This is exact, since
+    k[X]/(x - y, M, J) is (k[X/~]/M)/J and the standard monomials are a
+    basis of k[X/~]/M.  Coefficients are tested in the field: a
+    coefficient that vanishes mod p is no term.
+    """
+    conv = field.conv if field.p is not None else (lambda c: c)
+    gens = sorted(pres.generators, key=_skey)
+    if any(pres.degrees[g] < 1 for g in gens):
+        raise PreconditionFailed("generator degrees must be >= 1")
+    _assert_homogeneous(pres)
+    parent = {g: g for g in gens}
+
+    def find(g):
+        while parent[g] != g:
+            parent[g] = g = parent[parent[g]]
+        return g
+
+    others = []
+    for poly in pres.relations:
+        if len(poly) == 2:
+            ((a, ca), (b, cb)) = poly.items()
+            if len(a) == len(b) == 1 and conv(ca) and not conv(ca + cb):
+                parent[find(a[0])] = find(b[0])
+                continue
+        others.append(poly)
+
+    reps = [g for g in gens if find(g) == g]
+    weights = [pres.degrees[g] for g in reps]
+    pos = {g: i for i, g in enumerate(reps)}
+    at = {g: pos[find(g)] for g in gens}
+    monomials, rels = [], []
+    for poly in others:
+        terms: dict = {}
+        for mono, c in poly.items():
+            key = tuple(sorted(at[g] for g in mono))
+            terms[key] = terms.get(key, 0) + c
+        terms = [(m, v) for m, c in terms.items() if (v := conv(c))]
+        if len(terms) == 1:
+            monomials.append(terms[0][0])
+        elif terms:
+            rels.append((sum(weights[i] for i in terms[0][0]), terms))
+    if () in monomials:
+        return (0,) * (D + 1)
+
+    divisors: list = [[] for _ in reps]
+    for m in monomials:
+        pairs = tuple(Counter(m).items())
+        for i, _ in pairs:
+            divisors[i].append(pairs)
+    bases = _standard_bases(weights, D, divisors)
     dims = []
     for d, basis in enumerate(bases):
         index = {m: i for i, m in enumerate(basis)}
         rows = []
-        for poly in pres.relations:
-            e = pres.monomial_degree(next(iter(poly)))
+        for e, terms in rels:
             if e > d:
                 continue
             for m in bases[d - e]:
-                row: dict = {}
-                for mono, coef in poly.items():
-                    j = index[tuple(sorted(mono + m))]
-                    row[j] = row.get(j, 0) + coef
-                pairs = [(j, v) for j, v in row.items() if v]
-                if pairs:
-                    rows.append(pairs)
+                row = [(j, c) for mono, c in terms if (j := index.get(tuple(sorted(mono + m)))) is not None]
+                if row:
+                    rows.append(row)
         r = rank(rows, len(basis), field) if rows else 0
         dims.append(len(basis) - r)
     return tuple(dims)

@@ -5,8 +5,6 @@ and asserts the criterion outcome.  Expected values are frozen in
 posetprod.acceptance next to their counting oracles.
 """
 
-import pytest
-
 from posetprod import acceptance
 
 

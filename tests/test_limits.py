@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetprod.errors import PreconditionFailed, UnknownObject
-from posetprod.fixtures import BASE, cube, fix_a, fix_b, fix_e, random_pointed_poset, random_poset_with
+from posetprod.fixtures import cube, fix_a, fix_b, fix_e, random_pointed_poset, random_poset_with
 from posetprod.limits import (
     PosetDiagram,
     check_diagram,

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from posetprod import polytensor
 from posetprod.errors import IndexMismatch, MissingSection
-from posetprod.fixtures import cube, fix_a, fix_b, fix_c, fix_e, random_poset_with
+from posetprod.fixtures import cube, fix_a, fix_b, fix_c, random_poset_with
 from posetprod.limits import PosetDiagram, check_diagram, higher_limits, lim0_basis
 from posetprod.linalg import QQ, FieldSpec, GradedLinearMap, GradedVectorSpace
 from posetprod.polytensor import (

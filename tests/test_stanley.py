@@ -1,13 +1,13 @@
-import random
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetprod.errors import NotPolyhedral, NotSimplicial, PreconditionFailed
 from posetprod.fixtures import fix_a, fix_b, fix_c, fix_e, random_poset_with, simplex
-from posetprod.polytensor import MorphismCollection, polyhedral_tensor
 from posetprod.poset import PointedPoset
-from posetprod.linalg import FieldSpec
+from posetprod.linalg import QQ, FieldSpec
 from posetprod.stanley import (
+    RingPresentation,
     hilbert_from_fvector,
     ideal_generators,
     in_kernel,
@@ -16,6 +16,9 @@ from posetprod.stanley import (
     quotient_dims,
     simplicial_ideal_generators,
 )
+from presentation_oracle import quotient_dims as oracle_quotient_dims
+
+F2, F3 = FieldSpec.Fp(2), FieldSpec.Fp(3)
 
 
 def two_branch():
@@ -169,3 +172,77 @@ def test_pi_evaluate_supports():
     assert fam["c"] == {(1, 0): 1}
     assert in_kernel(P, {("a", "b"): 1, ("c",): -1, ("d",): -1}, D=4)
     assert not in_kernel(P, {("a", "b"): 1, ("c",): -1}, D=4)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10**6),
+    bound=st.integers(2, 4),
+    field=st.sampled_from([QQ, F2, F3]),
+    D=st.integers(0, 5),
+)
+def test_quotient_dims_equal_the_full_basis_oracle(seed, bound, field, D):
+    P = random_poset_with(seed, "polyhedral", 1)[0]
+    pres = ideal_generators(P, bound=bound)
+    assert quotient_dims(pres, D, field) == oracle_quotient_dims(pres, D, field)
+
+
+def _pres(gens, relations):
+    return RingPresentation(
+        generators=tuple(gens), degrees={g: 1 for g in gens}, relations=relations, tags=[None] * len(relations)
+    )
+
+
+@pytest.mark.parametrize(
+    "gens, relations, expected",
+    [
+        # chained identifications x~y, y~z leave k[x, w]
+        ("wxyz", [{("x",): 1, ("y",): -1}, {("y",): 1, ("z",): -1}], {QQ: (1, 2, 3, 4), F2: (1, 2, 3, 4)}),
+        # x + y is no identification over Q: y = -x makes x^2 + xy vanish,
+        # while x = y would leave 2x^2
+        ("xy", [{("x",): 1, ("y",): 1}, {("x", "x"): 1, ("x", "y"): 1}], {QQ: (1, 1, 1, 1), F3: (1, 1, 1, 1)}),
+        # a coefficient that vanishes mod 2 is no term, so nothing is killed;
+        # over Q the same relations leave k[x]/(x^2)
+        ("xy", [{("x", "y"): 2}, {("x",): 2, ("y",): -2}], {QQ: (1, 1, 0, 0), F2: (1, 2, 3, 4)}),
+        # after x~y, xz + yz is the single term 2xz and xz - yz is zero
+        ("xyz", [{("x",): 1, ("y",): -1}, {("x", "z"): 1, ("y", "z"): 1}, {("x", "z"): 1, ("y", "z"): -1}],
+         {QQ: (1, 2, 2, 2), F2: (1, 2, 3, 4)}),
+        # a constant relation kills everything, unless it vanishes mod p
+        ("x", [{(): 3}], {QQ: (0, 0, 0, 0), F3: (1, 1, 1, 1)}),
+    ],
+)
+def test_hand_built_presentations_match_the_oracle(gens, relations, expected):
+    pres = _pres(gens, relations)
+    for field, dims in expected.items():
+        assert quotient_dims(pres, 3, field) == dims
+        assert oracle_quotient_dims(pres, 3, field) == dims
+
+
+def test_quotient_dims_refuse_degree_zero_generators_and_inhomogeneous_relations():
+    pres = _pres("xy", [{("x",): 1, ("y",): -1}])
+    pres.degrees["y"] = 2
+    with pytest.raises(AssertionError, match="inhomogeneous"):
+        quotient_dims(pres, 3)
+    pres.degrees["y"] = 0
+    with pytest.raises(PreconditionFailed):
+        quotient_dims(pres, 3)
+
+
+def _renamed(P, name):
+    return PointedPoset(
+        [name[o] for o in P.objects], name[P.base], [(name[a], name[b]) for a, b in P.covers]
+    )
+
+
+def test_int_and_mixed_object_names_give_the_str_named_report():
+    # int names sort differently by value than by str (..., 10, 11, 2, 9)
+    P = PointedPoset(["0", "1", "2", "9", "10", "11"], "0",
+                     [("0", "9"), ("0", "10"), ("0", "1"), ("9", "11"), ("10", "11"), ("1", "2")])
+    ints = [0, 2, 10, 9, 1, 11, 20, 100, 3, 30]
+    for Q in [P, fix_c(), *random_poset_with(2718, "polyhedral", 4)]:
+        as_int = {o: ints[i] for i, o in enumerate(Q.objects)}
+        as_str = {o: str(n) for o, n in as_int.items()}
+        mixed = {o: n if i % 2 else f"o{n}" for i, (o, n) in enumerate(as_int.items())}
+        want = presentation_report(_renamed(Q, as_str), D=3)
+        assert presentation_report(_renamed(Q, as_int), D=3) == want
+        assert presentation_report(_renamed(Q, mixed), D=3) == want
