@@ -424,46 +424,53 @@ def _is_simplicial(P: PointedPoset):
 
 
 def _meets_and_saturation(P: PointedPoset):
-    # one pass over the pairs with an upper bound, taking each pair's bounds
-    # once: polyhedral needs a meet, lower saturated a maximal lower bound
-    # with vertex set V(a) & V(b); returns the first failing pair of each
+    # one pass over the pairs with an upper bound: polyhedral needs a meet,
+    # lower saturated a maximal lower bound with vertex set V(a) & V(b);
+    # returns the first failing pair of each.  A comparable pair passes both,
+    # as the smaller element is its meet and has vertex set V(a) & V(b).
+    up, down, vsets = P._up, P._down, P._vsets
     poly = sat = None
     for a, b in itertools.combinations(P.objects, 2):
-        bd = P.bounds([a, b])
-        if not bd.min_upper:
+        ua, ub = up[a], up[b]
+        if b in ua or a in ub or ua.isdisjoint(ub):
             continue
-        if poly is None and bd.meet is None:
+        max_lower = P.maximal(down[a] & down[b])
+        if poly is None and len(max_lower) != 1:
             poly = (a, b)
         if sat is None:
-            want = P._vsets[a] & P._vsets[b]
-            if not any(P._vsets[w] == want for w in bd.max_lower):
+            want = vsets[a] & vsets[b]
+            if not any(vsets[w] == want for w in max_lower):
                 sat = (a, b)
         if poly is not None and sat is not None:
             break
     return poly, sat
 
 
-def down_isomorphism(P: PointedPoset, Q: PointedPoset) -> dict | None:
-    """Order isomorphism between two pointed posets, or None.
+def _isomorphism(P: PointedPoset, X: frozenset, Q: PointedPoset, Y: frozenset) -> dict | None:
+    """Order isomorphism from X onto Y, or None; X and Y are down-sets of P
+    and Q holding their base points, ordered as in P and Q.
 
-    Backtracking over objects ordered by down-set size; candidates are
-    filtered by vertex count and down/up set sizes.
+    Backtracking over X ordered by down-set size; candidates are filtered by
+    vertex count and by the sizes of down-sets and of up-sets within X or Y.
     """
-    if len(P.objects) != len(Q.objects):
+    if len(X) != len(Y):
         return None
-    pobj = sorted(P.objects, key=lambda o: (len(P.down_set(o)), _skey(o)))
-    qobj = sorted(Q.objects, key=_skey)
+    pobj = sorted(X, key=lambda o: (len(P._down[o]), _skey(o)))
 
-    def invariant(R, o):
-        return (len(R.down_set(o)), len(R.up_set(o)), len(R.vertex_set(o)))
+    def invariant(R, Z, o):
+        return (len(R._down[o]), len(R._up[o] & Z), len(R._vsets[o]))
 
     qs_by_inv: dict = {}
-    for q in qobj:
-        qs_by_inv.setdefault(invariant(Q, q), []).append(q)
+    for q in sorted(Y, key=_skey):
+        qs_by_inv.setdefault(invariant(Q, Y, q), []).append(q)
+    candidates = []
     for p in pobj:
-        if invariant(P, p) not in qs_by_inv:
+        qs = qs_by_inv.get(invariant(P, X, p))
+        if qs is None:
             return None
+        candidates.append(qs)
 
+    up_p, up_q = P._up, Q._up
     mapping: dict = {}
     used: set = set()
 
@@ -471,15 +478,15 @@ def down_isomorphism(P: PointedPoset, Q: PointedPoset) -> dict | None:
         if i == len(pobj):
             return True
         p = pobj[i]
-        for q in qs_by_inv[invariant(P, p)]:
+        up_of_p = up_p[p]
+        for q in candidates[i]:
             if q in used:
                 continue
-            ok = True
-            for p2, q2 in mapping.items():
-                if P.leq(p2, p) != Q.leq(q2, q) or P.leq(p, p2) != Q.leq(q, q2):
-                    ok = False
-                    break
-            if ok:
+            up_of_q = up_q[q]
+            if all(
+                (p in up_p[p2]) == (q in up_q[q2]) and (p2 in up_of_p) == (q2 in up_of_q)
+                for p2, q2 in mapping.items()
+            ):
                 mapping[p] = q
                 used.add(q)
                 if extend(i + 1):
@@ -496,15 +503,22 @@ def down_isomorphism(P: PointedPoset, Q: PointedPoset) -> dict | None:
     return None
 
 
+def down_isomorphism(P: PointedPoset, Q: PointedPoset) -> dict | None:
+    """Order isomorphism between two pointed posets, or None: the
+    backtracking of ``_isomorphism`` on their whole object sets."""
+    return _isomorphism(P, P._objset, Q, Q._objset)
+
+
 def _is_regular(P: PointedPoset):
+    # P_{<=x} is compared with P_{<=x0} inside P, x0 the str-first object of
+    # the vertex-count class of x (objects come in str order)
     groups: dict[int, list[Obj]] = {}
     for x in P.objects:
-        groups.setdefault(len(P.vertex_set(x)), []).append(x)
+        groups.setdefault(len(P._vsets[x]), []).append(x)
     for k, xs in sorted(groups.items()):
-        xs = sorted(xs, key=_skey)
-        ref = P.sub_poset(xs[0], "down")
+        ref = P._down[xs[0]]
         for other in xs[1:]:
-            if down_isomorphism(ref, P.sub_poset(other, "down")) is None:
+            if _isomorphism(P, ref, P, P._down[other]) is None:
                 return False, (xs[0], other)
     return True, None
 
@@ -515,7 +529,9 @@ def classify(P: PointedPoset) -> PosetReport:
 
     Polyhedral is tested as "pairs with an upper bound have a meet", in one
     pass over the pairs that also tests lower saturation; the failing pair
-    is the witness.  The report is computed once per poset and kept on it.
+    is the witness.  Every test reads the up-sets, down-sets and vertex sets
+    of P itself, building no sub-poset.  The report is computed once per
+    poset and kept on it.
     """
     if P._report is None:
         P._report = _classify(P)

@@ -54,17 +54,6 @@ class RingPresentation:
         return sum(self.degrees[g] for g in mono)
 
 
-def _meet_of(P: PointedPoset, S) -> object | None:
-    """Iterated pairwise meet; None when some step is not defined."""
-    items = sorted(S, key=_skey)
-    cur = items[0]
-    for nxt in items[1:]:
-        cur = P.meet(cur, nxt)
-        if cur is None:
-            return None
-    return cur
-
-
 def _add_term(poly: Polynomial, mono: Monomial, coef):
     c = poly.get(mono, 0) + coef
     if c == 0:
@@ -87,15 +76,23 @@ def _antichains(P: PointedPoset, gens, size: int):
 
 
 def _bound_relation(P: PointedPoset, S, uppers):
-    """Inclusion-exclusion identity for a set with minimal upper bounds."""
+    """Inclusion-exclusion identity for a set with minimal upper bounds.
+
+    The meet of each subset R is the pairwise meets folded left in str
+    order, taken as the meet of R[:-1] and R[-1]; the relation is None when
+    some step is not defined.
+    """
     base = P.base
     lhs: list = []
     evens: list = []
+    S = sorted(S, key=_skey)
+    meets: dict = {}
     for r in range(1, len(S) + 1):
         for R in itertools.combinations(S, r):
-            m = _meet_of(P, R)
+            m = R[0] if r == 1 else P.meet(meets[R[:-1]], R[-1])
             if m is None:
                 return None
+            meets[R] = m
             if m != base:
                 (lhs if r % 2 else evens).append(m)
     poly: Polynomial = {}
@@ -150,11 +147,11 @@ def ideal_generators(
                 seen.add(S)
 
     for S in sorted(candidates, key=lambda S: tuple(map(_skey, S))):
-        ubs = R.bounds(S).min_upper
+        ubs = R.minimal(frozenset.intersection(*(R.up_set(w) for w in S)))
         if not ubs:
             # only the inclusion-minimal empty-bound sets are needed
-            minimal = all(
-                R.bounds(S[:i] + S[i + 1:]).min_upper or len(S) == 2
+            minimal = len(S) == 2 or all(
+                frozenset.intersection(*(R.up_set(w) for w in S[:i] + S[i + 1:]))
                 for i in range(len(S))
             )
             if minimal:

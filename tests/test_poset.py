@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import classify_oracle as oracle
 from posetprod import errors, poset
 from posetprod.fixtures import (
     cube,
@@ -387,6 +388,61 @@ def test_regular_witness():
     # f and e both cover u but V(f)={u}: Q is not reduced; e has rank 2
     repq = classify(Q)
     assert not repq.reduced
+    # e, f and g have the vertices u and v; P_{<=f} is P_{<=e} under another
+    # name, but P_{<=g} holds e as well, so g is the first to fail
+    R = PointedPoset(
+        ["*", "u", "v", "e", "f", "g"],
+        "*",
+        [("*", "u"), ("*", "v"), ("u", "e"), ("v", "e"), ("u", "f"), ("v", "f"), ("e", "g")],
+    )
+    rep_r = classify(R)
+    assert rep_r.regular is False
+    assert rep_r.witnesses["regular"] == ("e", "g")
+
+
+def test_classify_builds_no_poset(monkeypatch):
+    # every test reads the order of P itself; a regularity test that builds
+    # the sub-posets P_{<=x} again fails here
+    posets = [cube(3), fix_c()]
+    built = []
+    init = PointedPoset.__init__
+    monkeypatch.setattr(PointedPoset, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    reports = [classify(P) for P in posets]
+    assert built == []
+    assert [r.regular for r in reports] == [True, True]
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(P=_random_posets)
+def test_pair_pass_and_regularity_match_the_sub_poset_oracle(P):
+    rep = classify(P)
+    poly, sat = oracle._meets_and_saturation(P)
+    regular, w = oracle._is_regular(P)
+    flags = {"polyhedral": (poly is None, poly), "lower_saturated": (sat is None, sat), "regular": (regular, w)}
+    for name, expected in flags.items():
+        assert (getattr(rep, name), rep.witnesses.get(name)) == expected
+
+
+def _is_order_isomorphism(P, Q, mapping):
+    return (
+        sorted(mapping, key=str) == list(P.objects)
+        and sorted(mapping.values(), key=str) == list(Q.objects)
+        and mapping[P.base] == Q.base
+        and all(P.leq(a, b) == Q.leq(mapping[a], mapping[b]) for a in P.objects for b in P.objects)
+    )
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(P=_random_posets, other=_random_posets, seed=st.integers(0, 10**6))
+def test_down_isomorphism_matches_the_oracle(P, other, seed):
+    names = [f"y{i}" for i in range(len(P.objects) - 1)]
+    random.Random(seed).shuffle(names)
+    rename = {o: (o if o == P.base else names.pop()) for o in P.objects}
+    Q = PointedPoset(rename.values(), P.base, [(rename[a], rename[b]) for a, b in P.covers])
+    assert _is_order_isomorphism(P, Q, down_isomorphism(P, Q))
+    found = down_isomorphism(P, other)
+    assert (found is None) == (oracle.down_isomorphism(P, other) is None)
+    assert found is None or _is_order_isomorphism(P, other, found)
 
 
 def test_json_roundtrip():
