@@ -140,13 +140,11 @@ def _cmd_tensor(P, field, args):
         results["reduced_limits"] = [list(l) for l in lims_reduced]
         results["reduction_invariant"] = equal
         checks.append(equal)
-    # null when the direct route answered, because some a_v is not surjective
-    supports = None
-    if found.terms is not None:
-        supports = [
-            {"support": [str(v) for v in t.support], "dims": list(t.dims), "betti": list(t.betti)}
-            for t in found.non_acyclic_terms()
-        ]
+    supports = [
+        {"support": [str(v) for v in t.support], "cokernel": [str(v) for v in t.cokernel],
+         "dims": list(t.dims), "betti": list(t.betti)}
+        for t in found.non_acyclic_terms()
+    ]
     return results, params, 0 if all(checks) else 1, {"non_acyclic_supports": supports}
 
 

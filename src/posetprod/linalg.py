@@ -208,13 +208,22 @@ def _integral(row) -> dict:
     """A row of (column, value) pairs over Q as a primitive integer row
     {column: int} without zeros, spanning the same line: the row times the
     lcm of its denominators, divided by its content.  Values may be ints,
-    Fractions or 'a/b' strings; ints are never made Fractions."""
-    r = {j: x for j, x in row if x}
-    if not all(type(x) is int for x in r.values()):
-        q = {j: (x if type(x) is Fraction else QQ.conv(x)).as_integer_ratio() for j, x in r.items()}
-        m = lcm(*[d for _, d in q.values()])
-        r = {j: n * (m // d) for j, (n, d) in q.items() if n}
-    return _primitive(r)
+    Fractions or 'a/b' strings; ints are never made Fractions, and a row of
+    ints and integral Fractions is read in one pass."""
+    r = {}
+    for j, x in row:
+        if type(x) is not int:
+            if type(x) is not Fraction or x.denominator != 1:
+                break
+            x = x.numerator
+        if x:
+            r[j] = x
+    else:
+        return _primitive(r)
+    # a proper fraction or a string: clear the denominators of the whole row
+    q = {j: (x if type(x) is Fraction else QQ.conv(x)).as_integer_ratio() for j, x in row if x}
+    m = lcm(*[d for _, d in q.values()])
+    return _primitive({j: n * (m // d) for j, (n, d) in q.items() if n})
 
 
 def _echelon(rows, ncols: int, field: FieldSpec, reduced: bool = False) -> dict:

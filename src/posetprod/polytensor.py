@@ -1,25 +1,32 @@
 """Tensor-product diagrams attached to vertex collections.
 
-A collection assigns to every vertex v a surjection a_v: M_v -> N_v of
-graded vector spaces.  The induced diagram T places at each object x the
-tensor product over all vertices, taking the M factor on vertices below x
-and the N factor elsewhere; structure maps apply a_v on the vertices that
-drop out and identities everywhere else.
+A collection assigns to every vertex v a map a_v: M_v -> N_v of graded
+vector spaces.  The induced diagram T places at each object x the tensor
+product over all vertices, taking the M factor on vertices below x and the
+N factor elsewhere; structure maps apply a_v on the vertices that drop out
+and identities everywhere else.
 
 Higher limits of T have two routes.  The direct route builds T and the
 cochain complex of its chains (``build_T`` then ``higher_limits``).  The
-split route uses that every a_v, when surjective in every degree, splits
-as M_v = N_v + K_v with K_v = ker a_v.  Then T is a sum over supports S of
-W_S = (tensor of K_v, v in S) (x) (tensor of N_v, v not in S) placed on the
-up-set U_S = {x : S <= V(x)} with identity maps, so
+split route uses that over a field every a_v is the sum of three maps:
+K_v -> 0, I_v = I_v and 0 -> C_v, with K_v = ker a_v, I_v its image and
+C_v its cokernel.  Expanding the tensor products, T is a sum over pairs of
+disjoint vertex sets S (the support) and Q (the cokernel set) of
 
-    lim^n T = sum over S of W_S (x) H^n(Delta(U_S); k),
+    W_{S,Q} = (tensor of K_v, v in S) (x) (tensor of C_v, v in Q)
+              (x) (tensor of I_v, v in neither),
+
+placed with identity maps on U_S minus B, where U_S = {x : S <= V(x)} and
+B = {x in U_S : V(x) meets Q} are up-sets.  The chains of the limit's
+cochain complex that carry such a summand are the strict chains of U_S
+whose bottom lies outside B, so
+
+    lim^n T = sum over (S, Q) of W_{S,Q} (x) H^n(Delta(U_S), Delta(B); k),
 
 the poset form of Hochster's formula (Hochster 1977; Bahri, Bendersky,
-Cohen and Gitler 2010).  Only graded dimensions enter: Hilbert series of
-the W_S times Betti numbers of the order complexes Delta(U_S).  No section
-map is needed, only surjectivity, which is checked by rank; when some a_v
-is not surjective the split does not hold and the direct route answers.
+Cohen and Gitler 2010) when every a_v is onto and every Q is empty.  Only
+graded dimensions enter: the ranks of the a_v give the Hilbert series of K,
+I and C, and the relative Betti numbers come from the chains of the pairs.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from .spaces import _betti
 
 
 class MorphismCollection:
-    """Vertex-indexed surjections a_v: M_v -> N_v over a common field and
+    """Vertex-indexed maps a_v: M_v -> N_v over a common field and
     truncation."""
 
     def __init__(self, maps: dict, field: FieldSpec | None = None, truncation: int | None = None):
@@ -169,29 +176,31 @@ def build_section_S(P: PointedPoset, collection: MorphismCollection) -> dict:
 
 @dataclass(frozen=True)
 class SplitTerm:
-    """One summand W_S (x) H^*(Delta(U_S)) of the split route.
+    """One summand W_{S,Q} (x) H^*(Delta(U_S), Delta(B)) of the split route.
 
-    ``support`` is S in vertex order, ``dims`` the graded dimensions of W_S
-    through the truncation and ``betti`` the dimensions of H^n(Delta(U_S))
-    per level, trimmed like ``higher_limits``.
+    ``support`` is S and ``cokernel`` is Q, both in vertex order, ``dims``
+    the graded dimensions of W_{S,Q} through the truncation and ``betti``
+    the dimensions of H^n(Delta(U_S), Delta(B)) per level, trimmed like
+    ``higher_limits``.
     """
 
     support: tuple
     dims: tuple[int, ...]
     betti: tuple[int, ...]
+    cokernel: tuple = ()
 
 
 @dataclass(frozen=True)
 class TensorLimits:
     """Higher limits of a tensor diagram with the summands that gave them.
 
-    ``terms`` holds every summand with W_S != 0 when the split route
-    answered, and is None when the direct route did.  ``direct`` holds the
-    direct route's answer when ``check_route`` asked for it, else None.
+    ``terms`` holds every summand of the split route with W_{S,Q} != 0 and
+    non-zero relative cohomology.  ``direct`` holds the direct route's
+    answer when ``check_route`` asked for it, else None.
     """
 
     limits: list[tuple[int, ...]]
-    terms: tuple[SplitTerm, ...] | None
+    terms: tuple[SplitTerm, ...]
     direct: list[tuple[int, ...]] | None = None
 
     @property
@@ -200,72 +209,87 @@ class TensorLimits:
         return None if self.direct is None else self.direct == self.limits
 
     def non_acyclic_terms(self) -> list[SplitTerm]:
-        """The summands whose Delta(U_S) has reduced cohomology in the levels
-        computed; every class of lim^n with n >= 1 comes from one of them."""
-        return [t for t in self.terms or () if t.betti != _CONE]
+        """The summands whose pair (Delta(U_S), Delta(B)) does not have the
+        cohomology of a point in the levels computed; every class of lim^n
+        with n >= 1 comes from one of them."""
+        return [t for t in self.terms if t.betti != _CONE]
 
 
 _CONE = (1,)
 
 
-def _chain_betti(P: PointedPoset, up, field: FieldSpec) -> tuple[int, ...]:
-    """The Betti numbers of the order complex Delta(U) of the objects ``up``,
-    per level, trimmed like ``higher_limits``: the strict chains of U, with
-    the signed deletion faces, ranked by ``spaces._betti``.  Over a field
-    its cohomology has the same Betti numbers as its homology."""
-    levels = chains(P, len(up), objects=up)
-    faces = lambda c: [(c[:i] + c[i + 1:], (-1) ** i) for i in range(len(c))]
-    betti = list(_betti(levels, faces, len(levels) - 1, field))
+def _relative_betti(P: PointedPoset, up, below, field: FieldSpec) -> tuple[int, ...]:
+    """The Betti numbers of the pair (Delta(U), Delta(B)) of the objects
+    ``up`` and an up-set ``below`` inside them, per level, trimmed like
+    ``higher_limits``.  Over a field the cohomology of the pair has the same
+    Betti numbers as its homology.
+
+    When U has one minimal object, Delta(U) is a cone, so H^n(U, B) is the
+    reduced H^(n-1)(B): those of a point when B is empty, and otherwise
+    read from the chains of B, far fewer than the chains of U whose bottom
+    lies outside B (they include every chain of U above its minimum).
+    Otherwise they come from those relative chains, with the signed
+    deletion faces that stay outside B (only deleting the bottom can land
+    in B), ranked by ``spaces._betti``.
+    """
+    if len(P.minimal(up)) == 1:
+        if not below:
+            return _CONE
+        b = _relative_betti(P, below, frozenset(), field)
+        betti = [0, b[0] - 1, *b[1:]]
+    else:
+        levels = chains(P, len(up), objects=up, bottoms=up - below)
+        faces = lambda c: [(c[:i] + c[i + 1:], (-1) ** i) for i in range(len(c)) if i or c[1] not in below]
+        betti = list(_betti(levels, faces, len(levels) - 1, field))
     while len(betti) > 1 and betti[-1] == 0:
         betti.pop()
     return tuple(betti)
 
 
-def _split_terms(P: PointedPoset, collection: MorphismCollection):
-    """Every summand of the split with W_S != 0, or None when some a_v is
-    not surjective.
+def _split_terms(P: PointedPoset, collection: MorphismCollection) -> tuple[SplitTerm, ...]:
+    """Every summand of the split with W_{S,Q} != 0 and non-zero relative
+    cohomology.
 
-    The supports come from ``support_walk`` on the Hilbert series N_v and
-    K_v = ker a_v, in vertex order.  Betti numbers are memoized by the
-    minimal objects of U_S; a single minimal object makes Delta(U_S) a
-    cone; otherwise they come from the chains of U_S (``_chain_betti``).
+    The ranks of the a_v give the Hilbert series of I_v, K_v and C_v, and
+    ``support_walk`` the pairs (S, Q) in vertex order.  Betti numbers are
+    memoized by the minimal objects of U_S and of B, which determine both
+    up-sets.  A single minimal object and B empty give those of a point, the
+    common case, read without a call; otherwise they come from
+    ``_relative_betti``.
     """
     order = _vertex_order(P, collection)
     field, D = collection.field, collection.truncation
-    N, K = {}, {}
+    I, K, C = {}, {}, {}
     for v in order:
         a = collection.maps[v]
-        if any(rank(a.nonzero_rows[d], a.source.dims[d], field) != a.target.dims[d] for d in range(D + 1)):
-            return None
-        N[v] = a.target.dims
-        K[v] = tuple(m - n for m, n in zip(a.source.dims, a.target.dims))
+        I[v] = tuple(rank(a.nonzero_rows[d], a.source.dims[d], field) for d in range(D + 1))
+        K[v] = tuple(m - r for m, r in zip(a.source.dims, I[v]))
+        C[v] = tuple(n - r for n, r in zip(a.target.dims, I[v]))
     betti_of: dict = {}
     terms = []
-    for support, dims, up in support_walk(P, order, N, K, D):
-        minimal = P.minimal(up)
-        if minimal not in betti_of:
-            betti_of[minimal] = _CONE if len(minimal) == 1 else _chain_betti(P, up, field)
-        terms.append(SplitTerm(support, dims, betti_of[minimal]))
+    for support, cokernel, dims, up, below in support_walk(P, order, I, K, D, C):
+        key = P.minimal(up), P.minimal(below) if below else ()
+        betti = betti_of.get(key)
+        if betti is None:
+            cone = len(key[0]) == 1 and not below
+            betti = betti_of[key] = _CONE if cone else _relative_betti(P, up, below, field)
+        if any(betti):
+            terms.append(SplitTerm(support, dims, betti, cokernel))
     return tuple(terms)
 
 
 def tensor_limits(P: PointedPoset, collection: MorphismCollection, check_route: bool = False) -> TensorLimits:
     """Higher limits of the tensor diagram, per level and internal degree,
-    with the summands of the split route when it answered.
+    with the summands of the split route that gave them.
 
-    The split route sums W_S (x) H^n(Delta(U_S)) over the supports; when
-    some a_v is not surjective the direct route builds the diagram and its
-    cochain complex instead.  Both answers have the shape and trimming of
-    ``higher_limits``.  With ``check_route`` the direct route also runs
-    after the split, and ``direct`` and ``routes_agree`` report the
-    comparison; when the direct route answered it is not run twice.
+    The answer has the shape and trimming of ``higher_limits``.  With
+    ``check_route`` the direct route also builds the diagram and its
+    cochain complex, and ``direct`` and ``routes_agree`` report the
+    comparison.
     """
     terms = _split_terms(P, collection)
-    if terms is None:
-        lims = higher_limits(build_T(P, collection))
-        return TensorLimits(lims, None, lims if check_route else None)
-    # every W_S is non-zero and every Betti list ends non-zero, so the sum
-    # needs no trimming
+    # every W_{S,Q} is non-zero and every Betti list ends non-zero, so the
+    # sum needs no trimming
     out = [[0] * (collection.truncation + 1) for _ in range(max([1] + [len(t.betti) for t in terms]))]
     for t in terms:
         for level, b in zip(out, t.betti):

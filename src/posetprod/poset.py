@@ -339,9 +339,10 @@ class PosetReport:
         }
 
 
-def chains(P: PointedPoset, top: int, weak: bool = False, objects=None) -> list[list[tuple]]:
+def chains(P: PointedPoset, top: int, weak: bool = False, objects=None, bottoms=None) -> list[list[tuple]]:
     """Levels 0..top of the chains x_0 < ... < x_n of the objects (all by
-    default; a subset inherits the order), weakly increasing when ``weak``.
+    default; a subset inherits the order), weakly increasing when ``weak``,
+    with x_0 in ``bottoms`` when given.
 
     Each level extends the one before it, chain by chain, by the objects in
     str order.  Strict chains stop at the first empty level; weak chains
@@ -353,7 +354,7 @@ def chains(P: PointedPoset, top: int, weak: bool = False, objects=None) -> list[
     if unknown:
         raise UnknownObject(f"objects {unknown!r} are not in the poset")
     after = {x: [y for y in objs if y in P._up[x] and (weak or y != x)] for x in objs}
-    levels = [[(x,) for x in objs]]
+    levels = [[(x,) for x in objs if bottoms is None or x in bottoms]]
     while len(levels) <= top and (weak or levels[-1]):
         levels.append([c + (y,) for c in levels[-1] for y in after[c[-1]]])
     return [level for level in levels[: top + 1] if weak or level]
@@ -374,30 +375,41 @@ def _convolve(a: tuple, b: tuple, D: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def support_walk(P: PointedPoset, order, N: dict, K: dict, D: int):
-    """Yield (S, series, U_S) for the supports S, sub-tuples of ``order``.
+def support_walk(P: PointedPoset, order, N: dict, K: dict, D: int, C: dict | None = None):
+    """Yield (S, Q, series, U_S, B) for the supports S and cokernel sets Q,
+    disjoint sub-tuples of ``order``.
 
-    The series of S is the product of K[v] over v in S and N[v] over the
-    other vertices of ``order``, each a tuple of D + 1 non-negative
-    coefficients, truncated at degree D; U_S = {x : S <= V(x)}.  Supports
-    are walked depth first in ``order``, leaving a vertex out before putting
-    it in, and a branch is pruned as soon as U_S is empty or the series so
+    The series of (S, Q) is the product of K[v] over v in S, C[v] over v in
+    Q and N[v] over the other vertices of ``order``, each a tuple of D + 1
+    non-negative coefficients, truncated at degree D.  U_S = {x : S <= V(x)}
+    and B = {x in U_S : V(x) meets Q} are up-sets.  Without ``C``, or where
+    C[v] vanishes, v is never put in Q.  The walk is depth first in
+    ``order``, leaving a vertex out before putting it in S, and in S before
+    Q; a branch is pruned as soon as U_S minus B is empty or the series so
     far vanishes, since adding vertices only shrinks both.
     """
-    stack = [(0, (), (1,) + (0,) * D, frozenset(P.objects))]
+    opens = {v for v in order if any(C[v])} if C is not None else ()
+    stack = [(0, (), (), (1,) + (0,) * D, frozenset(P.objects), frozenset())]
     while stack:
-        i, support, series, up = stack.pop()
+        i, support, cokernel, series, up, below = stack.pop()
         if i == len(order):
-            yield support, series, up
+            yield support, cokernel, series, up, below
             continue
         v = order[i]
-        up_v = up & P._up[v]
+        above = P._up[v]
+        if v in opens:
+            with_q = _convolve(series, C[v], D)
+            below_q = below | (up & above)
+            if len(below_q) < len(up) and any(with_q):
+                stack.append((i + 1, support, cokernel + (v,), with_q, up, below_q))
+        up_v = up & above
+        below_v = below & above if below else below
         with_v = _convolve(series, K[v], D)
-        if up_v and any(with_v):
-            stack.append((i + 1, support + (v,), with_v, up_v))
+        if len(below_v) < len(up_v) and any(with_v):
+            stack.append((i + 1, support + (v,), cokernel, with_v, up_v, below_v))
         without_v = _convolve(series, N[v], D)
         if any(without_v):
-            stack.append((i + 1, support, without_v, up))
+            stack.append((i + 1, support, cokernel, without_v, up, below))
 
 
 def _is_reduced(P: PointedPoset):

@@ -49,7 +49,7 @@ def _faces(P: PointedPoset):
     members the objects of a component C of U_S, in str order.  S = {} has
     the one component U_S = P."""
     ones = {v: (1,) for v in P.vertices}
-    for support, _, up in support_walk(P, P.vertices, ones, ones, 0):
+    for support, _, _, up, _ in support_walk(P, P.vertices, ones, ones, 0):
         groups: dict = {}
         for x, rep in P.components(up).items():
             groups.setdefault(rep, []).append(x)

@@ -168,7 +168,9 @@ def test_tensor_names_non_acyclic_supports_and_checks_the_route(capsys, monkeypa
     res = rep["results"]
     assert res["higher_limits"] == res["direct_limits"] == [[1, 2, 3, 4], [0, 0, 1, 2]]
     assert res["routes_agree"] is True
-    assert rep["non_acyclic_supports"] == [{"support": ["1", "2"], "dims": [0, 0, 1, 2], "betti": [1, 1]}]
+    assert rep["non_acyclic_supports"] == [
+        {"support": ["1", "2"], "cokernel": [], "dims": [0, 0, 1, 2], "betti": [1, 1]}
+    ]
 
     code, rep = run(capsys, "tensor", "cube-2", "--collection", "circle", "--max-degree", "2")
     assert code == 0

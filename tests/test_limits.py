@@ -20,7 +20,7 @@ from posetprod.linalg import (
     GradedVectorSpace,
     truncated_polynomial,
 )
-from posetprod.polytensor import _chain_betti, build_T, random_surjective_collection
+from posetprod.polytensor import _relative_betti, build_T, random_surjective_collection
 from posetprod.poset import PointedPoset, classify
 
 
@@ -81,7 +81,32 @@ def test_restriction_to_up_set_matches_indicator(seed, field, data):
     for g in gens:
         U |= P.up_set(g)
     ind = higher_limits(PosetDiagram.indicator(P, gens, field))
-    assert [(b,) for b in _chain_betti(P, U, field)] == ind
+    assert [(b,) for b in _relative_betti(P, frozenset(U), frozenset(), field)] == ind
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10**6),
+    field=st.sampled_from([QQ, FieldSpec.Fp(2), FieldSpec.Fp(3)]),
+    data=st.data(),
+)
+def test_relative_betti_matches_the_unit_diagram_on_U_minus_B(seed, field, data):
+    # the split route ranks the chains of an up-set U whose bottom lies
+    # outside an up-set B inside it; the oracle is the diagram that is the
+    # unit on U minus B (convex, as both are up-sets) and zero elsewhere
+    P = random_pointed_poset(random.Random(seed), max_objects=8)
+    objs = sorted(P.objects, key=str)
+    U = frozenset().union(*(P.up_set(g) for g in data.draw(st.lists(st.sampled_from(objs), min_size=1, max_size=3))))
+    B = frozenset().union(*(P.up_set(g) for g in data.draw(st.lists(st.sampled_from(sorted(U, key=str)), max_size=3))))
+    if B == U:
+        return
+    unit, zero = GradedVectorSpace.unit(field, 0), GradedVectorSpace.zero_space(field, 0)
+    spaces = {x: unit if x in U and x not in B else zero for x in P.objects}
+    maps = {(x, y): GradedLinearMap.identity(unit) if spaces[x] is spaces[y] is unit
+            else GradedLinearMap.zero(spaces[y], spaces[x]) for x, y in P.covers}
+    dia = PosetDiagram(P, spaces, maps)
+    assert check_diagram(dia) == []
+    assert [(b,) for b in _relative_betti(P, U, B, field)] == higher_limits(dia)
 
 
 def test_graded_diagram_over_a_chain():

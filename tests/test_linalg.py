@@ -9,6 +9,7 @@ from sympy import GF, Matrix, kronecker_product
 from sympy import QQ as SYMPY_QQ
 from sympy.polys.matrices import DomainMatrix
 
+from posetprod import linalg
 from posetprod.errors import MixedFields, MixedTruncation, PreconditionFailed
 from posetprod.fixtures import random_pointed_poset
 from posetprod.limits import PosetDiagram, cochain_complex
@@ -19,6 +20,7 @@ from posetprod.linalg import (
     GradedLinearMap,
     GradedVectorSpace,
     _echelon,
+    _integral,
     _is_prime,
     find_section,
     kernel_basis,
@@ -269,6 +271,24 @@ def test_forward_rows_over_q_are_integers_for_fraction_and_string_input():
     # plus the second
     assert R == {0: {0: 3, 1: 4}, 2: {2: -1}}
     assert rank(_pair_rows(m), 3, QQ) == 2
+
+
+def test_integral_fraction_rows_skip_the_denominators(monkeypatch):
+    # the rows of a GradedLinearMap over Q hold Fractions, mostly integral:
+    # they are read as their numerators, with no lcm of denominators taken
+    def slow(*args):
+        raise AssertionError("the denominators were read")
+
+    monkeypatch.setattr(linalg, "lcm", slow)
+    row = [(0, Fraction(6)), (2, Fraction(-4)), (3, Fraction(0)), (5, 10)]
+    assert _integral(row) == {0: 3, 2: -2, 5: 5}
+    assert all(type(v) is int for v in _integral(row).values())
+    assert _integral([(4, Fraction(-1))]) == {4: -1}
+    a = GradedVectorSpace(QQ, (3,))
+    assert rank(GradedLinearMap(a, a, [[[(0, 2)], [(1, -3), (2, 6)], [(0, 4)]]]).nonzero_rows[0], 3, QQ) == 2
+    monkeypatch.undo()
+    # a proper fraction anywhere in the row scales the whole row
+    assert _integral([(0, Fraction(3)), (1, Fraction(1, 2)), (2, "0"), (3, "-2/3")]) == {0: 18, 1: 3, 3: -4}
 
 
 def test_non_canonical_entries_are_converted_first():

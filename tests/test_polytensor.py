@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetprod import polytensor
+from posetprod import limits, polytensor
 from posetprod.errors import IndexMismatch, MissingSection
-from posetprod.fixtures import cube, fix_a, fix_b, fix_c, random_poset_with
+from posetprod.fixtures import cube, fix_a, fix_b, fix_c, fix_e, random_poset_with
 from posetprod.limits import PosetDiagram, check_diagram, higher_limits, lim0_basis
 from posetprod.linalg import QQ, FieldSpec, GradedLinearMap, GradedVectorSpace
 from posetprod.polytensor import (
@@ -20,6 +20,7 @@ from posetprod.polytensor import (
     tensor_limits,
 )
 from posetprod.poset import PointedPoset
+from posetprod.spaces import induced_collection
 
 
 def test_parallel_edge_poset_augmentation_dims():
@@ -76,9 +77,24 @@ def test_supports_with_equally_many_minimal_objects_keep_their_own_betti_numbers
     ]
 
 
+def _arbitrary_collection(rng, vertices, D: int, field) -> MorphismCollection:
+    """Maps with kernels and cokernels in any degree: both sides take 0 to 2
+    dimensions per degree, and each entry is zero about half the time."""
+    maps = {}
+    for v in vertices:
+        M = GradedVectorSpace(field, [rng.randrange(0, 3) for _ in range(D + 1)])
+        N = GradedVectorSpace(field, [rng.randrange(0, 3) for _ in range(D + 1)])
+        rows = [[[(j, rng.randrange(-2, 3)) for j in range(m) if rng.random() < 0.5] for _ in range(n)]
+                for m, n in zip(M.dims, N.dims)]
+        maps[v] = GradedLinearMap(M, N, rows)
+    return MorphismCollection(maps, field=field, truncation=D)
+
+
 def _collection(kind, P, seed, D, field):
     if kind == "random":
         return random_surjective_collection(random.Random(seed), P.vertices, D, field)
+    if kind == "arbitrary":
+        return _arbitrary_collection(random.Random(seed), P.vertices, D, field)
     if kind == "aug":
         return MorphismCollection.augmentation(P.vertices, D, gen_degree=1 + seed % 2, field=field)
     return MorphismCollection.circle(P.vertices, D, field=field)
@@ -92,37 +108,69 @@ def _collection(kind, P, seed, D, field):
             lambda a: random_poset_with(a[1], a[0], 1, max_objects=8)[0]
         ),
     ),
-    kind=st.sampled_from(["random", "aug", "circle"]),
+    kind=st.sampled_from(["random", "arbitrary", "aug", "circle"]),
     seed=st.integers(0, 10**6),
     field=st.sampled_from([QQ, FieldSpec.Fp(2), FieldSpec.Fp(101)]),
     D=st.integers(1, 3),
 )
 def test_split_route_equals_direct_route(poset, kind, seed, field, D):
     # random collections include kernels in degree 0, so supports are not
-    # bounded by the truncation there
+    # bounded by the truncation there; arbitrary ones include cokernels
+    # there too, so cokernel sets are not bounded either
     col = _collection(kind, poset, seed, D, field)
-    found = tensor_limits(poset, col)
-    assert found.terms is not None
-    assert found.limits == higher_limits(build_T(poset, col))
+    assert tensor_limits(poset, col).limits == higher_limits(build_T(poset, col))
 
 
-def test_non_surjective_collections_take_the_direct_route():
+def test_non_surjective_collections_take_the_split_route():
+    # the zero map splits as K -> 0 plus 0 -> C: S = {v} lives on the vertex
+    # alone, and Q = {v} on the whole poset relative to the vertex, a cone
+    # relative to a cone, so only the first term is kept
     unit = GradedVectorSpace.unit(QQ, 1)
     dead = GradedLinearMap(unit, unit, [[[(0, 0)]], []])
     P = PointedPoset(["*", "v"], "*", [("*", "v")])
     col = MorphismCollection({"v": dead})
     found = tensor_limits(P, col)
-    assert found.terms is None
+    assert found.terms == (SplitTerm(("v",), (1, 0), (1,)),)
     assert found.limits == higher_limits(build_T(P, col)) == [(1, 0)]
     # on fix-b, a_b has rank 1 onto a 2-dimensional N_b in degree 1, so
-    # dim M_b - dim N_b = 0 there although ker a_b is 1-dimensional
+    # dim M_b - dim N_b = 0 there although ker a_b is 1-dimensional; the
+    # cokernel of a_b lives relative to B = up(b), a cone, and drops out
     P = fix_b()
     space = GradedVectorSpace(QQ, (1, 2))
     short = GradedLinearMap(space, space, [[[(0, 1)]], [[(0, 1), (1, 1)], [(0, 1), (1, 1)]]])
     col = MorphismCollection({"a": MorphismCollection.augmentation(["a"], D=1).maps["a"], "b": short})
     found = tensor_limits(P, col)
-    assert found.terms is None
-    assert found.limits == higher_limits(build_T(P, col))
+    assert [(t.support, t.cokernel, t.dims) for t in found.terms] == [
+        ((), (), (1, 1)), (("b",), (), (0, 1)), (("a",), (), (0, 1)),
+    ]
+    assert found.limits == higher_limits(build_T(P, col)) == [(1, 3)]
+
+
+def test_disk_over_circle_on_two_points_has_one_relative_term():
+    # the polyhedral product of (D^2, S^1) over two points is S^3: its class
+    # is lim^1 in degree 2, from the cokernels of both restrictions on the
+    # whole poset relative to the two vertices above them, two points
+    P = fix_e()
+    found = tensor_limits(P, induced_collection(P, "disk2-circle", 3))
+    assert found.limits == [(1, 0, 0, 0), (0, 0, 1, 0)]
+    assert found.non_acyclic_terms() == [SplitTerm((), cokernel=("v1", "v2"), dims=(0, 0, 1, 0), betti=(0, 1))]
+
+
+def test_tensor_limits_builds_no_diagram_without_check_route(monkeypatch):
+    def direct_route(*args, **kwargs):
+        raise AssertionError("the direct route ran")
+
+    monkeypatch.setattr(polytensor, "build_T", direct_route)
+    monkeypatch.setattr(limits, "cochain_complex", direct_route)
+    P = cube(3)
+    found = tensor_limits(P, induced_collection(P, "disk2-circle", 3))
+    assert found.limits == [(1, 0, 0, 0)]
+    assert found.direct is None
+    # the cokernels of interval-endpoints sit in degree 0, so every set Q is walked
+    P = fix_a()
+    assert polyhedral_tensor(P, induced_collection(P, "interval-endpoints", 2)) == [
+        (1, 0, 0), (0, 0, 0), (0, 0, 0), (1, 0, 0),
+    ]
 
 
 def test_check_route_reports_the_direct_route(monkeypatch):
@@ -131,20 +179,19 @@ def test_check_route_reports_the_direct_route(monkeypatch):
     assert tensor_limits(P, col).direct is None
     assert tensor_limits(P, col).routes_agree is None
     found = tensor_limits(P, col, check_route=True)
-    assert found.terms is not None
     assert found.direct == found.limits == [(1, 2, 3, 4), (0, 0, 1, 2)]
     assert found.routes_agree is True
 
-    # when the direct route answers, it is built once and agrees with itself
-    unit = GradedVectorSpace.unit(QQ, 1)
-    dead = MorphismCollection({"v": GradedLinearMap(unit, unit, [[[(0, 0)]], []])})
-    Q = PointedPoset(["*", "v"], "*", [("*", "v")])
+    # a non-surjective collection: the direct route builds T once, beside
+    # the split, and agrees with it
+    Q = fix_e()
+    col = induced_collection(Q, "disk2-circle", 3)
     built = []
     original = polytensor.build_T
     monkeypatch.setattr(polytensor, "build_T", lambda *a, **k: built.append(a) or original(*a, **k))
-    found = tensor_limits(Q, dead, check_route=True)
-    assert found.terms is None
-    assert found.direct == found.limits == [(1, 0)]
+    found = tensor_limits(Q, col, check_route=True)
+    assert [t.cokernel for t in found.non_acyclic_terms()] == [("v1", "v2")]
+    assert found.direct == found.limits == [(1, 0, 0, 0), (0, 0, 1, 0)]
     assert found.routes_agree is True
     assert len(built) == 1
 

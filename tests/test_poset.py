@@ -471,17 +471,35 @@ def test_norm_and_vertex_monotonicity():
 
 
 def test_support_walk_prunes_empty_up_sets_and_vanishing_series():
-    def walk(P, D):
+    def walk(P, D, C=None):
         order = sorted(P.vertices, key=str)
         N, K = dict.fromkeys(order, (1,) + (0,) * D), dict.fromkeys(order, (0, 1) + (0,) * (D - 1))
-        return list(support_walk(P, order, N, K, D))
+        return list(support_walk(P, order, N, K, D, C))
 
     # the edge: {0, 1} lives on the top alone, once the series reaches degree 2
+    none = frozenset()
     assert walk(cube(1), 1) == [
-        ((), (1, 0), frozenset({"*", "0", "1", "u"})),
-        (("1",), (0, 1), frozenset({"1", "u"})),
-        (("0",), (0, 1), frozenset({"0", "u"})),
+        ((), (), (1, 0), frozenset({"*", "0", "1", "u"}), none),
+        (("1",), (), (0, 1), frozenset({"1", "u"}), none),
+        (("0",), (), (0, 1), frozenset({"0", "u"}), none),
     ]
-    assert walk(cube(1), 2)[-1] == (("0", "1"), (0, 0, 1), frozenset({"u"}))
+    assert walk(cube(1), 2)[-1] == (("0", "1"), (), (0, 0, 1), frozenset({"u"}), none)
     # two isolated vertices: U_{v1, v2} is empty
-    assert [S for S, _, _ in walk(fix_e(), 2)] == [(), ("v2",), ("v1",)]
+    assert [S for S, *_ in walk(fix_e(), 2)] == [(), ("v2",), ("v1",)]
+
+
+def test_support_walk_puts_cokernel_vertices_in_B_and_prunes_when_U_S_minus_B_empties():
+    # three vertices below one top t
+    P = PointedPoset(["*", "a", "b", "c", "t"], "*", [("*", v) for v in "abc"] + [(v, "t") for v in "abc"])
+    one, x = dict.fromkeys(P.vertices, (1, 0, 0, 0)), dict.fromkeys(P.vertices, (0, 1, 0, 0))
+    found = {(S, Q): (series, up, below) for S, Q, series, up, below in support_walk(P, P.vertices, one, x, 3, x)}
+    # B holds the objects of U_S above a vertex of Q
+    assert found[(("a",), ("b", "c"))] == ((0, 0, 0, 1), frozenset({"a", "t"}), frozenset({"t"}))
+    assert found[((), ("a",))][2] == frozenset({"a", "t"})
+    # the base point lies outside every B, so S = {} takes all 8 sets Q; S = {a, b}
+    # leaves only t, which lies above c, so Q = {c} is pruned there
+    assert (("a", "b"), ("c",)) not in found
+    assert len(found) == 8 + 3 * 4 + 3 + 1
+    # C = 0 never opens the branch
+    zero = dict.fromkeys(P.vertices, (0, 0, 0, 0))
+    assert {Q for _, Q, *_ in support_walk(P, P.vertices, one, x, 3, zero)} == {()}
