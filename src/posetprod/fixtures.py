@@ -48,22 +48,19 @@ def fix_e() -> PointedPoset:
 def cube(n: int) -> PointedPoset:
     """Face poset of the n-cube.
 
-    Faces are words over {0,1,*} with * marking free coordinates; a face is
-    below another when it is contained in it.
+    Faces are words over {0,1,u} with u marking free coordinates; a face is
+    below another when it is contained in it.  Each face is covered by the
+    faces that free one of its fixed coordinates, and the base point by the
+    vertices; the constructor closes these covers into the order.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return PointedPoset(["*", "v"], "*", [("*", "v")])
     faces = ["".join(w) for w in itertools.product("01u", repeat=n)]
-    rel = []
-    for f in faces:
-        for g in faces:
-            if f != g and all(a == b or b == "u" for a, b in zip(f, g)):
-                rel.append((f, g))
-    verts = [f for f in faces if "u" not in f]
-    rel += [(BASE, v) for v in verts]
-    return PointedPoset([BASE] + faces, BASE, rel)
+    covers = [(f, f[:i] + "u" + f[i + 1:]) for f in faces for i, a in enumerate(f) if a != "u"]
+    covers += [(BASE, f) for f in faces if "u" not in f]
+    return PointedPoset([BASE] + faces, BASE, covers)
 
 
 def simplex(n: int) -> PointedPoset:

@@ -13,7 +13,9 @@ n_max - 1 is refused unless the space is marked complete (no cores could
 exist higher up).  Homology ranks sparse coboundary rows, one per cell,
 level by level from low degree to high; a cell that was a pivot column one
 level down has its row cleared (never built), which leaves the rank as it
-is (see ``_betti``).
+is (see ``_betti``).  Each core's boundary is merged once: equal faces
+have their signs summed, and faces whose signs cancel drop out
+(``_core_boundary``).
 
 Homology of a polyhedral product has two routes.  The simplicial route
 builds the colimit or homotopy colimit of the blocks as a simplicial set
@@ -24,8 +26,13 @@ per component of the up-set of their support (``colimit_cells``), walked
 with the split route of the tensor limits (``poset.support_walk``).  The
 homotopy colimit's are a strict chain of objects with a tuple of factor
 cores of the block at its bottom (``hocolim_cells``, the Bousfield-Kan
-double complex).  ``polyprod_homology`` takes the cellular route for both
-gluings, and with ``check_route`` compares it with the simplicial one.
+double complex).  Cells are named by small integers: the cores of each
+factor space are numbered in str order, a tuple of factor cores is one int
+whose digit k in radix m (the larger core count) is the core of vertex k,
+and a face replaces one digit by the number of a face of its core, so each
+boundary entry is one addition to the code.  ``polyprod_homology`` takes
+the cellular route for both gluings, and with ``check_route`` compares it
+with the simplicial one.
 """
 
 from __future__ import annotations
@@ -391,8 +398,14 @@ def homology(X: FiniteSimplicialSet, upto: int, field: FieldSpec = QQ):
 
 
 def _core_boundary(X: FiniteSimplicialSet, c) -> list:
-    """The nondegenerate faces of the core c, each with its sign (-1)^i."""
-    return [(f, -1 if i % 2 else 1) for i, (f, word) in enumerate(X.core_faces.get(c, ())) if not word]
+    """The boundary of the core c, merged: each nondegenerate face once,
+    with the sum of its signs (-1)^i, and none whose signs cancel (the
+    circle's edge has boundary v - v = 0)."""
+    merged: dict = {}
+    for i, (f, word) in enumerate(X.core_faces.get(c, ())):
+        if not word:
+            merged[f] = merged.get(f, 0) + (-1 if i % 2 else 1)
+    return [(f, e) for f, e in merged.items() if e]
 
 
 # -- model spaces and pairs ------------------------------------------------
@@ -513,33 +526,33 @@ def polyhedral_product_space(
     return hocolim_space(P, spaces, maps, n_max)
 
 
-def _core_tuples(factors, top: int) -> list:
-    """The tuples of one core per factor, with their dimensions d <= top
-    summed: (s, d).  ``factors[k][e]`` lists the e-cores of factor k, for
-    e = 0..top."""
-    cells = [((), 0)]
+def _core_codes(factors, m: int, top: int) -> list:
+    """The codes of the tuples of one core per factor, with their dimensions
+    d <= top summed: (code, d).  ``factors[k][e]`` lists the numbers of the
+    e-cores of factor k, for e = 0..top; factor k is digit k in radix m."""
+    cells = [(0, 0)]
+    stride = 1
     for by_dim in factors:
-        cells = [(s + (c,), d + e) for s, d in cells for e in range(top + 1 - d) for c in by_dim[e]]
+        cells = [(code + c * stride, d + e) for code, d in cells for e in range(top + 1 - d) for c in by_dim[e]]
+        stride *= m
     return cells
 
 
-def _tensor_faces(s, tables) -> list:
-    """The Koszul-signed boundary of the tensor s of cores, degenerate faces
-    dropped: (k, f, sign) replaces s[k] by its face f.  ``tables[k]`` sends
-    each core of factor k to its dimension and ``_core_boundary``."""
-    out = []
-    sign = 1
-    for k, (c, table) in enumerate(zip(s, tables)):
-        d, boundary = table[c]
-        out.extend((k, f, sign * e) for f, e in boundary)
-        if d % 2:
-            sign = -sign
-    return out
+def _numbered(F: FiniteSimplicialSet) -> dict:
+    """Each core of F mapped to its number: its place in str order."""
+    return {c: k for k, c in enumerate(F._str_order)}
 
 
-def _boundary_table(F: FiniteSimplicialSet) -> dict:
-    """Each core of F with its dimension and ``_core_boundary``."""
-    return {c: (d, _core_boundary(F, c)) for c, d in F.cores.items()}
+def _digit_tables(F: FiniteSimplicialSet, m: int, n: int, inside=frozenset()) -> list:
+    """``tables[k][c]`` for digits k < n in radix m and the cores c of F by
+    number: the parity of the dimension of c and its merged
+    ``_core_boundary``, each face f as (the code shift (f - c) m^k, its
+    sign, 1 << k when c lies outside ``inside`` and f in it, else 0)."""
+    number = _numbered(F)
+    boundaries = [(F.cores[c] % 2, [(number[f], e) for f, e in _core_boundary(F, c)]) for c in F._str_order]
+    return [[(odd, [((f - c) * m**k, e, 1 << k if c not in inside and f in inside else 0) for f, e in boundary])
+             for c, (odd, boundary) in enumerate(boundaries)]
+            for k in range(n)]
 
 
 def colimit_cells(P: PointedPoset, pair: str | tuple, n_max: int):
@@ -554,42 +567,57 @@ def colimit_cells(P: PointedPoset, pair: str | tuple, n_max: int):
     the set of vertices whose core lies outside A (the cellular chains of
     Bahri, Bendersky, Cohen and Gitler 2010, over a poset).  The supports
     come from ``support_walk`` on the core counts of A and of X outside A.
-    A cell is named (s, r), with r the str-least object of its component,
-    so the order of the cells does not depend on the hash seed.  Its
-    boundary is the Koszul-signed tensor boundary, degenerate faces
-    dropped; a face t lies in the component of U_S(t), an up-set containing
-    U_S, that holds r.
+
+    The cores of X are numbered in str order, and s is coded as one int in
+    radix m, the number of cores, with vertex k's core as digit k.  A cell
+    is (code, mask, r): mask has bit k set when vertex k is in S, and r is
+    the str-least object of the component, so the order of the cells does
+    not depend on the hash seed.  Its boundary is the Koszul-signed tensor
+    boundary of the merged core boundaries (``_core_boundary``): replacing
+    the core c of vertex k by its face f adds (f - c) m^k to the code and
+    clears bit k of the mask when c lies outside A and f inside it; the
+    face lies in the component of U_S(f), an up-set containing U_S, that
+    holds r.
     """
     X, A, inc = pair_spaces(pair, n_max) if isinstance(pair, str) else pair
     if not _injective_on_cores(inc):
         raise PreconditionFailed("the inclusion of A does not send cores to distinct cores of X")
     verts = P.vertices
-    inside = {inc.on_cores[a][0] for a in A.cores}
-    # by_dim[outside][d]: the d-cores of X outside A (or in A), d <= n_max
-    by_dim = {out: [[c for c in X.nondegenerate(d) if (c not in inside) == out] for d in range(n_max + 1)]
+    number = _numbered(X)
+    m = len(number)
+    inside = {number[inc.on_cores[a][0]] for a in A.cores}
+    # by_dim[outside][d]: the numbers of the d-cores of X outside A (or in A), d <= n_max
+    by_dim = {out: [[number[c] for c in X.nondegenerate(d) if (number[c] not in inside) == out]
+                    for d in range(n_max + 1)]
               for out in (False, True)}
     N, K = (dict.fromkeys(verts, tuple(map(len, by_dim[out]))) for out in (False, True))
+    bit = {v: 1 << k for k, v in enumerate(verts)}
 
-    # rep_of[S][x]: the str-least object of the component of U_S holding x
+    # rep_of[mask][x]: the str-least object of the component of U_S holding x
     rep_of: dict = {}
     bases = [[] for _ in range(n_max + 1)]
     for support, _, _, up, _ in support_walk(P, verts, N, K, n_max):
-        rep = rep_of[support] = P.components(up)
+        mask = sum(bit[v] for v in support)
+        rep = rep_of[mask] = P.components(up)
         reps = sorted(set(rep.values()), key=str)
-        for s, d in _core_tuples([by_dim[v in support] for v in verts], n_max):
-            bases[d].extend((s, r) for r in reps)
+        for code, d in _core_codes([by_dim[v in support] for v in verts], m, n_max):
+            bases[d].extend((code, mask, r) for r in reps)
 
-    tables = [_boundary_table(X)] * len(verts)
+    tables = _digit_tables(X, m, len(verts), inside)
 
     def faces(cell):
-        s, r = cell
-        support = tuple(v for v, c in zip(verts, s) if c not in inside)
+        code, mask, r = cell
         out = []
-        for k, f, e in _tensor_faces(s, tables):
-            # the face leaves the support when its core falls into A
-            leaves = s[k] not in inside and f in inside
-            face_support = tuple(v for v in support if v != verts[k]) if leaves else support
-            out.append(((s[:k] + (f,) + s[k + 1:], rep_of[face_support][r]), e))
+        sign = 1
+        rest = code
+        for table in tables:
+            rest, c = divmod(rest, m)
+            odd, boundary = table[c]
+            for shift, e, cleared in boundary:
+                face_mask = mask ^ cleared
+                out.append(((code + shift, face_mask, rep_of[face_mask][r]), sign * e))
+            if odd:
+                sign = -sign
         return out
 
     return bases, faces
@@ -604,53 +632,79 @@ def hocolim_cells(P: PointedPoset, pair: str | tuple, n_max: int):
     simplicial replacement (Bousfield and Kan 1972, LNM 304, ch. XII),
     whose diagonal ``hocolim_space`` builds, with each block's chains
     replaced by the tensor product of its factors' chains (Eilenberg-Zilber
-    again, natural in the blocks).  A cell (c, s) is a strict chain
+    again, natural in the blocks).  A cell is a strict chain
     c = (x_0 < ... < x_p) and a tuple s of cores of the block at x_0, one
     per vertex in str order: a core of X on V(x_0), of A elsewhere; its
     dimension is p plus those of s.  Its boundary is sum_(i>=1) (-1)^i
     (c minus x_i, s), plus (c minus x_0, s pushed into the block at x_1,
     the inclusion applied on V(x_1) - V(x_0)) unless a pushed core turns
-    degenerate, plus (-1)^p times the tensor boundary of s.  No
-    injectivity is needed.
+    degenerate, plus (-1)^p times the tensor boundary of s, from the merged
+    core boundaries (``_core_boundary``).  No injectivity is needed.
+
+    The chains are numbered in the order ``chains`` lists them, and the
+    cores of X and of A each in str order; s is coded as one int in radix
+    m, the larger core count, with vertex k's core as digit k.  A cell is
+    (chain number, code).  Each chain keeps its deletion faces and its hop
+    to c minus x_0, with the digits that the inclusion moves, from A-core
+    numbers to X-core numbers.
     """
     X, A, inc = pair_spaces(pair, n_max) if isinstance(pair, str) else pair
     verts = P.vertices
-    by_dim = {F: [F.nondegenerate(d) for d in range(n_max + 1)] for F in (X, A)}
-    table = {F: _boundary_table(F) for F in (X, A)}
-    factors = {x: [X if v in P.vertex_set(x) else A for v in verts] for x in P.objects}
-    tables = {x: [table[F] for F in fs] for x, fs in factors.items()}
-    # block[x]: the core tuples of the block at x, lowest dimension first
-    block = {x: sorted(_core_tuples([by_dim[F] for F in fs], n_max), key=lambda sd: sd[1])
-             for x, fs in factors.items()}
+    number = {F: _numbered(F) for F in (X, A)}
+    m = max(len(number[X]), len(number[A]))
+    # into[a]: the number of the X-core that A-core a goes to, None if degenerate
+    into = [None if word else number[X][x] for x, word in (inc.on_cores[a] for a in A._str_order)]
+    by_dim = {F: [[number[F][c] for c in F.nondegenerate(d)] for d in range(n_max + 1)] for F in (X, A)}
+    shifted = {F: _digit_tables(F, m, len(verts)) for F in (X, A)}
+    tables, block = {}, {}
+    for x in P.objects:
+        factors = [X if v in P.vertex_set(x) else A for v in verts]
+        tables[x] = [shifted[F][k] for k, F in enumerate(factors)]
+        # the core codes of the block at x, lowest dimension first
+        block[x] = sorted(_core_codes([by_dim[F] for F in factors], m, n_max), key=lambda cd: cd[1])
+
+    # moved[(x, y)]: the strides of the digits that go through the inclusion
+    # from the block at x to the one at y
+    moved = {(x, y): [m**k for k, v in enumerate(verts) if v in P.vertex_set(y) and v not in P.vertex_set(x)]
+             for x in P.objects for y in P.up_set(x) if y != x}
     bases = [[] for _ in range(n_max + 1)]
+    # chain[i]: (the parity of p, the deletion faces (i >= 1) with their signs,
+    # the hop's chain and strides, the factor tables at x_0)
+    chain, index = [], {}
     for p, level in enumerate(chains(P, n_max)):
         for c in level:
-            for s, d in block[c[0]]:
+            i = index[c] = len(chain)
+            deleted = [(index[c[:j] + c[j + 1:]], -1 if j % 2 else 1) for j in range(1, p + 1)]
+            hop = (index[c[1:]], moved[c[:2]]) if p else None
+            chain.append((p % 2, deleted, hop, tables[c[0]]))
+            for code, d in block[c[0]]:
                 if p + d > n_max:
                     break
-                bases[p + d].append((c, s))
-
-    # grown[(x, y)]: the factors that go through the inclusion from the block at x to the one at y
-    grown = {(x, y): [k for k, v in enumerate(verts) if v in P.vertex_set(y) and v not in P.vertex_set(x)]
-             for x in P.objects for y in P.up_set(x) if y != x}
-
-    def pushed(hop, s):
-        """s in the block at hop[1], or None if a core turns degenerate."""
-        img = list(s)
-        for k in grown[hop]:
-            img[k], word = inc.on_cores[s[k]]
-            if word:
-                return None
-        return tuple(img)
+                bases[p + d].append((i, code))
 
     def faces(cell):
-        c, s = cell
-        p = len(c) - 1
-        out = [((c[:i] + c[i + 1:], s), -1 if i % 2 else 1) for i in range(1, p + 1)]
-        if p and (t := pushed(c[:2], s)) is not None:
-            out.append(((c[1:], t), 1))
-        sign = -1 if p % 2 else 1
-        out.extend(((c, s[:k] + (f,) + s[k + 1:]), sign * e) for k, f, e in _tensor_faces(s, tables[c[0]]))
+        i, code = cell
+        odd_p, deleted, hop, table = chain[i]
+        out = [((j, code), e) for j, e in deleted]
+        if hop is not None:
+            j, strides = hop
+            pushed = code
+            for stride in strides:
+                a = pushed // stride % m
+                if (x := into[a]) is None:
+                    break
+                pushed += (x - a) * stride
+            else:
+                out.append(((j, pushed), 1))
+        sign = -1 if odd_p else 1
+        rest = code
+        for factor in table:
+            rest, c = divmod(rest, m)
+            odd, boundary = factor[c]
+            for shift, e, _ in boundary:
+                out.append(((i, code + shift), sign * e))
+            if odd:
+                sign = -sign
         return out
 
     return bases, faces

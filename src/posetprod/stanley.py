@@ -102,6 +102,13 @@ def _bound_relation(P: PointedPoset, S, uppers):
     return poly or None
 
 
+def _require_polyhedral(P: PointedPoset) -> None:
+    """Refuse a non-polyhedral P with ``NotPolyhedral`` and its witness."""
+    report = classify(P)
+    if not report.polyhedral:
+        raise NotPolyhedral(f"witness: {report.witnesses.get('polyhedral')}")
+
+
 def ideal_generators(
     P: PointedPoset,
     scale: int = 1,
@@ -115,9 +122,7 @@ def ideal_generators(
     upper bounds carry extra vertices are skipped (see module docstring) and
     counted in ``skipped_unsound``.
     """
-    report = classify(P)
-    if not report.polyhedral:
-        raise NotPolyhedral(f"witness: {report.witnesses.get('polyhedral')}")
+    _require_polyhedral(P)
     gens = tuple(x for x in P.objects if x != P.base)
     degrees = {g: scale * len(P.vertex_set(g)) for g in gens}
     relations: list = []
@@ -351,8 +356,10 @@ def presentation_report(P: PointedPoset, D: int = 4, scale: int = 1, field: Fiel
     On mismatch the subset-size bound is raised step by step from
     ``_FIRST_BOUND`` (up to the number of generators) before giving up; the returned dict records both
     dimension vectors, the bound that was used, and how many subsets were
-    skipped as unsound.
+    skipped as unsound.  A non-polyhedral P is refused before any limit is
+    built.
     """
+    _require_polyhedral(P)
     col = MorphismCollection.augmentation(P.vertices, D=D, gen_degree=scale, field=field)
     lims = polyhedral_tensor(P, col)
     limit_dims = tuple(lims[0]) if lims else (0,) * (D + 1)

@@ -1,16 +1,28 @@
-"""The all-simplices construction of products, colimits and homotopy
-colimits, kept as an independent oracle for ``posetprod.spaces``.
+"""Independent constructions kept as oracles for ``posetprod.spaces``.
 
-It lists every simplex of every dimension, degenerate ones included, and
-finds the nondegenerate ones by searching for an index i with
-s_i d_i e == e.  Blocks of a polyhedral product are left folds of 2-factor
-products.  This is slow ((n+1)^k simplices of dimension n in a product of k
-circles), so the tests use it on small inputs only.
+The all-simplices construction of products, colimits and homotopy colimits
+lists every simplex of every dimension, degenerate ones included, and finds
+the nondegenerate ones by searching for an index i with s_i d_i e == e.
+Blocks of a polyhedral product are left folds of 2-factor products.  This
+is slow ((n+1)^k simplices of dimension n in a product of k circles), so
+the tests use it on small inputs only.
+
+The tuple-named cellular chains (``colimit_cells``, ``hocolim_cells``) name
+each cell by nested tuples of core names and list each core's boundary face
+by face, unmerged: the library's cellular routes must give the same cells,
+in the same order, and the same boundary rows.
 """
 
 from posetprod.errors import PreconditionFailed
-from posetprod.poset import PointedPoset
-from posetprod.spaces import FiniteSimplicialSet, SimplicialMap, _UnionFind, pair_spaces, point_space
+from posetprod.poset import PointedPoset, chains, support_walk
+from posetprod.spaces import (
+    FiniteSimplicialSet,
+    SimplicialMap,
+    _injective_on_cores,
+    _UnionFind,
+    pair_spaces,
+    point_space,
+)
 
 
 def _from_operators(elems_by_dim, face_fn, deg_fn, n_max: int, name=lambda e: e):
@@ -270,3 +282,123 @@ def _insert_degeneracy(word, i):
         return (i,) + word
     j = word[0]
     return (j + 1,) + _insert_degeneracy(word[1:], i)
+
+
+# -- tuple-named cellular chains ------------------------------------------
+
+
+def _core_boundary(X: FiniteSimplicialSet, c) -> list:
+    """The nondegenerate faces of the core c, each with its sign (-1)^i."""
+    return [(f, -1 if i % 2 else 1) for i, (f, word) in enumerate(X.core_faces.get(c, ())) if not word]
+
+
+def _core_tuples(factors, top: int) -> list:
+    """The tuples of one core per factor, with their dimensions d <= top
+    summed: (s, d).  ``factors[k][e]`` lists the e-cores of factor k, for
+    e = 0..top."""
+    cells = [((), 0)]
+    for by_dim in factors:
+        cells = [(s + (c,), d + e) for s, d in cells for e in range(top + 1 - d) for c in by_dim[e]]
+    return cells
+
+
+def _tensor_faces(s, tables) -> list:
+    """The Koszul-signed boundary of the tensor s of cores, degenerate faces
+    dropped: (k, f, sign) replaces s[k] by its face f.  ``tables[k]`` sends
+    each core of factor k to its dimension and ``_core_boundary``."""
+    out = []
+    sign = 1
+    for k, (c, table) in enumerate(zip(s, tables)):
+        d, boundary = table[c]
+        out.extend((k, f, sign * e) for f, e in boundary)
+        if d % 2:
+            sign = -sign
+    return out
+
+
+def _boundary_table(F: FiniteSimplicialSet) -> dict:
+    """Each core of F with its dimension and ``_core_boundary``."""
+    return {c: (d, _core_boundary(F, c)) for c, d in F.cores.items()}
+
+
+def colimit_cells(P: PointedPoset, pair, n_max: int):
+    """The cellular chains of the colimit of the block diagram, cells named
+    (s, r): a tuple s of cores of X, one per vertex in str order, and the
+    str-least object r of a component of U_S, S the vertices whose core
+    lies outside A.  Returns (bases, faces) as ``spaces._betti`` reads
+    them."""
+    X, A, inc = pair_spaces(pair, n_max) if isinstance(pair, str) else pair
+    if not _injective_on_cores(inc):
+        raise PreconditionFailed("the inclusion of A does not send cores to distinct cores of X")
+    verts = P.vertices
+    inside = {inc.on_cores[a][0] for a in A.cores}
+    by_dim = {out: [[c for c in X.nondegenerate(d) if (c not in inside) == out] for d in range(n_max + 1)]
+              for out in (False, True)}
+    N, K = (dict.fromkeys(verts, tuple(map(len, by_dim[out]))) for out in (False, True))
+
+    rep_of: dict = {}
+    bases = [[] for _ in range(n_max + 1)]
+    for support, _, _, up, _ in support_walk(P, verts, N, K, n_max):
+        rep = rep_of[support] = P.components(up)
+        reps = sorted(set(rep.values()), key=str)
+        for s, d in _core_tuples([by_dim[v in support] for v in verts], n_max):
+            bases[d].extend((s, r) for r in reps)
+
+    tables = [_boundary_table(X)] * len(verts)
+
+    def faces(cell):
+        s, r = cell
+        support = tuple(v for v, c in zip(verts, s) if c not in inside)
+        out = []
+        for k, f, e in _tensor_faces(s, tables):
+            leaves = s[k] not in inside and f in inside
+            face_support = tuple(v for v in support if v != verts[k]) if leaves else support
+            out.append(((s[:k] + (f,) + s[k + 1:], rep_of[face_support][r]), e))
+        return out
+
+    return bases, faces
+
+
+def hocolim_cells(P: PointedPoset, pair, n_max: int):
+    """The cellular chains of the homotopy colimit of the block diagram,
+    cells named (c, s): a strict chain c of objects and a tuple s of cores
+    of the block at c[0], one per vertex in str order.  Returns (bases,
+    faces) as ``spaces._betti`` reads them."""
+    X, A, inc = pair_spaces(pair, n_max) if isinstance(pair, str) else pair
+    verts = P.vertices
+    by_dim = {F: [F.nondegenerate(d) for d in range(n_max + 1)] for F in (X, A)}
+    table = {F: _boundary_table(F) for F in (X, A)}
+    factors = {x: [X if v in P.vertex_set(x) else A for v in verts] for x in P.objects}
+    tables = {x: [table[F] for F in fs] for x, fs in factors.items()}
+    block = {x: sorted(_core_tuples([by_dim[F] for F in fs], n_max), key=lambda sd: sd[1])
+             for x, fs in factors.items()}
+    bases = [[] for _ in range(n_max + 1)]
+    for p, level in enumerate(chains(P, n_max)):
+        for c in level:
+            for s, d in block[c[0]]:
+                if p + d > n_max:
+                    break
+                bases[p + d].append((c, s))
+
+    grown = {(x, y): [k for k, v in enumerate(verts) if v in P.vertex_set(y) and v not in P.vertex_set(x)]
+             for x in P.objects for y in P.up_set(x) if y != x}
+
+    def pushed(hop, s):
+        img = list(s)
+        for k in grown[hop]:
+            img[k], word = inc.on_cores[s[k]]
+            if word:
+                return None
+        return tuple(img)
+
+    def faces(cell):
+        c, s = cell
+        p = len(c) - 1
+        out = [((c[:i] + c[i + 1:], s), -1 if i % 2 else 1) for i in range(1, p + 1)]
+        if p and (t := pushed(c[:2], s)) is not None:
+            out.append(((c[1:], t), 1))
+        sign = -1 if p % 2 else 1
+        out.extend(((c, s[:k] + (f,) + s[k + 1:]), sign * e) for k, f, e in _tensor_faces(s, tables[c[0]]))
+        return out
+
+    return bases, faces

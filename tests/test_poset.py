@@ -117,6 +117,23 @@ def test_classify_fixtures():
     assert r1.simplicial and r1.polyhedral and r1.regular
 
 
+def _cube_by_containment(n):
+    """The n-cube's face poset from every pair of faces, one contained in
+    the other."""
+    faces = ["".join(w) for w in itertools.product("01u", repeat=n)]
+    rel = [(f, g) for f in faces for g in faces if f != g and all(a == b or b == "u" for a, b in zip(f, g))]
+    rel += [("*", f) for f in faces if "u" not in f]
+    return PointedPoset(["*"] + faces, "*", rel)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_cube_from_covers_equals_cube_by_containment(n):
+    P, Q = cube(n), _cube_by_containment(n)
+    assert P.objects == Q.objects and P.covers == Q.covers
+    assert {x: P.up_set(x) for x in P.objects} == {x: Q.up_set(x) for x in Q.objects}
+    assert P == Q
+
+
 def test_sub_poset():
     P = fix_b()
     D = P.sub_poset("c", "down")

@@ -399,6 +399,15 @@ def test_cellular_route_drops_degenerate_faces():
         _assert_boundary_squares_to_zero(P, pair, 4)
 
 
+def test_core_boundaries_are_merged():
+    # the disk's 2-core has faces f, f, e: f's signs cancel
+    assert spaces._core_boundary(disk_space(2), "T") == [("e", 1)]
+    # the circle's edge has boundary v - v = 0, so circle-point colimit cells have no faces
+    assert spaces._core_boundary(circle_space(2), "e") == []
+    bases, faces = colimit_cells(fix_c(), "circle-point", 3)
+    assert sum(map(len, bases)) > 1 and not any(faces(c) for level in bases for c in level)
+
+
 def test_check_route_compares_with_the_simplicial_colimit():
     rep = polyprod_homology(fix_b(), "circle-point", 3, field=F2, check_route=True)
     assert rep["homology"] == rep["simplicial_homology"] == (1, 2, 2)

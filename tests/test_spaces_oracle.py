@@ -5,7 +5,8 @@ simplex and searches for the degenerate ones.  Both must give spaces with
 the same number of cores in each dimension and the same homology, and
 2-factor products must agree name for name.  The library's homology, which
 clears rows, is checked against sympy ranks of the full dense boundary
-matrices.
+matrices.  The cellular routes, which name cells by integer codes, must give
+the tuple-named oracle's cells in the same order and the same boundaries.
 """
 
 import random
@@ -19,6 +20,7 @@ from sympy import QQ as SYMPY_QQ
 from sympy.polys.matrices import DomainMatrix
 
 import spaces_oracle as oracle
+from test_spaces import _collapse_pair, _glue_pair
 from posetprod import spaces
 from posetprod.fixtures import fix_a, fix_b, fix_c, fix_d, fix_e, random_pointed_poset
 from posetprod.linalg import F2, QQ, FieldSpec
@@ -132,3 +134,42 @@ def test_homology_matches_sympy_ranks_of_the_full_boundary_matrices(seed, pair, 
     assert betti == tuple(dims[n] - ranks[n] - ranks[n + 1] for n in range(n_max))
     # one row per (n-1)-core, less one per pivot one level down
     assert calls == [dims[n - 1] - ranks[n - 1] for n in range(1, n_max + 1)]
+
+
+def _traced_cells(cells, P, pair, n_max, field):
+    """Cells per dimension, Betti numbers, the (rows, cols, nnz) of every
+    rank call, and the boundary as {(n, row, col): coefficient} by place in
+    the bases, of one cellular route."""
+    bases, faces = cells(P, pair, n_max)
+    shapes = []
+    library_rank = spaces.rank
+
+    def recording_rank(rows, ncols, field, pivots=None):
+        shapes.append((len(rows), ncols, sum(map(len, rows))))
+        return library_rank(rows, ncols, field, pivots)
+
+    with mock.patch.object(spaces, "rank", recording_rank):
+        betti = spaces._betti(bases, faces, n_max - 1, field)
+    boundary = {}
+    for n in range(1, len(bases)):
+        index = {c: k for k, c in enumerate(bases[n - 1])}
+        for col, c in enumerate(bases[n]):
+            for f, e in faces(c):
+                key = (n, index[f], col)
+                boundary[key] = boundary.get(key, 0) + e
+    return tuple(map(len, bases)), betti, shapes, {k: e for k, e in boundary.items() if e}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), n_max=st.integers(1, 3))
+def test_cell_codes_match_the_tuple_named_cells(seed, n_max):
+    P = random_pointed_poset(random.Random(seed), max_objects=6)
+    routes = (
+        (spaces.colimit_cells, oracle.colimit_cells, PAIR_NAMES),
+        # neither extra pair is injective on cores, which only the hocolim allows
+        (spaces.hocolim_cells, oracle.hocolim_cells, PAIR_NAMES + (_glue_pair(n_max), _collapse_pair(n_max))),
+    )
+    for new, old, pairs in routes:
+        for pair in pairs:
+            for field in (QQ, F2):
+                assert _traced_cells(new, P, pair, n_max, field) == _traced_cells(old, P, pair, n_max, field)

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posetprod import stanley
 from posetprod.errors import NotPolyhedral, NotSimplicial, PreconditionFailed
 from posetprod.fixtures import fix_a, fix_b, fix_c, fix_e, random_poset_with, simplex
 from posetprod.poset import PointedPoset
@@ -106,6 +109,16 @@ def test_simplicial_guard():
         simplicial_ideal_generators(fix_c())
     with pytest.raises(NotPolyhedral):
         ideal_generators(fix_a())
+
+
+def test_presentation_report_refuses_before_building_limits():
+    with pytest.raises(NotPolyhedral) as expected:
+        ideal_generators(fix_a())
+    with mock.patch.object(stanley, "polyhedral_tensor", side_effect=AssertionError("limits were built")) as built:
+        with pytest.raises(NotPolyhedral) as refused:
+            presentation_report(fix_a(), D=3)
+    assert not built.called
+    assert str(refused.value) == str(expected.value)
 
 
 def test_simplicial_routes_agree():
