@@ -33,19 +33,24 @@ for x in P.objects:
 rep = classify(P)
 print("\nclassification:", rep.to_dict())
 
-# ``reduce_poset`` collapses such covers until none remain, returning the
-# reduction together with the projection map.  The result is reduced and
-# has the same vertices.
+# ``reduce_poset`` collapses every such cover at once, returning the
+# reduction together with the projection map.  Objects sharing a vertex set
+# and joined by covers form one class, kept as its str-greatest minimal
+# element; collapsing covers one at a time, in any order, reaches the same
+# quotient.  The result is reduced and has the same vertices.
 R, proj = reduce_poset(P)
 print("\nreduced objects:", R.objects)
 print("projection:", dict(proj))
 print("reduced?", classify(R).reduced)
 
-# The collapse order is a choice.  Running the procedure with the opposite
-# candidate order gives an isomorphic answer; ``down_isomorphism`` finds a
-# base-and-order preserving bijection or returns None.
-R2, _ = reduce_poset(P, candidate_order="revlex")
-print("confluent on this input?", down_isomorphism(R, R2) is not None)
+# Names only pick the survivor of each class.  A renamed copy reduces to an
+# isomorphic poset; ``down_isomorphism`` finds a base-and-order preserving
+# bijection or returns None.
+names = {"*": "*", "v1": "b", "v2": "a", "e": "z", "t": "c"}
+P2 = PointedPoset(names.values(), "*", [(names[x], names[y]) for x, y in P.covers])
+R2, proj2 = reduce_poset(P2)
+print("renamed copy reduces to:", R2.objects, "via", dict(proj2))
+print("isomorphic to the first reduction?", down_isomorphism(R, R2) is not None)
 
 # Face posets of polytopes are the motivating examples.  The square is
 # polyhedral (every down-set is a face lattice with unique vertex-set

@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=_non_negative, default=4)
     p.add_argument(
         "--space-limit",
-        type=int,
+        type=_non_negative,
         default=12,
         help="cross-check homology against the simplicial colimit only up to this many objects",
     )

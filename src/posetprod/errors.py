@@ -21,10 +21,6 @@ class CycleError(PosetProdError):
     pass
 
 
-class NoCollapseAvailable(PosetProdError):
-    pass
-
-
 class MixedFields(PosetProdError):
     pass
 

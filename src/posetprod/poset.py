@@ -4,6 +4,12 @@ A pointed poset is a finite poset with a minimum element, the base point.
 The order is stored as its reachability closure; covers are kept in
 transitively reduced form.  Objects can be any hashable values; all
 deterministic orderings sort by ``str``.
+
+The reduction of P collapses every cover x < y with x != base and
+V(x) = V(y).  It is one quotient, built in one pass: its classes are the
+connected components of the cover graph on each set of objects sharing a
+vertex set, each surviving as its str-greatest minimal element.  Single
+collapses in any order reach the same quotient (``reduce_poset``).
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from .errors import (
     CycleError,
     DuplicateObject,
     NoBasePoint,
-    NoCollapseAvailable,
     PreconditionFailed,
     UnknownObject,
 )
@@ -101,7 +106,7 @@ class PointedPoset:
             x: frozenset(v for v in self._vertices if v in self._down[x]) for x in self.objects
         }
         self._report: PosetReport | None = None  # set by the first classify(self)
-        self._reductions: dict = {}  # candidate order -> reduce_poset(self, order), if not self
+        self._reduction: tuple | None = None  # reduce_poset(self), when it is not self
 
     def _toposort(self, succ: dict[Obj, set[Obj]]) -> list[Obj]:
         state: dict[Obj, int] = {}
@@ -577,58 +582,44 @@ def _classify(P: PointedPoset) -> PosetReport:
     )
 
 
-def _collapse(P: PointedPoset, x: Obj, y: Obj) -> PointedPoset:
-    """Collapse the cover x < y onto x.
+def reduce_poset(P: PointedPoset) -> tuple[PointedPoset, MappingProxyType]:
+    """The reduction of P: the quotient that collapses every cover x < y
+    with x != base and V(x) = V(y), with the projection original object ->
+    image, read-only.
 
-    The new order is the reachability closure of the old strict order on
-    Obj minus y together with u <= x for every u < y.  Covers generate it:
-    the covers of P away from y, l < u for each cover chain l < y < u, and
-    l < x for each other lower cover l of y.  Antisymmetry holds because
-    x < y is a cover; the constructor re-checks.
+    The classes are the connected components of the cover graph on each set
+    of objects sharing a vertex set, and each class survives as its
+    str-greatest minimal element.  Collapsing covers one at a time, in any
+    order, gives this same quotient.  A collapse of x < y is the quotient
+    identifying y with x, so a sequence of collapses is the quotient by the
+    equivalence its pairs generate.  A relation u < w with V(u) = V(w)
+    factors into covers that all have that vertex set, and none of them
+    starts at the base, the only object with no vertices.  So a cover that
+    is collapsible after some collapses joins classes that collapsible
+    covers of P already join, and a collapsible cover of P whose ends are
+    still apart gives a collapsible cover of the quotient.  Hence the
+    collapses stop exactly at the components above, in every order.
+
+    P itself comes back when nothing collapses.  Otherwise the reduction is
+    computed once and kept on P; it is not kept on itself, which would make
+    a cycle that only the garbage collector frees.
     """
-    keep = [o for o in P.objects if o != y]
-    rel = [(a, b) for a, b in P.covers if y not in (a, b)]
-    rel += [(l, u) for l in P.lower_covers(y) for u in P.upper_covers(y)]
-    rel += [(l, x) for l in P.lower_covers(y) if l != x]
-    return PointedPoset(keep, P.base, rel)
-
-
-def reduce_poset(P: PointedPoset, candidate_order: str = "lex") -> tuple[PointedPoset, MappingProxyType]:
-    """Collapse covers x < y with x != base and V(x) = V(y) until none left.
-
-    Candidates are processed in lexicographic order of (x, y) by default
-    (``candidate_order="revlex"`` picks the largest instead, used to probe
-    order independence).  Returns the reduced poset and the projection map
-    original object -> image, read-only.  A reduction that collapses
-    something is computed once per poset and candidate order and kept on the
-    poset; a reduced poset is not kept on itself, which would make a cycle
-    that only the garbage collector frees.
-    """
-    if candidate_order not in ("lex", "revlex"):
-        raise ValueError(f"unknown candidate order {candidate_order!r}")
-    if candidate_order in P._reductions:
-        return P._reductions[candidate_order]
-    pick = 0 if candidate_order == "lex" else -1
+    if P._reduction is not None:
+        return P._reduction
     proj = {o: o for o in P.objects}
-    cur = P
-    while True:
-        cands = collapsible_covers(cur)
-        if not cands:
-            result = cur, MappingProxyType(proj)
-            if cur is not P:
-                P._reductions[candidate_order] = result
-            return result
-        x, y = cands[pick]
-        cur = _collapse(cur, x, y)
-        for k, v in proj.items():
-            if v == y:
-                proj[k] = x
-
-
-def reduce_step(P: PointedPoset) -> tuple[PointedPoset, tuple[Obj, Obj]]:
-    """A single collapse step; raises NoCollapseAvailable when P is reduced."""
-    cands = collapsible_covers(P)
-    if not cands:
-        raise NoCollapseAvailable("poset is already reduced")
-    x, y = cands[0]
-    return _collapse(P, x, y), (x, y)
+    if not collapsible_covers(P):
+        return P, MappingProxyType(proj)
+    groups: dict = {}
+    for x in P.objects:
+        groups.setdefault(P._vsets[x], []).append(x)
+    for group in groups.values():
+        classes: dict = {}
+        for x, rep in P.components(group).items():
+            classes.setdefault(rep, []).append(x)
+        for cls in classes.values():
+            survivor = max(P.minimal(cls), key=_skey)
+            for x in cls:
+                proj[x] = survivor
+    rel = {(proj[a], proj[b]) for a, b in P.covers if proj[a] != proj[b]}
+    P._reduction = PointedPoset(set(proj.values()), P.base, rel), MappingProxyType(proj)
+    return P._reduction

@@ -14,9 +14,10 @@ limit.  ``presentation_report`` compares both sides and flags disagreement
 instead of hiding it.
 
 ``quotient_dims`` eliminates only what needs elimination.  The
-identifications x - y merge generators into classes (the collapsible covers
-join exactly the classes of ``reduce_poset``'s projection, and identified
-generators have equal degrees).  Rewritten on the classes, the relations
+identifications x - y, one per collapsible cover, merge generators into
+classes.  These are the classes of ``reduce_poset``'s projection by
+definition, the components of the collapsible covers, and identified
+generators have equal degrees.  Rewritten on the classes, the relations
 with a single term generate a monomial ideal M (the no-upper relations are
 all of this kind), so each degree's basis holds only the standard monomials,
 those no generator of M divides.  Only the multiples of the remaining

@@ -352,6 +352,7 @@ def test_aug_with_and_without_a_degree(capsys):
     ["tensor", "fix-a", "--max-degree", "-1"],
     ["hilbert", "fix-b", "--max-degree", "-1"],
     ["suite", "fix-b", "--max-degree", "-1"],
+    ["suite", "fix-b", "--space-limit", "-1"],
 ])
 def test_negative_degree_flags_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:

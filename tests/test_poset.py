@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import classify_oracle as oracle
+import reduce_oracle
 from posetprod import errors, poset
 from posetprod.fixtures import (
     cube,
@@ -19,7 +20,8 @@ from posetprod.fixtures import (
     random_poset_with,
     simplex,
 )
-from posetprod.poset import PointedPoset, classify, down_isomorphism, reduce_poset, reduce_step, support_walk
+from posetprod.poset import PointedPoset, classify, down_isomorphism, reduce_poset, support_walk
+from posetprod.stanley import ideal_generators
 
 
 def test_validation_errors():
@@ -185,19 +187,20 @@ def test_reduce_fix_a_collapses_to_diamond():
     assert len(tops) == 1
 
 
-def test_reduce_step_and_no_collapse():
+def test_reduce_without_collapse_returns_P_and_merges_a_class():
     P = fix_b()
-    with pytest.raises(errors.NoCollapseAvailable):
-        reduce_step(P)
+    R, proj = reduce_poset(P)
+    assert R is P and proj == {o: o for o in P.objects}
     Q = PointedPoset(
         ["*", "a", "b", "c", "d", "e"],
         "*",
         [("*", "a"), ("*", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "e"), ("d", "e")],
     )
-    # e sits above c,d with the same vertex set {a,b}: collapsible
-    Q2, (x, y) = reduce_step(Q)
-    assert y == "e" and x in {"c", "d"}
-    assert len(Q2.objects) == 5
+    # c, d and e share the vertex set {a,b} and are joined by covers: one
+    # class, surviving as its str-greatest minimal element d
+    R, proj = reduce_poset(Q)
+    assert R.objects == ("*", "a", "b", "d")
+    assert {proj[x] for x in "cde"} == {"d"}
 
 
 def test_reduce_preserves_vertices_and_projection_is_monotone():
@@ -214,28 +217,15 @@ def test_reduce_preserves_vertices_and_projection_is_monotone():
         assert R2 == R  # idempotent
 
 
-def test_reduce_candidate_order_confluence_observed():
-    # open question in the source material: the reduced form is observed to
-    # be independent of the collapse order; probed here, not proven
-    for P in random_poset_with(12, "any", 30):
-        R1, _ = reduce_poset(P, "lex")
-        R2, _ = reduce_poset(P, "revlex")
-        assert down_isomorphism(R1, R2) is not None
-
-
-def test_reduce_refuses_an_unknown_candidate_order():
-    with pytest.raises(ValueError, match="unknown candidate order 'bogus'"):
-        reduce_poset(fix_a(), "bogus")
-
-
 def test_collapsible_covers_drive_reduced_and_reduce():
     P = fix_a()
     covs = poset.collapsible_covers(P)
     assert covs and covs == sorted(covs)
     assert all(x != P.base and P.vertex_set(x) == P.vertex_set(y) for x, y in covs)
     assert classify(P).witnesses["reduced"] == covs[0]
-    assert reduce_step(P)[1] == covs[0]
-    assert poset.collapsible_covers(reduce_poset(P)[0]) == []
+    R, proj = reduce_poset(P)
+    assert all(proj[x] == proj[y] for x, y in covs)
+    assert poset.collapsible_covers(R) == []
 
 
 def test_chains_strict_and_weak():
@@ -280,12 +270,12 @@ def test_classify_implications_on_random_posets():
         assert rep.norm == max((len(P.vertex_set(x)) for x in P.objects), default=0) - 1
 
 
-def test_reduce_is_computed_once_per_poset_and_order():
+def test_reduce_is_computed_once_per_poset():
     P = fix_a()
     R, proj = reduce_poset(P)
     again = reduce_poset(P)
     assert again[0] is R and again[1] is proj
-    assert reduce_poset(P, "revlex")[0] is reduce_poset(P, "revlex")[0]
+    assert R._reduction is None
     with pytest.raises(TypeError):
         proj["3"] = "3"
     assert reduce_poset(fix_a()) == (R, proj)
@@ -298,13 +288,89 @@ _random_posets = st.integers(0, 10**6).map(lambda seed: random_pointed_poset(ran
 @given(P=_random_posets)
 def test_collapse_equals_the_all_pairs_construction(P):
     for x, y in poset.collapsible_covers(P):
-        Q = poset._collapse(P, x, y)
+        Q = reduce_oracle._collapse(P, x, y)
         keep = [o for o in P.objects if o != y]
         rel = [(a, b) for a in keep for b in keep if P.lt(a, b)]
         rel += [(u, x) for u in keep if u != x and P.lt(u, y)]
         R = PointedPoset(keep, P.base, rel)
         assert (Q.objects, Q.covers, Q.base, Q.vertices) == (R.objects, R.covers, R.base, R.vertices)
         assert Q == R
+
+
+def _renamed(P: PointedPoset, rng: random.Random) -> PointedPoset:
+    """A copy of P with its objects renamed in a random order, so that the
+    str order of names is not the order the generator made them in."""
+    names = [f"n{i}" for i in range(len(P.objects))]
+    rng.shuffle(names)
+    m = dict(zip(P.objects, names))
+    return PointedPoset(names, m[P.base], [(m[a], m[b]) for a, b in P.covers])
+
+
+def _doubled(P: PointedPoset, keep=lambda f: True) -> PointedPoset:
+    """P with a copy f' of each kept non-base object f, lying just above f
+    and below the upper covers of f: each f < f' is collapsible."""
+    twins = {f: f"{f}'" for f in P.objects if f != P.base and keep(f)}
+    rel = list(P.covers) + [(f, g) for f, g in twins.items()]
+    rel += [(g, u) for f, g in twins.items() for u in P.upper_covers(f)]
+    return PointedPoset(list(P.objects) + list(twins.values()), P.base, rel)
+
+
+@st.composite
+def _posets_to_reduce(draw):
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    P = random_pointed_poset(rng, max_objects=rng.randint(2, 10))
+    if draw(st.booleans()):
+        share = rng.random()
+        P = _doubled(P, lambda f: rng.random() < share)
+    return _renamed(P, rng)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(P=_posets_to_reduce())
+def test_reduce_equals_the_collapse_loop(P):
+    R, proj = reduce_poset(P)
+    L, lproj = reduce_oracle.reduce_poset(P, "lex")
+    assert (R.objects, R.covers, R.base) == (L.objects, L.covers, L.base)
+    assert dict(proj) == dict(lproj)
+    assert (R is P) == (L is P)
+    # any collapse order reaches the same quotient, up to the names kept
+    V, _ = reduce_oracle.reduce_poset(P, "revlex")
+    assert down_isomorphism(V, R) is not None
+
+
+def test_projection_fibres_are_the_cover_identifications():
+    # stanley merges generators along its ("cover", x, y) relations and reads
+    # the reduction elsewhere: both must give the same classes
+    posets = random_poset_with(15, "polyhedral", 20) + [_doubled(cube(2)), _doubled(fix_c())]
+    for P in posets:
+        _, proj = reduce_poset(P)
+        parent = {x: x for x in P.objects}
+
+        def find(a):
+            while parent[a] != a:
+                a = parent[a]
+            return a
+
+        for tag in ideal_generators(P).tags:
+            if tag[0] == "cover":
+                parent[find(tag[1])] = find(tag[2])
+        fibres = {frozenset(x for x in P.objects if proj[x] == proj[y]) for y in P.objects}
+        classes = {frozenset(x for x in P.objects if find(x) == find(y)) for y in P.objects}
+        assert fibres == classes
+
+
+def test_reducing_doubled_cube_3_builds_one_poset(monkeypatch):
+    D = _doubled(cube(3))
+    built = []
+    init = PointedPoset.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PointedPoset, "__init__", counting_init)
+    R, _ = reduce_poset(D)
+    assert len(built) == 1 and R == cube(3)
 
 
 def _brute_minimal(P, S):
