@@ -251,11 +251,10 @@ def _split_terms(P: PointedPoset, collection: MorphismCollection) -> tuple[Split
     cohomology.
 
     The ranks of the a_v give the Hilbert series of I_v, K_v and C_v, and
-    ``support_walk`` the pairs (S, Q) in vertex order.  Betti numbers are
-    memoized by the minimal objects of U_S and of B, which determine both
-    up-sets.  A single minimal object and B empty give those of a point, the
-    common case, read without a call; otherwise they come from
-    ``_relative_betti``.
+    ``support_walk`` the pairs (S, Q) in vertex order, with the up-sets
+    U_S and B that key the memo of their Betti numbers.  On a miss
+    ``_relative_betti`` gives them; a single minimal object of U_S and B
+    empty, the common case, give those of a point.
     """
     order = _vertex_order(P, collection)
     field, D = collection.field, collection.truncation
@@ -268,11 +267,9 @@ def _split_terms(P: PointedPoset, collection: MorphismCollection) -> tuple[Split
     betti_of: dict = {}
     terms = []
     for support, cokernel, dims, up, below in support_walk(P, order, I, K, D, C):
-        key = P.minimal(up), P.minimal(below) if below else ()
-        betti = betti_of.get(key)
+        betti = betti_of.get((up, below))
         if betti is None:
-            cone = len(key[0]) == 1 and not below
-            betti = betti_of[key] = _CONE if cone else _relative_betti(P, up, below, field)
+            betti = betti_of[up, below] = _relative_betti(P, up, below, field)
         if any(betti):
             terms.append(SplitTerm(support, dims, betti, cokernel))
     return tuple(terms)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import lshift
 from types import MappingProxyType
 from typing import Any, Iterable
 
@@ -94,17 +95,26 @@ class PointedPoset:
             missing = sorted(self._objset - self._up[self.base], key=_skey)
             raise NoBasePoint(f"base point is not below {missing[0]!r}")
 
-        # x < y is a cover exactly when x is maximal below y, and y minimal
-        # above x; cover lists and covers come in str order
-        self._lower = {y: self.maximal(self._down[y] - {y}) for y in self.objects}
-        self._upper = {x: self.minimal(self._up[x] - {x}) for x in self.objects}
+        # a generator x < y is a cover unless another generator z above x
+        # has y above it, since a longer path from x to y passes through
+        # such a z; lower covers invert the upper ones, and cover lists and
+        # covers come in str order
+        longer = lambda x, y: any(y in self._up[z] for z in succ[x] if z != y)
+        self._upper = {
+            x: tuple(sorted((y for y in succ[x] if not longer(x, y)), key=_skey)) for x in self.objects
+        }
+        lower: dict[Obj, list[Obj]] = {o: [] for o in self.objects}
+        for x in self.objects:
+            for y in self._upper[x]:
+                lower[y].append(x)
+        self._lower = {y: tuple(xs) for y, xs in lower.items()}
         self.covers: tuple[tuple[Obj, Obj], ...] = tuple(
             (x, y) for x in self.objects for y in self._upper[x]
         )
-        self._vertices = self.minimal(self._objset - {self.base})
-        self._vsets = {
-            x: frozenset(v for v in self._vertices if v in self._down[x]) for x in self.objects
-        }
+        # the vertices, the minimal objects above the base, are its upper covers
+        self._vertices = self._upper[self.base]
+        vertices = frozenset(self._vertices)
+        self._vsets = {x: self._down[x] & vertices for x in self.objects}
         self._report: PosetReport | None = None  # set by the first classify(self)
         self._reduction: tuple | None = None  # reduce_poset(self), when it is not self
 
@@ -370,16 +380,6 @@ def collapsible_covers(P: PointedPoset) -> list[tuple[Obj, Obj]]:
     return [(x, y) for x, y in P.covers if x != P.base and P._vsets[x] == P._vsets[y]]
 
 
-def _convolve(a: tuple, b: tuple, D: int) -> tuple[int, ...]:
-    """Product of two series with D + 1 coefficients, truncated at degree D."""
-    out = [0] * (D + 1)
-    for i, x in enumerate(a):
-        if x:
-            for j in range(D + 1 - i):
-                out[i + j] += x * b[j]
-    return tuple(out)
-
-
 def support_walk(P: PointedPoset, order, N: dict, K: dict, D: int, C: dict | None = None):
     """Yield (S, Q, series, U_S, B) for the supports S and cokernel sets Q,
     disjoint sub-tuples of ``order``.
@@ -392,28 +392,42 @@ def support_walk(P: PointedPoset, order, N: dict, K: dict, D: int, C: dict | Non
     ``order``, leaving a vertex out before putting it in S, and in S before
     Q; a branch is pruned as soon as U_S minus B is empty or the series so
     far vanishes, since adding vertices only shrinks both.
+
+    The walk carries each series as one int, with coefficient d in bits
+    [d b, (d + 1) b).  A coefficient of a product of factors is at most
+    the product of their coefficient sums, so b bits hold every
+    coefficient the walk forms, untruncated products included, when 2^b
+    exceeds the product over the vertices of the largest coefficient sum
+    of N[v], K[v] and C[v], each taken as 1 at least.  A factor is then one
+    int multiply and a mask, and a series is unpacked to its tuple only
+    when it is yielded.
     """
-    opens = {v for v in order if any(C[v])} if C is not None else ()
-    stack = [(0, (), (), (1,) + (0,) * D, frozenset(P.objects), frozenset())]
+    bound = 1
+    for v in order:
+        bound *= max(1, sum(N[v]), sum(K[v]), sum(C[v]) if C is not None else 0)
+    b = bound.bit_length()
+    shifts = range(0, (D + 1) * b, b)
+    mask, slot = (1 << (D + 1) * b) - 1, (1 << b) - 1
+    pack = lambda series: sum(map(lshift, series, shifts))
+    N, K = {v: pack(N[v]) for v in order}, {v: pack(K[v]) for v in order}
+    C = {v: pack(C[v]) for v in order if any(C[v])} if C is not None else {}
+    ups, n = P._up, len(order)
+    stack = [(0, (), (), 1, frozenset(P.objects), frozenset())]
     while stack:
         i, support, cokernel, series, up, below = stack.pop()
-        if i == len(order):
-            yield support, cokernel, series, up, below
+        if i == n:
+            yield support, cokernel, tuple([series >> s & slot for s in shifts]), up, below
             continue
         v = order[i]
-        above = P._up[v]
-        if v in opens:
-            with_q = _convolve(series, C[v], D)
-            below_q = below | (up & above)
-            if len(below_q) < len(up) and any(with_q):
+        up_v = up & ups[v]
+        if v in C:
+            below_q = below | up_v
+            if len(below_q) < len(up) and (with_q := series * C[v] & mask):
                 stack.append((i + 1, support, cokernel + (v,), with_q, up, below_q))
-        up_v = up & above
-        below_v = below & above if below else below
-        with_v = _convolve(series, K[v], D)
-        if len(below_v) < len(up_v) and any(with_v):
+        below_v = below & up_v if below else below
+        if len(below_v) < len(up_v) and (with_v := series * K[v] & mask):
             stack.append((i + 1, support + (v,), cokernel, with_v, up_v, below_v))
-        without_v = _convolve(series, N[v], D)
-        if any(without_v):
+        if without_v := series * N[v] & mask:
             stack.append((i + 1, support, cokernel, without_v, up, below))
 
 

@@ -19,7 +19,7 @@ from posetprod.polytensor import (
     reduction_invariance,
     tensor_limits,
 )
-from posetprod.poset import PointedPoset
+from posetprod.poset import PointedPoset, support_walk
 from posetprod.spaces import induced_collection
 
 
@@ -171,6 +171,20 @@ def test_tensor_limits_builds_no_diagram_without_check_route(monkeypatch):
     assert polyhedral_tensor(P, induced_collection(P, "interval-endpoints", 2)) == [
         (1, 0, 0), (0, 0, 0), (0, 0, 0), (1, 0, 0),
     ]
+
+
+def test_split_terms_finds_minimal_objects_once_per_up_set(monkeypatch):
+    # the Betti memo is keyed by the up-sets (U_S, B) themselves: minimal
+    # objects are found only for the cone test on a miss
+    P = cube(3)
+    collection = MorphismCollection.augmentation(P.vertices, 4)
+    image, kernel = (dict.fromkeys(P.vertices, s) for s in [(1, 0, 0, 0, 0), (0, 1, 1, 1, 1)])
+    walked = list(support_walk(P, P.vertices, image, kernel, 4))
+    calls = []
+    minimal = PointedPoset.minimal
+    monkeypatch.setattr(PointedPoset, "minimal", lambda self, elems: calls.append(elems) or minimal(self, elems))
+    polytensor._split_terms(P, collection)
+    assert 0 < len(calls) <= len({up for *_, up, _ in walked})
 
 
 def test_check_route_reports_the_direct_route(monkeypatch):

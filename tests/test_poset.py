@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import classify_oracle as oracle
+import covers_oracle
 import reduce_oracle
+import walk_oracle
 from posetprod import errors, poset
 from posetprod.fixtures import (
     cube,
@@ -134,6 +136,24 @@ def test_cube_from_covers_equals_cube_by_containment(n):
     assert P.objects == Q.objects and P.covers == Q.covers
     assert {x: P.up_set(x) for x in P.objects} == {x: Q.up_set(x) for x in Q.objects}
     assert P == Q
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6))
+def test_covers_from_generators_equal_the_order_derivation(seed):
+    # generate the order of a random poset with its covers, some redundant
+    # transitive relations and some repeated ones, in shuffled order
+    rng = random.Random(seed)
+    P = _renamed(random_pointed_poset(rng, max_objects=rng.randint(1, 10)), rng)
+    longer = [(a, b) for a in P.objects for b in P.objects if P.lt(a, b) and (a, b) not in P.covers]
+    rel = list(P.covers) + rng.sample(longer, rng.randint(0, len(longer)))
+    rel += rng.choices(rel, k=rng.randint(0, len(rel)))
+    rng.shuffle(rel)
+    Q = PointedPoset(P.objects, P.base, rel)
+    covers, lower, upper, vertices = covers_oracle.cover_data(Q)
+    assert Q == P and Q.covers == covers and Q.vertices == vertices
+    assert all(Q.lower_covers(x) == lower[x] and Q.upper_covers(x) == upper[x] for x in Q.objects)
+    assert Q._vsets == {x: frozenset(v for v in vertices if Q.leq(v, x)) for x in Q.objects}
 
 
 def test_sub_poset():
@@ -586,3 +606,34 @@ def test_support_walk_puts_cokernel_vertices_in_B_and_prunes_when_U_S_minus_B_em
     # C = 0 never opens the branch
     zero = dict.fromkeys(P.vertices, (0, 0, 0, 0))
     assert {Q for _, Q, *_ in support_walk(P, P.vertices, one, x, 3, zero)} == {()}
+
+
+def _series(rng, D):
+    """A random series with D + 1 coefficients, zeros frequent and some up to 10^6."""
+    return tuple(rng.choice([0, 0, 1, 2, rng.randint(0, 10**6)]) for _ in range(D + 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), D=st.integers(0, 4), cokernel=st.sampled_from(["absent", "zero", "random"]))
+def test_support_walk_equals_the_tuple_series_walk(seed, D, cokernel):
+    rng = random.Random(seed)
+    P = random_pointed_poset(rng, max_objects=rng.randint(1, 9))
+    order = list(P.vertices)
+    rng.shuffle(order)
+    N, K = ({v: _series(rng, D) for v in order} for _ in "NK")
+    if cokernel == "random":
+        C = {v: _series(rng, D) for v in order}
+    else:
+        C = None if cokernel == "absent" else dict.fromkeys(order, (0,) * (D + 1))
+    assert list(support_walk(P, order, N, K, D, C)) == list(walk_oracle.support_walk(P, order, N, K, D, C))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_support_walk_equals_the_tuple_series_walk_on_cubes_with_augmentation_series(n):
+    # the augmentation k[x]/x^5 -> k: image 1, kernel x..x^4, no cokernel
+    P, D = cube(n), 4
+    N, K, C = (dict.fromkeys(P.vertices, s) for s in [(1, 0, 0, 0, 0), (0, 1, 1, 1, 1), (0,) * 5])
+    walked = list(support_walk(P, P.vertices, N, K, D, C))
+    assert walked == list(walk_oracle.support_walk(P, P.vertices, N, K, D, C))
+    # each U_S is the up-set of the smallest face holding S, the base's for S = {}
+    assert {up for *_, up, _ in walked} == {P.up_set(x) for x in P.objects}
