@@ -64,18 +64,19 @@ def cube(n: int) -> PointedPoset:
 
 
 def simplex(n: int) -> PointedPoset:
-    """Face poset of the n-simplex: nonempty subsets of {0..n}."""
-    pts = list(range(n + 1))
-    faces = []
-    for k in range(1, n + 2):
-        faces += ["".join(str(i) for i in c) for c in itertools.combinations(pts, k)]
-    rel = []
-    for f in faces:
-        for g in faces:
-            if f != g and set(f) <= set(g):
-                rel.append((f, g))
-    rel += [(BASE, f) for f in faces if len(f) == 1]
-    return PointedPoset([BASE] + faces, BASE, rel)
+    """Face poset of the n-simplex: nonempty subsets of {0..n} named by
+    their digits, each covered by the faces with one more point.  From
+    n = 10 on a name such as "10" no longer spells one set of points, so
+    ``ValueError`` is raised.
+    """
+    if n > 9:
+        raise ValueError("simplex faces are named by digits, so n must be <= 9")
+    pts = range(n + 1)
+    name = lambda face: "".join(map(str, face))
+    faces = [c for k in range(1, n + 2) for c in itertools.combinations(pts, k)]
+    rel = [(BASE, str(p)) for p in pts]
+    rel += [(name(f), name(sorted(f + (p,)))) for f in faces for p in pts if p not in f]
+    return PointedPoset([BASE] + [name(f) for f in faces], BASE, rel)
 
 
 FIXTURES = {

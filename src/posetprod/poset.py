@@ -2,8 +2,10 @@
 
 A pointed poset is a finite poset with a minimum element, the base point.
 The order is stored as its reachability closure; covers are kept in
-transitively reduced form.  Objects can be any hashable values; all
-deterministic orderings sort by ``str``.
+transitively reduced form.  Both are read off the generating relations in
+one depth-first pass that follows each object's relations in the order
+given.  Objects can be any hashable values; all deterministic orderings
+sort by ``str``.
 
 The reduction of P collapses every cover x < y with x != base and
 V(x) = V(y).  It is one quotient, built in one pass: its classes are the
@@ -45,9 +47,11 @@ def _name(value) -> str:
 class PointedPoset:
     """Finite poset with a designated minimum (the base point).
 
-    ``covers`` may be any set of generating strict relations; the
-    constructor computes the reachability closure and re-derives the
-    canonical cover relation from it.
+    ``covers`` may be any set of generating strict relations.  The
+    constructor closes them and finds the covers among them in one
+    depth-first pass, from the objects in str order and along each object's
+    relations in the order given.  A cycle raises ``CycleError`` naming the
+    first object this pass meets again on its own path.
     """
 
     def __init__(self, objects: Iterable[Obj], base: Obj, covers: Iterable[tuple[Obj, Obj]]):
@@ -66,7 +70,8 @@ class PointedPoset:
             raise NoBasePoint(f"base point {base!r} is not an object")
         self.base = base
 
-        succ: dict[Obj, set[Obj]] = {o: set() for o in self.objects}
+        # each object's generators in the order given, repeats dropped
+        succ: dict[Obj, dict[Obj, None]] = {o: {} for o in self.objects}
         for pair in covers:
             a, b = pair
             for o in (a, b):
@@ -74,75 +79,65 @@ class PointedPoset:
                     raise UnknownObject(f"cover {pair!r} references unknown object {o!r}")
             if a == b:
                 raise CycleError(f"self relation on {a!r}")
-            succ[a].add(b)
+            succ[a][b] = None
 
-        order = self._toposort(succ)
-        # up[x] = {y : x <= y}, computed in reverse topological order
-        up: dict[Obj, set[Obj]] = {}
-        for x in reversed(order):
-            s = {x}
-            for y in succ[x]:
-                s |= up[y]
-            up[x] = s
-        self._up = {x: frozenset(s) for x, s in up.items()}
+        # one depth-first pass from the objects in str order along the
+        # generators; an object closes once everything above it has, and
+        # then up(x) is x with the up-sets of its generators, and a generator
+        # y is a cover unless another generator z has y above it, since a
+        # longer path from x to y passes through such a z
+        up: dict[Obj, frozenset[Obj]] = {}
+        upper: dict[Obj, tuple[Obj, ...]] = {}
+        for root in self.objects:
+            if root in up:
+                continue
+            stack, on_path = [(root, iter(succ[root]))], {root}
+            while stack:
+                x, it = stack[-1]
+                for y in it:
+                    if y not in up:
+                        if y in on_path:
+                            raise CycleError(f"relation contains a cycle through {y!r}")
+                        on_path.add(y)
+                        stack.append((y, iter(succ[y])))
+                        break
+                else:
+                    stack.pop()
+                    on_path.discard(x)
+                    gens = succ[x]
+                    reach = {x}
+                    for y in gens:
+                        reach |= up[y]
+                    up[x] = frozenset(reach)
+                    ups = [y for y in gens if not any(y in up[z] for z in gens if z != y)]
+                    upper[x] = tuple(sorted(ups, key=_skey))
+        self._up, self._upper = up, upper
         down: dict[Obj, set[Obj]] = {o: set() for o in self.objects}
         for x in self.objects:
-            for y in self._up[x]:
+            for y in up[x]:
                 down[y].add(x)
         self._down = {x: frozenset(s) for x, s in down.items()}
 
-        if len(self._up[self.base]) != len(self.objects):
-            missing = sorted(self._objset - self._up[self.base], key=_skey)
+        if len(up[self.base]) != len(self.objects):
+            missing = sorted(self._objset - up[self.base], key=_skey)
             raise NoBasePoint(f"base point is not below {missing[0]!r}")
 
-        # a generator x < y is a cover unless another generator z above x
-        # has y above it, since a longer path from x to y passes through
-        # such a z; lower covers invert the upper ones, and cover lists and
-        # covers come in str order
-        longer = lambda x, y: any(y in self._up[z] for z in succ[x] if z != y)
-        self._upper = {
-            x: tuple(sorted((y for y in succ[x] if not longer(x, y)), key=_skey)) for x in self.objects
-        }
+        # lower covers invert the upper ones; cover lists and covers come in
+        # str order
         lower: dict[Obj, list[Obj]] = {o: [] for o in self.objects}
         for x in self.objects:
-            for y in self._upper[x]:
+            for y in upper[x]:
                 lower[y].append(x)
         self._lower = {y: tuple(xs) for y, xs in lower.items()}
         self.covers: tuple[tuple[Obj, Obj], ...] = tuple(
-            (x, y) for x in self.objects for y in self._upper[x]
+            (x, y) for x in self.objects for y in upper[x]
         )
         # the vertices, the minimal objects above the base, are its upper covers
-        self._vertices = self._upper[self.base]
+        self._vertices = upper[self.base]
         vertices = frozenset(self._vertices)
         self._vsets = {x: self._down[x] & vertices for x in self.objects}
         self._report: PosetReport | None = None  # set by the first classify(self)
         self._reduction: tuple | None = None  # reduce_poset(self), when it is not self
-
-    def _toposort(self, succ: dict[Obj, set[Obj]]) -> list[Obj]:
-        state: dict[Obj, int] = {}
-        order: list[Obj] = []
-        stack: list[tuple[Obj, Any]] = []
-        for root in self.objects:
-            if root in state:
-                continue
-            stack.append((root, iter(sorted(succ[root], key=_skey))))
-            state[root] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if nxt not in state:
-                        state[nxt] = 1
-                        stack.append((nxt, iter(sorted(succ[nxt], key=_skey))))
-                        advanced = True
-                        break
-                    if state[nxt] == 1:
-                        raise CycleError(f"relation contains a cycle through {nxt!r}")
-                if not advanced:
-                    state[node] = 2
-                    order.append(node)
-                    stack.pop()
-        return list(reversed(order))
 
     # -- order queries ------------------------------------------------
 

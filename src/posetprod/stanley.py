@@ -107,7 +107,7 @@ def _require_polyhedral(P: PointedPoset) -> None:
     """Refuse a non-polyhedral P with ``NotPolyhedral`` and its witness."""
     report = classify(P)
     if not report.polyhedral:
-        raise NotPolyhedral(f"witness: {report.witnesses.get('polyhedral')}")
+        raise NotPolyhedral(f"not polyhedral: {report.witnesses.get('polyhedral')}")
 
 
 def ideal_generators(
@@ -191,7 +191,7 @@ def simplicial_ideal_generators(P: PointedPoset, scale: int = 1) -> RingPresenta
     bounds of a pair never carry extra vertices, so no set is skipped."""
     report = classify(P)
     if not report.simplicial:
-        raise NotSimplicial(f"witness: {report.witnesses.get('simplicial')}")
+        raise NotSimplicial(f"not simplicial: {report.witnesses.get('simplicial')}")
     pres = ideal_generators(P, scale=scale, bound=2, include_vertex_sets=False)
     if pres.skipped_unsound:
         raise AssertionError("pair with extra vertices on a simplicial poset")

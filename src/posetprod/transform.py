@@ -161,7 +161,7 @@ def nu(P: PointedPoset, i: int, n: int, method: str = "direct", _memo=None) -> i
     return val
 
 
-def f_transform_predict(P: PointedPoset, method: str = "direct") -> tuple[int, ...]:
+def f_transform_predict(P: PointedPoset) -> tuple[int, ...]:
     """Face counts of the transform predicted from the face counts of P and
     the new-face numbers."""
     if not classify(P).regular:
@@ -174,6 +174,6 @@ def f_transform_predict(P: PointedPoset, method: str = "direct") -> tuple[int, .
         total = f[i]
         for k in range(i + 1, N):
             if f[k]:
-                total += f[k] * nu(P, i, k, method=method, _memo=memo)
+                total += f[k] * nu(P, i, k, _memo=memo)
         out.append(total)
     return tuple(out)

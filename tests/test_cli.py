@@ -385,6 +385,15 @@ def test_limits_unknown_upset_generator_is_a_typed_refusal(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_hilbert_refusal_names_the_failed_property(capsys):
+    # fix-a is not polyhedral: 3 and 4 have upper bounds but no meet
+    code = main(["hilbert", "fix-a"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: not polyhedral: ('3', '4')\n"
+
+
 def test_out_of_memory_is_exit_2(monkeypatch, capsys):
     # exit 1 means "a verification came out false"; running out of memory
     # is a refusal, not a disagreement

@@ -138,6 +138,29 @@ def test_cube_from_covers_equals_cube_by_containment(n):
     assert P == Q
 
 
+def _simplex_by_containment(n):
+    """The n-simplex's face poset from every pair of faces, one contained in
+    the other, the faces named by their digits."""
+    faces = ["".join(map(str, c)) for k in range(1, n + 2) for c in itertools.combinations(range(n + 1), k)]
+    rel = [(f, g) for f in faces for g in faces if f != g and set(f) <= set(g)]
+    rel += [("*", f) for f in faces if len(f) == 1]
+    return PointedPoset(["*"] + faces, "*", rel)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_simplex_from_covers_equals_simplex_by_containment(n):
+    P, Q = simplex(n), _simplex_by_containment(n)
+    assert (P.objects, P.covers, P.vertices) == (Q.objects, Q.covers, Q.vertices)
+    assert P == Q
+
+
+def test_simplex_refuses_names_that_no_longer_spell_one_set_of_points():
+    # the point "10" and the edge "01" would have the same digits
+    assert len(simplex(9).objects) == 2**10
+    with pytest.raises(ValueError):
+        simplex(10)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10**6))
 def test_covers_from_generators_equal_the_order_derivation(seed):
@@ -154,6 +177,54 @@ def test_covers_from_generators_equal_the_order_derivation(seed):
     assert Q == P and Q.covers == covers and Q.vertices == vertices
     assert all(Q.lower_covers(x) == lower[x] and Q.upper_covers(x) == upper[x] for x in Q.objects)
     assert Q._vsets == {x: frozenset(v for v in vertices if Q.leq(v, x)) for x in Q.objects}
+
+
+def _generating_relations(P: PointedPoset, rng: random.Random) -> list:
+    """The covers of P with random redundant transitive and repeated
+    relations, shuffled."""
+    longer = [(a, b) for a in P.objects for b in P.objects if P.lt(a, b) and (a, b) not in P.covers]
+    rel = list(P.covers) + rng.sample(longer, rng.randint(0, len(longer)))
+    rel += rng.choices(rel, k=rng.randint(0, len(rel)))
+    rng.shuffle(rel)
+    return rel
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6))
+def test_one_pass_construction_equals_the_toposort_construction(seed):
+    rng = random.Random(seed)
+    P = _renamed(random_pointed_poset(rng, max_objects=rng.randint(1, 12)), rng)
+    rel = _generating_relations(P, rng)
+    Q, want = PointedPoset(P.objects, P.base, rel), covers_oracle.construction(P.objects, P.base, rel)
+    assert Q.objects == want["objects"] and Q.covers == want["covers"] and Q.vertices == want["vertices"]
+    for x in Q.objects:
+        assert (Q.up_set(x), Q.down_set(x)) == (want["up"][x], want["down"][x])
+        assert (Q.lower_covers(x), Q.upper_covers(x)) == (want["lower"][x], want["upper"][x])
+        assert Q.vertex_set(x) == want["vsets"][x]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6))
+def test_a_reversed_relation_is_a_cycle_through_the_named_object(seed):
+    rng = random.Random(seed)
+    P = _renamed(random_pointed_poset(rng, max_objects=rng.randint(2, 12)), rng)
+    a, b = rng.choice([(a, b) for a in P.objects for b in P.objects if P.lt(a, b)])
+    rel = _generating_relations(P, rng) + [(b, a)]
+    rng.shuffle(rel)
+    with pytest.raises(errors.CycleError):
+        covers_oracle.construction(P.objects, P.base, rel)
+    with pytest.raises(errors.CycleError) as refused:
+        PointedPoset(P.objects, P.base, rel)
+    (named,) = [o for o in P.objects if str(refused.value) == f"relation contains a cycle through {o!r}"]
+    # the named object reaches itself along the given relations
+    seen, todo = set(), [named]
+    while todo:
+        x = todo.pop()
+        for u, v in rel:
+            if u == x and v not in seen:
+                seen.add(v)
+                todo.append(v)
+    assert named in seen
 
 
 def test_sub_poset():

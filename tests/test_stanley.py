@@ -111,6 +111,13 @@ def test_simplicial_guard():
         ideal_generators(fix_a())
 
 
+def test_refusals_name_the_failed_property():
+    with pytest.raises(NotSimplicial, match=r"^not simplicial: uu$"):
+        simplicial_ideal_generators(fix_c())
+    with pytest.raises(NotPolyhedral, match=r"^not polyhedral: \('3', '4'\)$"):
+        ideal_generators(fix_a())
+
+
 def test_presentation_report_refuses_before_building_limits():
     with pytest.raises(NotPolyhedral) as expected:
         ideal_generators(fix_a())
