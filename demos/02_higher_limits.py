@@ -47,10 +47,11 @@ lims = higher_limits(ind)
 print("higher limits:", lims)
 assert lims == [(1,), (1,)]
 
-# lim0_basis labels the kernel of the first differential by the chains, so
-# the compatible family is visible: equal coefficients on 3 and 4.
-labels, vecs = lim0_basis(ind)[0]
-print("lim^0 basis over", labels, "->", [[int(v) for v in vec] for vec in vecs])
+# lim0_basis names each coordinate of the kernel of the first differential
+# (x, i), basis element i of the space at object x, so the compatible family
+# is visible: equal coefficients on 3 and 4.
+names, vecs = lim0_basis(ind)[0]
+print("lim^0 basis over", names, "->", [[int(v) for v in vec] for vec in vecs])
 
 # Everything works verbatim over a finite field.
 F5 = FieldSpec.parse("5")

@@ -16,14 +16,16 @@ from posetprod import MorphismCollection, build_T, polyhedral_tensor
 from posetprod.fixtures import cube, fix_a, random_poset_with
 from posetprod.limits import check_diagram
 from posetprod.polytensor import build_section_S, random_surjective_collection, reduction_invariance
+from posetprod.spaces import induced_collection
 
-# The circle collection has one exterior degree-1 generator per vertex
-# mapping onto the unit.  Over the square (four vertices) the top face
-# carries the exterior algebra on all four generators, and since the top
-# face dominates every object the limit is exactly that algebra: the
-# cohomology of the 4-torus, (1, 4, 6, 4) through degree 3.
+# The circle collection is the restriction H*(S^1) -> H*(pt) at every
+# vertex: one exterior degree-1 generator mapping onto the unit.  Over the
+# square (four vertices) the top face carries the exterior algebra on all
+# four generators, and since the top face dominates every object the limit
+# is exactly that algebra: the cohomology of the 4-torus, (1, 4, 6, 4)
+# through degree 3.
 square = cube(2)
-circle = MorphismCollection.circle(square.vertices, D=3)
+circle = induced_collection(square, "circle-point", 3)
 T = build_T(square, circle)
 print("T on the square, dims at the top face:", T.spaces["uu"].dims)
 print("diagram problems:", check_diagram(T) or "none")
@@ -60,7 +62,7 @@ print("level 1 is nonzero:", any(lims_bad[1]))
 # the same collection applies on both sides).
 polys = random_poset_with(20260815, "polyhedral", 3, max_objects=6)
 for P in polys:
-    coll = MorphismCollection.circle(P.vertices, D=2)
+    coll = induced_collection(P, "circle-point", 2)
     _, _, equal = reduction_invariance(P, coll, polyhedral_tensor(P, coll))
     print("reduction-invariant on", len(P.objects), "objects:", equal)
 

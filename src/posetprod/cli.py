@@ -21,7 +21,7 @@ from .linalg import FieldSpec, GradedVectorSpace
 from .poset import PointedPoset, classify, reduce_poset
 # polyhedral_tensor is not called here, but perfbench/tracer.py requires this binding (ROADMAP item 1)
 from .polytensor import MorphismCollection, polyhedral_tensor, reduction_invariance, tensor_limits  # noqa: F401
-from .spaces import PAIR_NAMES, polyprod_homology
+from .spaces import PAIR_NAMES, induced_collection, polyprod_homology
 from .stanley import hilbert_from_fvector, presentation_report
 from .transform import f_transform_predict, f_vector, simplicial_transform, transform_f_vector
 
@@ -42,13 +42,13 @@ def _load_poset(source: str):
     return PointedPoset.from_dict(data), {"source": source, "sha256": digest}
 
 
-def _parse_collection(text: str, vertices, D: int, field: FieldSpec) -> MorphismCollection:
+def _parse_collection(text: str, P: PointedPoset, D: int, field: FieldSpec) -> MorphismCollection:
     if text == "circle":
-        return MorphismCollection.circle(vertices, D, field=field)
+        return induced_collection(P, "circle-point", D, field=field)
     name, colon, degree = text.partition(":")
     if name == "aug" and (not colon or degree.isdecimal() and int(degree) >= 1):
         gen_degree = int(degree) if colon else 1
-        return MorphismCollection.augmentation(vertices, D, gen_degree=gen_degree, field=field)
+        return MorphismCollection.augmentation(P.vertices, D, gen_degree=gen_degree, field=field)
     raise PosetProdError(f"unknown --collection {text!r}; use aug[:d] with an integer d >= 1, or circle")
 
 
@@ -122,7 +122,7 @@ def _cmd_limits(P, field, args):
 
 
 def _cmd_tensor(P, field, args):
-    coll = _parse_collection(args.collection, P.vertices, args.max_degree, field)
+    coll = _parse_collection(args.collection, P, args.max_degree, field)
     params = {
         "collection": args.collection,
         "max_degree": args.max_degree,
@@ -188,7 +188,7 @@ def _cmd_suite(P, field, args):
             "relations_skipped": pres["skipped_unsound"],
         }
         checks.append(pres["agree"])
-        coll = MorphismCollection.circle(P.vertices, D, field=field)
+        coll = induced_collection(P, "circle-point", D, field=field)
         found = tensor_limits(P, coll, check_route=True)
         _, _, equal = reduction_invariance(P, coll, found.limits)
         results["tensor_circle"] = {

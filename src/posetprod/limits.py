@@ -39,7 +39,7 @@ class PosetDiagram:
         self.cover_maps = {tuple(k): v for k, v in cover_maps.items()}
         missing = set(poset.objects) - set(self.spaces)
         if missing:
-            raise PreconditionFailed(f"no space for objects {sorted(missing)}")
+            raise PreconditionFailed(f"no space for objects {sorted(missing, key=str)}")
         self.field = self.spaces[poset.base].field
         self.truncation = self.spaces[poset.base].truncation
 
@@ -156,7 +156,7 @@ def cochain_complex(
 
     ``max_n`` caps the levels and must be at least 0; for strict chains the
     complex stops by itself at the longest chain, and weak chains need it.
-    The chains come from ``poset.chains``, sorted within each level.
+    The chains come from ``poset.chains``, in the order it lists them.
 
     Each structure map F(x_1) -> F(x_0) is composed once per pair and kept
     for the rest of the call.  Every row of a differential is summed in a
@@ -174,22 +174,17 @@ def cochain_complex(
         raise PreconditionFailed(f"max_n must be >= 0, got {max_n}")
     # a strict chain has at most len(P.objects) objects, so level len(P.objects) is empty
     top = len(P.objects) if max_n is None else max_n + 1
-    levels = [sorted(level) for level in chains(P, top, weak)]
+    levels = chains(P, top, weak)
 
     spaces = []
     offsets = []
     for cs in levels:
         dims = [0] * (D + 1)
-        labels = [[] for _ in range(D + 1)]
         offs = {}
         for c in cs:
-            F = diagram.spaces[c[0]]
             offs[c] = tuple(dims)
-            tag = ">".join(str(x) for x in c)
-            for d in range(D + 1):
-                dims[d] += F.dims[d]
-                labels[d].extend((tag,) + l for l in F.labels[d])
-        spaces.append(GradedVectorSpace(field, dims, [tuple(ls) for ls in labels]))
+            dims = [a + b for a, b in zip(dims, diagram.spaces[c[0]].dims)]
+        spaces.append(GradedVectorSpace(field, dims))
         offsets.append(offs)
 
     composites: dict = {}
@@ -261,15 +256,14 @@ def higher_limits(
 
 
 def lim0_basis(diagram: PosetDiagram):
-    """Kernel of the first differential with labeled coordinates.
+    """Kernel of the first differential with named coordinates.
 
-    Returns a list over internal degrees of (labels, basis vectors).
+    Returns a list over internal degrees of (names, basis vectors), where
+    the name (x, i) is basis element i of the space at object x.
     """
     cx = cochain_complex(diagram)
     space = cx.spaces[0]
     # without a differential every cochain is a cycle: the kernel of no rows
     rows = cx.deltas[0].nonzero_rows if cx.deltas else [[]] * len(space.dims)
-    return [
-        (labels, kernel_basis(r, n, diagram.field))
-        for labels, r, n in zip(space.labels, rows, space.dims)
-    ]
+    names = lambda d: [(x, i) for (x,) in cx.chains[0] for i in range(diagram.spaces[x].dims[d])]
+    return [(names(d), kernel_basis(r, n, diagram.field)) for d, (r, n) in enumerate(zip(rows, space.dims))]

@@ -1,11 +1,13 @@
 """Exact graded linear algebra over Q or a prime field.
 
-Vector spaces are graded with a hard truncation degree D; maps are
-degree-preserving and stored as sparse rows (rows index the target basis):
-per degree, one list per target row of its non-zero (column, value) pairs,
-sorted by column (``GradedLinearMap.nonzero_rows``).  All arithmetic is
-exact: Fraction entries over Q, canonical representatives 0..p-1 over F_p.
-A dense view (``GradedLinearMap.mats``) is built only when asked for.
+Vector spaces are graded with a hard truncation degree D, and a space is
+its field and its dimensions: basis elements are numbered per degree, not
+named.  Maps are degree-preserving and stored as sparse rows (rows index
+the target basis): per degree, one list per target row of its non-zero
+(column, value) pairs, sorted by column (``GradedLinearMap.nonzero_rows``).
+All arithmetic is exact: Fraction entries over Q, canonical
+representatives 0..p-1 over F_p.  A dense view (``GradedLinearMap.mats``)
+is built only when asked for.
 
 One sparse product on such rows, ``_product``, serves composition and the
 d^2 = 0 check of cochain complexes, and a tensor of maps takes each row as
@@ -328,26 +330,13 @@ def _solve(aug, m: int, k: int, field: FieldSpec):
 
 
 class GradedVectorSpace:
-    """Finite dimensional graded vector space truncated above degree D.
+    """Finite dimensional graded vector space truncated above degree D: a
+    field and the dimension of each degree 0..D.  Its basis elements are
+    numbered per degree and carry no names."""
 
-    ``labels[d]`` names the basis of degree d; labels are tuples so tensor
-    factors stay readable.
-    """
-
-    def __init__(self, field: FieldSpec, dims, labels=None):
+    def __init__(self, field: FieldSpec, dims):
         self.field = field
         self.dims = tuple(int(d) for d in dims)
-        if labels is None:
-            labels = tuple(
-                tuple((f"e{d}.{i}",) for i in range(self.dims[d]))
-                for d in range(len(self.dims))
-            )
-        self.labels = tuple(tuple(tuple(l) for l in ls) for ls in labels)
-        if len(self.labels) != len(self.dims):
-            raise ValueError("labels and dims length differ")
-        for d, ls in zip(self.dims, self.labels):
-            if len(ls) != d:
-                raise ValueError("label count does not match dimension")
 
     @property
     def truncation(self) -> int:
@@ -355,16 +344,16 @@ class GradedVectorSpace:
 
     @classmethod
     def unit(cls, field: FieldSpec, D: int) -> "GradedVectorSpace":
-        return cls(field, (1,) + (0,) * D, (((),),) + ((),) * D)
+        return cls(field, (1,) + (0,) * D)
 
     @classmethod
     def zero_space(cls, field: FieldSpec, D: int) -> "GradedVectorSpace":
-        return cls(field, (0,) * (D + 1), ((),) * (D + 1))
+        return cls(field, (0,) * (D + 1))
 
     def __eq__(self, other):
         if not isinstance(other, GradedVectorSpace):
             return NotImplemented
-        return self.field == other.field and self.dims == other.dims and self.labels == other.labels
+        return self.field == other.field and self.dims == other.dims
 
     def __repr__(self):
         return f"GradedVectorSpace(dims={self.dims})"
@@ -454,7 +443,7 @@ def _tensor_basis(spaces: list[GradedVectorSpace]):
 
     The order is that of the left fold: the degree-d basis of (A B) C lists
     the degree-e basis of A B times the degree-(d-e) basis of C, for e
-    ascending.  Labels are the concatenated factor labels.
+    ascending.
     """
     if not spaces:
         raise ValueError("tensor of an empty list: pass [GradedVectorSpace.unit(...)]")
@@ -462,20 +451,13 @@ def _tensor_basis(spaces: list[GradedVectorSpace]):
     for s in spaces[1:]:
         _check_pair(first, s)
     D = first.truncation
-    # (basis tuple, label) pairs per degree
-    acc = [[(((d, i),), l) for i, l in enumerate(ls)] for d, ls in enumerate(first.labels)]
+    acc = [[((d, i),) for i in range(n)] for d, n in enumerate(first.dims)]
     for s in spaces[1:]:
         acc = [
-            [
-                (b + ((d - e, j),), l + m)
-                for e in range(d + 1)
-                for b, l in acc[e]
-                for j, m in enumerate(s.labels[d - e])
-            ]
+            [b + ((d - e, j),) for e in range(d + 1) for b in acc[e] for j in range(s.dims[d - e])]
             for d in range(D + 1)
         ]
-    space = GradedVectorSpace(first.field, [len(bs) for bs in acc], [[l for _, l in bs] for bs in acc])
-    return space, [[b for b, _ in bs] for bs in acc]
+    return GradedVectorSpace(first.field, map(len, acc)), acc
 
 
 def tensor_collection(spaces: list[GradedVectorSpace]) -> GradedVectorSpace:
@@ -504,7 +486,7 @@ def tensor_maps(maps: list[GradedLinearMap]) -> GradedLinearMap:
     return GradedLinearMap(src, tgt, out)
 
 
-def truncated_polynomial(name: str, gen_degree: int, D: int, field: FieldSpec = QQ):
+def truncated_polynomial(gen_degree: int, D: int, field: FieldSpec = QQ):
     """Truncated polynomial algebra on one generator of the given degree,
     together with its augmentation onto the unit space.
 
@@ -512,15 +494,7 @@ def truncated_polynomial(name: str, gen_degree: int, D: int, field: FieldSpec = 
     """
     if gen_degree < 1:
         raise ValueError("generator degree must be >= 1")
-    dims = [1 if d % gen_degree == 0 else 0 for d in range(D + 1)]
-    labels = []
-    for d in range(D + 1):
-        if d % gen_degree == 0:
-            k = d // gen_degree
-            labels.append(((f"{name}^{k}" if k else "1"),))
-        else:
-            labels.append(())
-    space = GradedVectorSpace(field, dims, [tuple((l,) for l in ls) if ls else () for ls in labels])
+    space = GradedVectorSpace(field, [int(d % gen_degree == 0) for d in range(D + 1)])
     unit = GradedVectorSpace.unit(field, D)
     aug = GradedLinearMap(space, unit, [[[(0, 1)]]] + [[] for _ in range(D)])
     return space, aug

@@ -71,26 +71,10 @@ class MorphismCollection:
 
     @classmethod
     def augmentation(cls, vertices, D: int, gen_degree: int = 1, field: FieldSpec = QQ) -> "MorphismCollection":
-        """Truncated polynomial algebra on each vertex, mapping onto the unit."""
-        maps = {}
-        for v in vertices:
-            _, aug = truncated_polynomial(str(v), gen_degree, D, field)
-            maps[v] = aug
-        return cls(maps, field=field, truncation=D)
-
-    @classmethod
-    def circle(cls, vertices, D: int, field: FieldSpec = QQ) -> "MorphismCollection":
-        """One exterior generator of degree 1 per vertex, mapping onto the
-        unit (the cohomology of a circle restricted to a point), truncated
-        at degree D; at D = 0 both sides are the unit."""
-        maps = {}
-        unit = GradedVectorSpace.unit(field, D)
-        for v in vertices:
-            dims = ((1, 1) + (0,) * D)[: D + 1]
-            labels = (((("1",),), ((f"u_{v}",),)) + ((),) * D)[: D + 1]
-            M = GradedVectorSpace(field, dims, labels)
-            maps[v] = GradedLinearMap(M, unit, [[[(0, 1)]]] + [[] for _ in range(D)])
-        return cls(maps, field=field, truncation=D)
+        """Truncated polynomial algebra on each vertex, mapping onto the
+        unit; every vertex shares one map."""
+        _, aug = truncated_polynomial(gen_degree, D, field)
+        return cls(dict.fromkeys(vertices, aug), field=field, truncation=D)
 
     def source(self, v) -> GradedVectorSpace:
         return self.maps[v].source

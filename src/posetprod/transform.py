@@ -67,14 +67,14 @@ def simplicial_transform(P: PointedPoset) -> TransformResult:
     to_class: dict = {}
     classes: dict = {}
     for S, members in _faces(P):
-        name = f"{','.join(sorted(S, key=str))}@{members[0]}" if S else P.base
+        name = f"{','.join(sorted(map(str, S)))}@{members[0]}" if S else P.base
         classes[name] = (S, members)
         for x in members:
             to_class[(x, S)] = name
     # U_S lies in U_{S - v}, so one member of C names every cover below (S, C)
     covers = {(to_class[(members[0], S - {v})], name) for name, (S, members) in classes.items() for v in S}
     try:
-        SP = PointedPoset(sorted(classes, key=str), P.base, sorted(covers))
+        SP = PointedPoset(sorted(classes, key=str), P.base, sorted(covers, key=lambda c: tuple(map(str, c))))
     except CycleError as e:
         raise OrderNotAntisymmetric(str(e)) from e
     embed = {x: to_class[(x, P.vertex_set(x))] for x in P.objects}

@@ -111,7 +111,7 @@ def test_relative_betti_matches_the_unit_diagram_on_U_minus_B(seed, field, data)
 
 def test_graded_diagram_over_a_chain():
     P = PointedPoset(["*", "v"], "*", [("*", "v")])
-    m, aug = truncated_polynomial("v", 1, 3)
+    m, aug = truncated_polynomial(1, 3)
     unit = GradedVectorSpace.unit(QQ, 3)
     dia = PosetDiagram(P, {"*": unit, "v": m}, {("*", "v"): aug})
     assert check_diagram(dia) == []
@@ -123,12 +123,20 @@ def test_lim0_basis_labels():
     P = square_with_base()
     unit = GradedVectorSpace.unit(QQ, 0)
     dia = PosetDiagram.constant(P, unit)
-    [(labels, vecs)] = lim0_basis(dia)
+    [(names, vecs)] = lim0_basis(dia)
     assert len(vecs) == 1
-    assert len(labels) == 5
+    # coordinate (x, i) is basis element i of the space at object x
+    assert names == [(x, 0) for x in "*abcd"]
     # the compatible family is constant across all five objects
     v = vecs[0]
     assert all(x == v[0] for x in v)
+    # at v, two basis elements in degree 1, both in the kernel of the map
+    # to the base
+    P = PointedPoset(["*", "v"], "*", [("*", "v")])
+    unit, space = GradedVectorSpace.unit(QQ, 1), GradedVectorSpace(QQ, (1, 2))
+    dia = PosetDiagram(P, {"*": unit, "v": space}, {("*", "v"): GradedLinearMap(space, unit, [[[(0, 1)]], []])})
+    names = [n for n, _ in lim0_basis(dia)]
+    assert names == [[("*", 0), ("v", 0)], [("v", 0), ("v", 1)]]
 
 
 def test_check_diagram_reports_noncommuting_square():

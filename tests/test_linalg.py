@@ -22,6 +22,7 @@ from posetprod.linalg import (
     _echelon,
     _integral,
     _is_prime,
+    _tensor_basis,
     find_section,
     kernel_basis,
     rank,
@@ -447,22 +448,18 @@ def test_graded_space_and_mixing_errors():
     with pytest.raises(MixedTruncation):
         tensor_collection([a, c])
     assert a.truncation == 2
-    with pytest.raises(ValueError):
-        GradedVectorSpace(QQ, (2,), ((("x",),),))
 
 
 def test_unit_and_truncated_polynomial():
     u = GradedVectorSpace.unit(QQ, 5)
     assert u.dims == (1, 0, 0, 0, 0, 0)
-    m, aug = truncated_polynomial("v", 2, 5)
+    m, aug = truncated_polynomial(2, 5)
     assert m.dims == (1, 0, 1, 0, 1, 0)
-    assert m.labels[2] == (("v^1",),)
-    assert m.labels[4] == (("v^2",),)
     assert aug.source is m and aug.target.dims == u.dims
     s = find_section(aug)
     assert s is not None
     assert aug.compose(s).is_identity()
-    m1, _ = truncated_polynomial("t", 1, 3)
+    m1, _ = truncated_polynomial(1, 3)
     assert m1.dims == (1, 1, 1, 1)
 
 
@@ -478,19 +475,25 @@ def test_tensor_dims_are_convolutions():
     assert t1.dims == t2.dims
     u = GradedVectorSpace.unit(QQ, 2)
     assert tensor_collection([u, a]).dims == a.dims
-    assert tensor_collection([u, a]).labels == a.labels
+    # the unit factor contributes its one degree-0 element to every tuple
+    assert _tensor_basis([u, a])[1] == [[((0, 0), (d, i)) for i in range(n)] for d, n in enumerate(a.dims)]
 
 
-def test_tensor_labels_concatenate():
-    a = GradedVectorSpace(QQ, (1, 1), ((("x0",),), (("x1",),)))
-    b = GradedVectorSpace(QQ, (1, 1), ((("y0",),), (("y1",),)))
-    t = tensor_collection([a, b])
-    assert t.labels[1] == (("x0", "y1"), ("x1", "y0"))
+def test_tensor_basis_follows_the_left_fold():
+    # degree 1 of A B lists A's degree 0 times B's degree 1, then A's
+    # degree 1 times B's degree 0; a third factor extends each tuple
+    a = GradedVectorSpace(QQ, (1, 1))
+    b = GradedVectorSpace(QQ, (1, 2))
+    t, basis = _tensor_basis([a, b])
+    assert t.dims == (1, 3)
+    assert basis[1] == [((0, 0), (1, 0)), ((0, 0), (1, 1)), ((1, 0), (0, 0))]
+    _, basis3 = _tensor_basis([a, b, a])
+    assert basis3[1] == [((0, 0), (0, 0), (1, 0))] + [x + ((0, 0),) for x in basis[1]]
 
 
-def test_tensor_maps_match_label_order():
-    a = GradedVectorSpace(QQ, (1, 1), ((("x0",),), (("x1",),)))
-    b = GradedVectorSpace(QQ, (1, 2), ((("y0",),), (("y1",), ("y2",))))
+def test_tensor_maps_match_basis_order():
+    a = GradedVectorSpace(QQ, (1, 1))
+    b = GradedVectorSpace(QQ, (1, 2))
     f = GradedLinearMap.identity(a)
     g = _from_dense(b, b, [[[1]], [[0, 1], [1, 0]]])  # swap y1,y2
     t = tensor_maps([f, g])

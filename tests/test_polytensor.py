@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetprod import limits, polytensor
-from posetprod.errors import IndexMismatch, MissingSection
+from posetprod import limits, linalg, polytensor
+from posetprod.errors import IndexMismatch, MissingSection, PreconditionFailed
 from posetprod.fixtures import cube, fix_a, fix_b, fix_c, fix_e, random_poset_with
 from posetprod.limits import PosetDiagram, check_diagram, higher_limits, lim0_basis
 from posetprod.linalg import QQ, FieldSpec, GradedLinearMap, GradedVectorSpace
@@ -20,7 +20,8 @@ from posetprod.polytensor import (
     tensor_limits,
 )
 from posetprod.poset import PointedPoset, support_walk
-from posetprod.spaces import induced_collection
+from posetprod.spaces import PAIR_NAMES, induced_collection, polyprod_homology
+from posetprod.transform import f_vector, simplicial_transform, transform_f_vector
 
 
 def test_parallel_edge_poset_augmentation_dims():
@@ -34,7 +35,7 @@ def test_parallel_edge_poset_augmentation_dims():
 
 def test_parallel_edge_poset_circle_dims():
     P = fix_b()
-    col = MorphismCollection.circle(P.vertices, D=2)
+    col = induced_collection(P, "circle-point", 2)
     lims = polyhedral_tensor(P, col)
     assert lims == [(1, 2, 2)]
 
@@ -97,7 +98,7 @@ def _collection(kind, P, seed, D, field):
         return _arbitrary_collection(random.Random(seed), P.vertices, D, field)
     if kind == "aug":
         return MorphismCollection.augmentation(P.vertices, D, gen_degree=1 + seed % 2, field=field)
-    return MorphismCollection.circle(P.vertices, D, field=field)
+    return induced_collection(P, "circle-point", D, field=field)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -218,7 +219,7 @@ def test_chain_arguments_are_checked():
             limits(P, empty)
 
 
-def test_build_T_shapes_and_labels():
+def test_build_T_shapes_and_basis_order():
     P = fix_b()
     col = MorphismCollection.augmentation(P.vertices, D=2)
     dia = build_T(P, col)
@@ -226,8 +227,15 @@ def test_build_T_shapes_and_labels():
     assert dia.spaces["c"].dims == (1, 2, 3)
     assert dia.spaces["a"].dims == (1, 1, 1)
     assert dia.spaces[P.base].dims == (1, 0, 0)
-    # degree-2 basis of the top object names both generators
-    assert dia.spaces["c"].labels[2] == (("1", "b^2"), ("a^1", "b^1"), ("a^2", "1"))
+    # the degree-2 basis of the top object, factors in vertex order (a, b):
+    # 1 b^2, a b, a^2 1, as the left fold of the tensor product lists them
+    M = col.source("a")
+    _, basis = linalg._tensor_basis([M, M])
+    assert basis[2] == [((0, 0), (2, 0)), ((1, 0), (1, 0)), ((2, 0), (0, 0))]
+    # the structure maps read that order: towards a only a^2 1 survives,
+    # towards b only 1 b^2
+    assert dia.cover_maps[("a", "c")].nonzero_rows[2] == [[(2, 1)]]
+    assert dia.cover_maps[("b", "c")].nonzero_rows[2] == [[(0, 1)]]
 
 
 def test_vertex_order_does_not_change_limits():
@@ -288,7 +296,7 @@ def test_level_zero_matches_split_subspace_dims():
     # with a section around, level 0 is the whole compatible family space;
     # spot check against the weak-chain computation
     P = fix_c()
-    col = MorphismCollection.circle(P.vertices, D=2)
+    col = induced_collection(P, "circle-point", 2)
     strict = polyhedral_tensor(P, col)
     weak = higher_limits(build_T(P, col), weak=True, max_n=3)
     assert strict == weak
@@ -360,3 +368,40 @@ def test_tensor_and_limit_paths_never_build_a_dense_view(monkeypatch):
     assert higher_limits(dia) == [(1,), (1,)]
     assert higher_limits(dia, weak=True, max_n=3) == [(1,), (1,)]
     assert [len(basis) for _, basis in lim0_basis(dia)] == [1]
+
+
+def _mixed_names() -> PointedPoset:
+    return PointedPoset(["*", 1, "a", 2], "*", [("*", 1), ("*", "a"), (1, 2), ("a", 2)])
+
+
+def test_objects_named_by_ints_and_strings():
+    # objects are ordered by str, so no route may compare them directly
+    P = _mixed_names()
+    unit = GradedVectorSpace.unit(QQ, 0)
+    assert higher_limits(PosetDiagram.constant(P, unit)) == [(1,)]
+    found = tensor_limits(P, MorphismCollection.augmentation(P.vertices, 2), check_route=True)
+    assert found.routes_agree is True and found.limits == [(1, 2, 3)]
+    assert f_vector(simplicial_transform(P).poset) == transform_f_vector(P) == (2, 1)
+    with pytest.raises(PreconditionFailed, match=r"\[1, 2, 'a'\]"):
+        PosetDiagram(P, {"*": unit}, {})
+    # an int base point names the empty face of s(P) among str face names
+    P = PointedPoset([0, 1, "a", 2], 0, [(0, 1), (0, "a"), (1, 2), ("a", 2)])
+    assert f_vector(simplicial_transform(P).poset) == transform_f_vector(P) == (2, 1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10**6),
+    as_int=st.lists(st.booleans(), min_size=8, max_size=8),
+    pair=st.sampled_from(PAIR_NAMES),
+    kind=st.sampled_from(["random", "arbitrary", "aug", "circle"]),
+)
+def test_routes_agree_on_objects_named_by_ints_and_strings(seed, as_int, pair, kind):
+    Q = random_poset_with(seed, "any", 1, max_objects=7)[0]
+    others = [x for x in Q.objects if x != Q.base]
+    rename = {x: k if as_int[k] else f"o{k}" for k, x in enumerate(others)}
+    rename[Q.base] = Q.base
+    P = PointedPoset([rename[x] for x in Q.objects], Q.base, [(rename[x], rename[y]) for x, y in Q.covers])
+    assert tensor_limits(P, _collection(kind, P, seed, 2, QQ), check_route=True).routes_agree
+    assert polyprod_homology(P, pair, 3, check_route=True)["routes_agree"]
+    assert f_vector(simplicial_transform(P).poset) == transform_f_vector(P)
