@@ -198,7 +198,7 @@ def _cmd_suite(P, field, args):
         }
         checks += [equal, found.routes_agree]
     if rep.regular:
-        actual = f_vector(simplicial_transform(P).poset)
+        actual = transform_f_vector(P)
         predicted = f_transform_predict(P)
         results["transform_f_vector"] = {
             "actual": list(actual),

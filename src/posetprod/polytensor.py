@@ -94,29 +94,22 @@ class MorphismCollection:
         return out
 
 
-def _vertex_order(P: PointedPoset, collection: MorphismCollection, vertex_order=None):
-    verts = set(P.vertices)
-    if set(collection.maps) != verts:
+def _check_index(P: PointedPoset, collection: MorphismCollection):
+    """Raise ``IndexMismatch`` unless the collection is indexed by the
+    vertices of P."""
+    if set(collection.maps) != set(P.vertices):
         raise IndexMismatch(
             f"collection is indexed by {sorted(map(str, collection.maps))}, "
-            f"poset vertices are {sorted(map(str, verts))}"
+            f"poset vertices are {sorted(map(str, P.vertices))}"
         )
-    if vertex_order is None:
-        return P.vertices
-    order = list(vertex_order)
-    if set(order) != verts or len(order) != len(verts):
-        raise IndexMismatch("vertex_order must enumerate each vertex exactly once")
-    return order
 
 
-def _cover_tensor(
-    P: PointedPoset, collection: MorphismCollection, order, x, y, grown: dict
-) -> GradedLinearMap:
-    """The tensor over the vertices in ``order`` of the identity on V(x),
-    ``grown[v]`` on V(y) minus V(x), and the identity elsewhere."""
+def _cover_tensor(P: PointedPoset, collection: MorphismCollection, x, y, grown: dict) -> GradedLinearMap:
+    """The tensor over the vertices of the identity on V(x), ``grown[v]`` on
+    V(y) minus V(x), and the identity elsewhere."""
     vx, vy = P.vertex_set(x), P.vertex_set(y)
     factors = []
-    for v in order:
+    for v in P.vertices:
         if v in vx:
             factors.append(GradedLinearMap.identity(collection.source(v)))
         elif v in vy:
@@ -128,16 +121,17 @@ def _cover_tensor(
     return tensor_maps(factors)
 
 
-def build_T(P: PointedPoset, collection: MorphismCollection, vertex_order=None) -> PosetDiagram:
-    """The tensor diagram of the collection over the poset."""
-    order = _vertex_order(P, collection, vertex_order)
+def build_T(P: PointedPoset, collection: MorphismCollection) -> PosetDiagram:
+    """The tensor diagram of the collection over the poset, its factors in
+    vertex order."""
+    _check_index(P, collection)
     unit = GradedVectorSpace.unit(collection.field, collection.truncation)
     spaces = {}
     for x in P.objects:
         vx = P.vertex_set(x)
-        factors = [collection.source(v) if v in vx else collection.target(v) for v in order]
+        factors = [collection.source(v) if v in vx else collection.target(v) for v in P.vertices]
         spaces[x] = tensor_collection(factors) if factors else unit
-    cover_maps = {(x, y): _cover_tensor(P, collection, order, x, y, collection.maps) for x, y in P.covers}
+    cover_maps = {(x, y): _cover_tensor(P, collection, x, y, collection.maps) for x, y in P.covers}
     return PosetDiagram(P, spaces, cover_maps)
 
 
@@ -151,7 +145,7 @@ def build_section_S(P: PointedPoset, collection: MorphismCollection) -> dict:
     sv = collection.section_maps()
     out = {}
     for x, y in P.covers:
-        up = _cover_tensor(P, collection, P.vertices, x, y, sv)
+        up = _cover_tensor(P, collection, x, y, sv)
         if not diagram.cover_maps[(x, y)].compose(up).is_identity():
             raise AssertionError(f"section on cover ({x}, {y}) fails to split the structure map")
         out[(x, y)] = up
@@ -240,17 +234,17 @@ def _split_terms(P: PointedPoset, collection: MorphismCollection) -> tuple[Split
     ``_relative_betti`` gives them; a single minimal object of U_S and B
     empty, the common case, give those of a point.
     """
-    order = _vertex_order(P, collection)
+    _check_index(P, collection)
     field, D = collection.field, collection.truncation
     I, K, C = {}, {}, {}
-    for v in order:
+    for v in P.vertices:
         a = collection.maps[v]
         I[v] = tuple(rank(a.nonzero_rows[d], a.source.dims[d], field) for d in range(D + 1))
         K[v] = tuple(m - r for m, r in zip(a.source.dims, I[v]))
         C[v] = tuple(n - r for n, r in zip(a.target.dims, I[v]))
     betti_of: dict = {}
     terms = []
-    for support, cokernel, dims, up, below in support_walk(P, order, I, K, D, C):
+    for support, cokernel, dims, up, below in support_walk(P, I, K, D, C):
         betti = betti_of.get((up, below))
         if betti is None:
             betti = betti_of[up, below] = _relative_betti(P, up, below, field)

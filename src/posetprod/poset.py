@@ -5,7 +5,7 @@ The order is stored as its reachability closure; covers are kept in
 transitively reduced form.  Both are read off the generating relations in
 one depth-first pass that follows each object's relations in the order
 given.  Objects can be any hashable values; all deterministic orderings
-sort by ``str``.
+sort by ``str``, so no two objects may share a ``str``.
 
 The reduction of P collapses every cover x < y with x != base and
 V(x) = V(y).  It is one quotient, built in one pass: its classes are the
@@ -47,6 +47,8 @@ def _name(value) -> str:
 class PointedPoset:
     """Finite poset with a designated minimum (the base point).
 
+    Objects must differ as strings; a repeat, or two objects such as 1 and
+    "1" with one ``str``, raises ``DuplicateObject`` naming both.
     ``covers`` may be any set of generating strict relations.  The
     constructor closes them and finds the covers among them in one
     depth-first pass, from the objects in str order and along each object's
@@ -56,14 +58,11 @@ class PointedPoset:
 
     def __init__(self, objects: Iterable[Obj], base: Obj, covers: Iterable[tuple[Obj, Obj]]):
         objects = list(objects)
-        if len(set(objects)) != len(objects):
-            seen, dup = set(), None
-            for o in objects:
-                if o in seen:
-                    dup = o
-                    break
-                seen.add(o)
-            raise DuplicateObject(f"duplicate object {dup!r}")
+        if len(set(objects)) != len(objects) or len(set(map(_skey, objects))) != len(objects):
+            for i, o in enumerate(objects):
+                for p in objects[:i]:
+                    if p == o or _skey(p) == _skey(o):
+                        raise DuplicateObject(f"duplicate objects {p!r} and {o!r}: names must differ as strings")
         self.objects: tuple[Obj, ...] = tuple(sorted(objects, key=_skey))
         self._objset = frozenset(self.objects)
         if base not in self._objset:
@@ -375,18 +374,18 @@ def collapsible_covers(P: PointedPoset) -> list[tuple[Obj, Obj]]:
     return [(x, y) for x, y in P.covers if x != P.base and P._vsets[x] == P._vsets[y]]
 
 
-def support_walk(P: PointedPoset, order, N: dict, K: dict, D: int, C: dict | None = None):
+def support_walk(P: PointedPoset, N: dict, K: dict, D: int, C: dict | None = None):
     """Yield (S, Q, series, U_S, B) for the supports S and cokernel sets Q,
-    disjoint sub-tuples of ``order``.
+    disjoint sub-tuples of ``P.vertices``.
 
     The series of (S, Q) is the product of K[v] over v in S, C[v] over v in
-    Q and N[v] over the other vertices of ``order``, each a tuple of D + 1
-    non-negative coefficients, truncated at degree D.  U_S = {x : S <= V(x)}
-    and B = {x in U_S : V(x) meets Q} are up-sets.  Without ``C``, or where
-    C[v] vanishes, v is never put in Q.  The walk is depth first in
-    ``order``, leaving a vertex out before putting it in S, and in S before
-    Q; a branch is pruned as soon as U_S minus B is empty or the series so
-    far vanishes, since adding vertices only shrinks both.
+    Q and N[v] over the other vertices, each a tuple of D + 1 non-negative
+    coefficients, truncated at degree D.  U_S = {x : S <= V(x)} and
+    B = {x in U_S : V(x) meets Q} are up-sets.  Without ``C``, or where
+    C[v] vanishes, v is never put in Q.  The walk is depth first in vertex
+    order, leaving a vertex out before putting it in S, and in S before Q;
+    a branch is pruned as soon as U_S minus B is empty or the series so far
+    vanishes, since adding vertices only shrinks both.
 
     The walk carries each series as one int, with coefficient d in bits
     [d b, (d + 1) b).  A coefficient of a product of factors is at most
@@ -397,6 +396,7 @@ def support_walk(P: PointedPoset, order, N: dict, K: dict, D: int, C: dict | Non
     int multiply and a mask, and a series is unpacked to its tuple only
     when it is yielded.
     """
+    order = P.vertices
     bound = 1
     for v in order:
         bound *= max(1, sum(N[v]), sum(K[v]), sum(C[v]) if C is not None else 0)

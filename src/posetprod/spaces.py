@@ -477,20 +477,13 @@ def pair_spaces(name: str, n_max: int):
     return X, A, SimplicialMap(A, X, {a: (x, ()) for a, x in on_cores.items()})
 
 
-def polyhedral_product_space(
-    P: PointedPoset,
-    pair: str | tuple,
-    n_max: int,
-    via: str = "colim",
-    vertex_order=None,
-):
+def polyhedral_product_space(P: PointedPoset, pair: str | tuple, n_max: int, via: str = "colim"):
     """The colimit (or homotopy colimit) of the block diagram of a pair.
 
     Each object x carries the product over all vertices, with the big space
     on the vertices below x and the small one elsewhere; cover maps include
-    the small factor into the big one.  ``vertex_order`` fixes the factor
-    order; any permutation gives an isomorphic space.  The colimit needs an
-    injective inclusion (see ``colimit_space``).  Returns (space, name) as
+    the small factor into the big one.  The colimit needs an injective
+    inclusion (see ``colimit_space``).  Returns (space, name) as
     ``colimit_space`` or ``hocolim_space`` does: ``name`` takes (n, (x, s))
     with s an n-simplex of the block at object x (for the colimit) or
     (n, (c, s)) with s one of the block at c[0] (for the homotopy colimit),
@@ -499,12 +492,7 @@ def polyhedral_product_space(
     if via not in ("colim", "hocolim"):
         raise PreconditionFailed(f"via must be colim or hocolim, not {via!r}")
     X, A, inc = pair_spaces(pair, n_max) if isinstance(pair, str) else pair
-    if vertex_order is None:
-        verts = P.vertices
-    else:
-        verts = list(vertex_order)
-        if set(verts) != set(P.vertices) or len(verts) != len(P.vertices):
-            raise PreconditionFailed("vertex_order must permute the vertices")
+    verts = P.vertices
     spaces = {}
     for x in P.objects:
         vx = P.vertex_set(x)
@@ -596,7 +584,7 @@ def colimit_cells(P: PointedPoset, pair: str | tuple, n_max: int):
     # rep_of[mask][x]: the str-least object of the component of U_S holding x
     rep_of: dict = {}
     bases = [[] for _ in range(n_max + 1)]
-    for support, _, _, up, _ in support_walk(P, verts, N, K, n_max):
+    for support, _, _, up, _ in support_walk(P, N, K, n_max):
         mask = sum(bit[v] for v in support)
         rep = rep_of[mask] = P.components(up)
         reps = sorted(set(rep.values()), key=str)

@@ -19,6 +19,7 @@ from .errors import (
     NoSuchRank,
     NotRegular,
     OrderNotAntisymmetric,
+    PreconditionFailed,
 )
 from .poset import PointedPoset, classify, support_walk
 
@@ -49,7 +50,7 @@ def _faces(P: PointedPoset):
     members the objects of a component C of U_S, in str order.  S = {} has
     the one component U_S = P."""
     ones = {v: (1,) for v in P.vertices}
-    for support, _, _, up, _ in support_walk(P, P.vertices, ones, ones, 0):
+    for support, _, _, up, _ in support_walk(P, ones, ones, 0):
         groups: dict = {}
         for x, rep in P.components(up).items():
             groups.setdefault(rep, []).append(x)
@@ -62,12 +63,16 @@ def simplicial_transform(P: PointedPoset) -> TransformResult:
     """Glue the subset posets of all objects into one simplicial poset.
 
     The face (S, C) is named by S and the str-least object of C; S = {} is
-    the base point.
+    the base point.  Two faces that would get one name, such as {a, b}@0
+    and {"a,b"}@0, raise ``PreconditionFailed`` naming both.
     """
     to_class: dict = {}
     classes: dict = {}
     for S, members in _faces(P):
         name = f"{','.join(sorted(map(str, S)))}@{members[0]}" if S else P.base
+        if name in classes:
+            face = lambda S, C: f"{{{', '.join(map(repr, sorted(S, key=str)))}}}@{C[0]!r}"
+            raise PreconditionFailed(f"faces {face(*classes[name])} and {face(S, members)} would both be named {name!r}")
         classes[name] = (S, members)
         for x in members:
             to_class[(x, S)] = name

@@ -338,7 +338,7 @@ def colimit_cells(P: PointedPoset, pair, n_max: int):
 
     rep_of: dict = {}
     bases = [[] for _ in range(n_max + 1)]
-    for support, _, _, up, _ in support_walk(P, verts, N, K, n_max):
+    for support, _, _, up, _ in support_walk(P, N, K, n_max):
         rep = rep_of[support] = P.components(up)
         reps = sorted(set(rep.values()), key=str)
         for s, d in _core_tuples([by_dim[v in support] for v in verts], n_max):

@@ -282,6 +282,26 @@ def test_suite_checks_the_tensor_routes(capsys, monkeypatch):
     assert res["all_checks_pass"] is False
 
 
+def test_suite_counts_the_faces_of_the_transform_without_building_it(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "simplicial_transform", lambda P: pytest.fail("suite built s(P)"))
+    code, rep = run(capsys, "suite", "fix-c", "--max-degree", "2")
+    assert code == 0
+    assert rep["results"]["transform_f_vector"] == {"actual": [4, 6, 4, 1], "predicted": [4, 6, 4, 1], "agree": True}
+
+
+def test_stransform_refuses_faces_that_would_share_a_name(tmp_path, capsys):
+    # {a, b}@0 and {"a,b"}@0 would both be named a,b@0
+    verts = ["a", "b", "a,b"]
+    path = tmp_path / "comma.json"
+    path.write_text(json.dumps({
+        "objects": ["*", *verts, "0"], "base": "*",
+        "covers": [["*", v] for v in verts] + [[v, "0"] for v in verts],
+    }))
+    assert main(["stransform", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and "would both be named 'a,b@0'" in err
+
+
 def test_suite_reports_homology_beyond_the_space_limit(capsys):
     code, rep = run(capsys, "suite", "fix-c", "--max-degree", "3", "--space-limit", "0")
     assert code == 0

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from posetprod import limits, linalg, polytensor
 from posetprod.errors import IndexMismatch, MissingSection, PreconditionFailed
-from posetprod.fixtures import cube, fix_a, fix_b, fix_c, fix_e, random_poset_with
+from posetprod.fixtures import cube, fix_a, fix_b, fix_c, fix_e, random_pointed_poset, random_poset_with
 from posetprod.limits import PosetDiagram, check_diagram, higher_limits, lim0_basis
 from posetprod.linalg import QQ, FieldSpec, GradedLinearMap, GradedVectorSpace
 from posetprod.polytensor import (
@@ -22,6 +22,7 @@ from posetprod.polytensor import (
 from posetprod.poset import PointedPoset, support_walk
 from posetprod.spaces import PAIR_NAMES, induced_collection, polyprod_homology
 from posetprod.transform import f_vector, simplicial_transform, transform_f_vector
+from test_poset import _renaming
 
 
 def test_parallel_edge_poset_augmentation_dims():
@@ -180,7 +181,7 @@ def test_split_terms_finds_minimal_objects_once_per_up_set(monkeypatch):
     P = cube(3)
     collection = MorphismCollection.augmentation(P.vertices, 4)
     image, kernel = (dict.fromkeys(P.vertices, s) for s in [(1, 0, 0, 0, 0), (0, 1, 1, 1, 1)])
-    walked = list(support_walk(P, P.vertices, image, kernel, 4))
+    walked = list(support_walk(P, image, kernel, 4))
     calls = []
     minimal = PointedPoset.minimal
     monkeypatch.setattr(PointedPoset, "minimal", lambda self, elems: calls.append(elems) or minimal(self, elems))
@@ -238,12 +239,30 @@ def test_build_T_shapes_and_basis_order():
     assert dia.cover_maps[("b", "c")].nonzero_rows[2] == [[(0, 1)]]
 
 
-def test_vertex_order_does_not_change_limits():
-    P = fix_c()
-    col = MorphismCollection.augmentation(P.vertices, D=2)
-    default = higher_limits(build_T(P, col))
-    flipped = higher_limits(build_T(P, col, vertex_order=list(reversed(sorted(P.vertices)))))
-    assert default == flipped
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10**6),
+    kind=st.sampled_from(["random", "arbitrary", "aug", "circle"]),
+    pair=st.sampled_from(PAIR_NAMES),
+    via=st.sampled_from(["colim", "hocolim"]),
+)
+def test_vertex_order_does_not_change_limits(seed, kind, pair, via):
+    # renaming the objects reorders the vertices, and so the tensor factors
+    # and the factor spaces; the collection follows its vertices
+    rng = random.Random(seed)
+    P = random_pointed_poset(rng, max_objects=7)
+    while len(P.vertices) < 2:
+        P = random_pointed_poset(rng, max_objects=7)
+    m = _renaming(P, rng)
+    R = PointedPoset(m.values(), m[P.base], [(m[a], m[b]) for a, b in P.covers])
+    col = _collection(kind, P, seed, 2, QQ)
+    moved = MorphismCollection({m[v]: a for v, a in col.maps.items()}, QQ, 2)
+    found, renamed = tensor_limits(P, col, check_route=True), tensor_limits(R, moved, check_route=True)
+    assert renamed.direct == renamed.limits == found.limits == found.direct
+    cells, renamed = (polyprod_homology(Q, pair, 3, via=via, check_route=True) for Q in (P, R))
+    for key in ("homology", "simplicial_homology", "routes_agree"):
+        assert renamed[key] == cells[key]
+    assert renamed["routes_agree"]
 
 
 def test_index_mismatch_errors():
@@ -253,9 +272,6 @@ def test_index_mismatch_errors():
         build_T(P, col)
     with pytest.raises(IndexMismatch):
         polyhedral_tensor(P, col)
-    col2 = MorphismCollection.augmentation(P.vertices, D=1)
-    with pytest.raises(IndexMismatch):
-        build_T(P, col2, vertex_order=["a", "a"])
     with pytest.raises(IndexMismatch):
         MorphismCollection(
             {

@@ -5,7 +5,7 @@ import transform_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetprod.errors import NoSuchRank, NotRegular
+from posetprod.errors import NoSuchRank, NotRegular, PreconditionFailed
 from posetprod.fixtures import FIXTURES, cube, fix_a, fix_b, fix_c, fix_e, random_pointed_poset, random_poset_with, simplex
 from posetprod.polytensor import MorphismCollection, polyhedral_tensor
 from posetprod.poset import PointedPoset, classify, down_isomorphism
@@ -58,6 +58,21 @@ def test_transform_of_double_square_collapses():
 def test_transform_of_isolated_vertices():
     t = simplicial_transform(fix_e())
     assert down_isomorphism(t.poset, fix_e()) is not None
+
+
+def _comma_vertex_poset():
+    """Vertices a, b and "a,b", all three below one object 0."""
+    verts = ["a", "b", "a,b"]
+    return PointedPoset(["*", *verts, "0"], "*", [("*", v) for v in verts] + [(v, "0") for v in verts])
+
+
+def test_faces_that_would_share_a_name_are_refused():
+    # {a, b}@0 and {"a,b"}@0 would both be named a,b@0, and s(P) would keep
+    # one of them: f(s(P)) read (2, 4) against the (3, 3, 1) counted here
+    P = _comma_vertex_poset()
+    assert transform_f_vector(P) == (3, 3, 1)
+    with pytest.raises(PreconditionFailed, match=r"faces \{'a,b'\}@'0' and \{'a', 'b'\}@'0' would both be named 'a,b@0'"):
+        simplicial_transform(P)
 
 
 def test_transform_fixes_simplicial_posets():
