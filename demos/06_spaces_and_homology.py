@@ -50,6 +50,9 @@ print("\n3-sphere homology:", homology(Z, 3))
 # For the colimit it never builds the simplicial set: it takes the cellular
 # route, one cell per tuple of cores of the disk (a core of the circle on
 # every vertex outside the support) and component of the support's up-set.
+# The disk is the circle with one 2-core filling it, so each vertex of the
+# support carries that 2-core: the 3-sphere gets 8 cells, where the cone on
+# the circle (three cores outside it) gave 16.
 rep = polyprod_homology(P, "disk2-circle", n_max=4)
 print("comparison:", rep)
 print("route:", rep["route"], "with cells per dimension", rep["cells"])

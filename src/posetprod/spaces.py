@@ -354,7 +354,10 @@ def hocolim_space(P: PointedPoset, spaces: dict, maps: dict, n_max: int):
 def _betti(bases, faces, upto: int, field: FieldSpec):
     """Betti numbers in degrees 0..upto of a chain complex given by its
     bases, one list per degree from 0 through at most upto + 1, and
-    ``faces(c)``: the (face, coefficient) pairs of the boundary of c.
+    ``faces(c)``: the (face, coefficient) pairs of the boundary of c, each
+    face once and with a non-zero coefficient, so that a row is a list of
+    distinct columns as ``rank`` reads it (the cellular routes and
+    ``_core_boundary`` give merged boundaries).
 
     The boundary is taken one row per (n-1)-cell: the signed n-cells it is
     a face of, its coboundary.  The levels are eliminated from low degree
@@ -371,14 +374,13 @@ def _betti(bases, faces, upto: int, field: FieldSpec):
     pivots: set = set()
     for n in range(1, len(bases)):
         index = {c: k for k, c in enumerate(bases[n - 1])}
-        rows = {k: {} for k in range(len(bases[n - 1])) if k not in pivots}
+        rows = {k: [] for k in range(len(bases[n - 1])) if k not in pivots}
         for col, c in enumerate(bases[n]):
             for f, v in faces(c):
                 if (row := rows.get(index[f])) is not None:
-                    row[col] = row.get(col, 0) + v
+                    row.append((col, v))
         pivots = set()
-        pairs = [[(j, v) for j, v in row.items() if v] for row in rows.values()]
-        ranks[n] = rank(pairs, len(bases[n]), field, pivots)
+        ranks[n] = rank(list(rows.values()), len(bases[n]), field, pivots)
     return tuple(
         (len(bases[n]) if n < len(bases) else 0) - ranks[n] - ranks[n + 1]
         for n in range(upto + 1)
@@ -437,14 +439,16 @@ def interval_space(n_max: int) -> FiniteSimplicialSet:
 
 
 def disk_space(n_max: int) -> FiniteSimplicialSet:
-    """Cone on the one-core circle: contractible with the circle inside."""
+    """The one-core circle with one 2-core T filling it: d_0 T = e and d_1 T
+    = d_2 T = s_0 v.  Like the cone on the circle it realizes to the pair
+    (D^2, S^1), so the two are homotopy equivalent rel the circle, and a
+    polyhedral product, a (homotopy) colimit, depends only on the homotopy
+    type of its pair (Bahri, Bendersky, Cohen and Gitler 2010).  T is the
+    only core outside the circle, where the cone has three, so a vertex of
+    a cell's support has one core to choose from."""
     return _model_space(
-        {"v": 0, "c": 0, "e": 1, "f": 1, "T": 2},
-        {
-            "e": (("v", ()), ("v", ())),
-            "f": (("c", ()), ("v", ())),
-            "T": (("f", ()), ("f", ()), ("e", ())),
-        },
+        {"v": 0, "e": 1, "T": 2},
+        {"e": (("v", ()), ("v", ())), "T": (("e", ()), ("v", (0,)), ("v", (0,)))},
         n_max,
     )
 
@@ -516,13 +520,25 @@ def polyhedral_product_space(P: PointedPoset, pair: str | tuple, n_max: int, via
 
 def _core_codes(factors, m: int, top: int) -> list:
     """The codes of the tuples of one core per factor, with their dimensions
-    d <= top summed: (code, d).  ``factors[k][e]`` lists the numbers of the
-    e-cores of factor k, for e = 0..top; factor k is digit k in radix m."""
-    cells = [(0, 0)]
+    d <= top summed: (code, d).  ``factors[k]`` lists the (number,
+    dimension) pairs of the cores of factor k, lowest dimension first;
+    factor k is digit k in radix m, and the first factor varies slowest.  A
+    factor with a single core adds the same digit and dimension to every
+    tuple, so only the others are expanded."""
+    offset = fixed = 0
+    several = []
     stride = 1
-    for by_dim in factors:
-        cells = [(code + c * stride, d + e) for code, d in cells for e in range(top + 1 - d) for c in by_dim[e]]
+    for cores in factors:
+        if len(cores) == 1:
+            (c, e), = cores
+            offset += c * stride
+            fixed += e
+        else:
+            several.append((cores, stride))
         stride *= m
+    cells = [(offset, fixed)] if fixed <= top else []
+    for cores, stride in several:
+        cells = [(code + c * stride, d + e) for code, d in cells for c, e in cores if d + e <= top]
     return cells
 
 
@@ -579,6 +595,7 @@ def colimit_cells(P: PointedPoset, pair: str | tuple, n_max: int):
                     for d in range(n_max + 1)]
               for out in (False, True)}
     N, K = (dict.fromkeys(verts, tuple(map(len, by_dim[out]))) for out in (False, True))
+    cores = {out: [(c, d) for d, cs in enumerate(by_dim[out]) for c in cs] for out in (False, True)}
     bit = {v: 1 << k for k, v in enumerate(verts)}
 
     # rep_of[mask][x]: the str-least object of the component of U_S holding x
@@ -588,7 +605,7 @@ def colimit_cells(P: PointedPoset, pair: str | tuple, n_max: int):
         mask = sum(bit[v] for v in support)
         rep = rep_of[mask] = P.components(up)
         reps = sorted(set(rep.values()), key=str)
-        for code, d in _core_codes([by_dim[v in support] for v in verts], m, n_max):
+        for code, d in _core_codes([cores[v in support] for v in verts], m, n_max):
             bases[d].extend((code, mask, r) for r in reps)
 
     tables = _digit_tables(X, m, len(verts), inside)
@@ -642,14 +659,14 @@ def hocolim_cells(P: PointedPoset, pair: str | tuple, n_max: int):
     m = max(len(number[X]), len(number[A]))
     # into[a]: the number of the X-core that A-core a goes to, None if degenerate
     into = [None if word else number[X][x] for x, word in (inc.on_cores[a] for a in A._str_order)]
-    by_dim = {F: [[number[F][c] for c in F.nondegenerate(d)] for d in range(n_max + 1)] for F in (X, A)}
+    cores = {F: [(number[F][c], d) for d in range(n_max + 1) for c in F.nondegenerate(d)] for F in (X, A)}
     shifted = {F: _digit_tables(F, m, len(verts)) for F in (X, A)}
     tables, block = {}, {}
     for x in P.objects:
         factors = [X if v in P.vertex_set(x) else A for v in verts]
         tables[x] = [shifted[F][k] for k, F in enumerate(factors)]
         # the core codes of the block at x, lowest dimension first
-        block[x] = sorted(_core_codes([by_dim[F] for F in factors], m, n_max), key=lambda cd: cd[1])
+        block[x] = sorted(_core_codes([cores[F] for F in factors], m, n_max), key=lambda cd: cd[1])
 
     # moved[(x, y)]: the strides of the digits that go through the inclusion
     # from the block at x to the one at y

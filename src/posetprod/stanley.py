@@ -70,10 +70,29 @@ def _assert_homogeneous(pres: RingPresentation):
             raise AssertionError(f"inhomogeneous relation from {tag}: degrees {sorted(degs)}")
 
 
-def _antichains(P: PointedPoset, gens, size: int):
-    for S in itertools.combinations(gens, size):
-        if all(not P.leq(a, b) and not P.leq(b, a) for a, b in itertools.combinations(S, 2)):
-            yield S
+def _antichains(P: PointedPoset, gens, bound: int) -> list:
+    """The antichains of 2..bound generators as tuples in ``gens`` order, by
+    size and then in the order ``itertools.combinations`` lists them.  Those
+    of size k grow from those of size k - 1 by a later generator that is
+    incomparable with every member: the places still free for a tuple are
+    one bit mask, the intersection of its members' masks."""
+    n = len(gens)
+    up = [P.up_set(g) for g in gens]
+    # free[i]: bit j set for each j > i whose generator is incomparable with gens[i]
+    free = [sum(1 << j for j in range(i + 1, n) if gens[j] not in up[i] and gens[i] not in up[j]) for i in range(n)]
+
+    def places(mask):
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    level = [((g,), free[i]) for i, g in enumerate(gens)]
+    out = []
+    for _ in range(bound - 1):
+        level = [(S + (gens[j],), room & free[j]) for S, room in level for j in places(room)]
+        out.extend(S for S, _ in level)
+    return out
 
 
 def _bound_relation(P: PointedPoset, S, uppers):
@@ -138,12 +157,8 @@ def ideal_generators(
     # i.e. in the reduction (its objects are a subset of ours)
     R, _ = reduce_poset(P)
     rgens = tuple(x for x in R.objects if x != R.base)
-    candidates = []
-    seen = set()
-    for size in range(2, max(2, bound) + 1):
-        for S in _antichains(R, rgens, size):
-            candidates.append(S)
-            seen.add(S)
+    candidates = _antichains(R, rgens, max(2, bound))
+    seen = set(candidates)
     if include_vertex_sets:
         for x in rgens:
             S = tuple(sorted(R.vertex_set(x), key=_skey))

@@ -1,3 +1,5 @@
+import itertools
+import random
 from unittest import mock
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from posetprod import stanley
 from posetprod.errors import NotPolyhedral, NotSimplicial, PreconditionFailed
-from posetprod.fixtures import fix_a, fix_b, fix_c, fix_e, random_poset_with, simplex
+from posetprod.fixtures import fix_a, fix_b, fix_c, fix_e, random_pointed_poset, random_poset_with, simplex
 from posetprod.poset import PointedPoset
 from posetprod.linalg import QQ, FieldSpec
 from posetprod.stanley import (
@@ -205,6 +207,20 @@ def test_quotient_dims_equal_the_full_basis_oracle(seed, bound, field, D):
     P = random_poset_with(seed, "polyhedral", 1)[0]
     pres = ideal_generators(P, bound=bound)
     assert quotient_dims(pres, D, field) == oracle_quotient_dims(pres, D, field)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), bound=st.integers(2, 5))
+def test_grown_antichains_are_the_filtered_combinations(seed, bound):
+    P = random_pointed_poset(random.Random(seed), max_objects=12)
+    gens = tuple(x for x in P.objects if x != P.base)
+    filtered = [
+        S
+        for size in range(2, bound + 1)
+        for S in itertools.combinations(gens, size)
+        if all(not P.leq(a, b) and not P.leq(b, a) for a, b in itertools.combinations(S, 2))
+    ]
+    assert stanley._antichains(P, gens, bound) == filtered
 
 
 def _pres(gens, relations):
