@@ -53,10 +53,6 @@ class NoSuchRank(PosetProdError):
     pass
 
 
-class OrderNotAntisymmetric(PosetProdError):
-    pass
-
-
 class PreconditionFailed(PosetProdError):
     pass
 

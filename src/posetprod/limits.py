@@ -199,9 +199,7 @@ def cochain_complex(
             # the constructor drops those that cancel
             accs = [[{} for _ in range(m)] for m in diagram.spaces[c[0]].dims]
             for k in range(len(c)):
-                coffs = offsets[n].get(c[:k] + c[k + 1:])
-                if coffs is None:
-                    continue
+                coffs = offsets[n][c[:k] + c[k + 1:]]
                 if k == 0:
                     f = diagram._composite(c[0], c[1], composites)
                     for acc_d, nz_rows, c0 in zip(accs, f.nonzero_rows, coffs):

@@ -116,8 +116,6 @@ def _cover_tensor(P: PointedPoset, collection: MorphismCollection, x, y, grown: 
             factors.append(grown[v])
         else:
             factors.append(GradedLinearMap.identity(collection.target(v)))
-    if not factors:
-        return GradedLinearMap.identity(GradedVectorSpace.unit(collection.field, collection.truncation))
     return tensor_maps(factors)
 
 

@@ -12,6 +12,11 @@ V(x) = V(y).  It is one quotient, built in one pass: its classes are the
 connected components of the cover graph on each set of objects sharing a
 vertex set, each surviving as its str-greatest minimal element.  Single
 collapses in any order reach the same quotient (``reduce_poset``).
+
+Every class the library forms is a connected component, named by
+``component_reps``: those of the reduction, the faces of s(P) and the
+cells of the colimit through ``PointedPoset.components``, and those of the
+simplicial colimit and of the presentation's identifications.
 """
 
 from __future__ import annotations
@@ -34,6 +39,30 @@ Obj = Any
 
 
 _skey = str
+
+
+def component_reps(nodes: Iterable, neighbours: dict) -> dict:
+    """Each node mapped to the str-least node of its connected component in
+    the graph induced on ``nodes``.
+
+    ``neighbours`` maps a node to the nodes joined to it, each edge listed
+    from both ends; a node it lacks has no edges, and edges to nodes
+    outside ``nodes`` are ignored.  The search starts from the nodes in str
+    order and grows each component on an explicit stack, so no component
+    is too long for it.  Nodes must differ as strings.
+    """
+    nodes = frozenset(nodes)
+    rep: dict = {}
+    for r in sorted(nodes, key=_skey):
+        if r in rep:
+            continue
+        rep[r], todo = r, [r]
+        while todo:
+            for y in neighbours.get(todo.pop(), ()):
+                if y in nodes and y not in rep:
+                    rep[y] = r
+                    todo.append(y)
+    return rep
 
 
 def _name(value) -> str:
@@ -128,6 +157,7 @@ class PointedPoset:
             for y in upper[x]:
                 lower[y].append(x)
         self._lower = {y: tuple(xs) for y, xs in lower.items()}
+        self._adjacent = {x: self._lower[x] + upper[x] for x in self.objects}
         self.covers: tuple[tuple[Obj, Obj], ...] = tuple(
             (x, y) for x in self.objects for y in upper[x]
         )
@@ -192,20 +222,9 @@ class PointedPoset:
 
     def components(self, members: Iterable[Obj]) -> dict:
         """Each member mapped to the str-least object of its connected
-        component in the cover graph induced on ``members``."""
-        members = frozenset(members)
-        rep: dict = {}
-        for r in sorted(members, key=_skey):
-            if r in rep:
-                continue
-            rep[r], todo = r, [r]
-            while todo:
-                x = todo.pop()
-                for y in self._lower[x] + self._upper[x]:
-                    if y in members and y not in rep:
-                        rep[y] = r
-                        todo.append(y)
-        return rep
+        component in the cover graph induced on ``members``: the cover-graph
+        case of ``component_reps``."""
+        return component_reps(members, self._adjacent)
 
     # -- bounds --------------------------------------------------------
 
@@ -521,12 +540,7 @@ def _isomorphism(P: PointedPoset, X: frozenset, Q: PointedPoset, Y: frozenset) -
                 used.discard(q)
         return False
 
-    if extend(0):
-        if mapping[P.base] != Q.base:
-            # the minimum is unique, so this cannot happen
-            return None
-        return dict(mapping)
-    return None
+    return dict(mapping) if extend(0) else None
 
 
 def down_isomorphism(P: PointedPoset, Q: PointedPoset) -> dict | None:

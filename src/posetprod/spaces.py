@@ -42,7 +42,7 @@ from itertools import combinations
 
 from .errors import InsufficientTruncation, PreconditionFailed
 from .linalg import QQ, FieldSpec, GradedLinearMap, GradedVectorSpace, rank
-from .poset import PointedPoset, chains, support_walk
+from .poset import PointedPoset, chains, component_reps, support_walk
 
 
 class FiniteSimplicialSet:
@@ -243,29 +243,6 @@ def product_space(X: FiniteSimplicialSet, Y: FiniteSimplicialSet, n_max: int | N
     return _product((X, Y), n_max), lambda key: _canonical(key[1])
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, a):
-        parent = self.parent
-        root = parent.setdefault(a, a)
-        while parent[root] != root:
-            root = parent[root]
-        while a != root:
-            nxt = parent[a]
-            parent[a] = root
-            a = nxt
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if str(rb) < str(ra):
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 def _injective_on_cores(f: SimplicialMap) -> bool:
     """Whether f sends the cores of its source to pairwise distinct cores."""
     images = [f.on_cores[c] for c in f.source.cores]
@@ -279,8 +256,9 @@ def colimit_space(P: PointedPoset, spaces: dict, maps: dict, n_max: int):
     spaces[y].  Each must send cores to pairwise distinct cores, which makes
     it injective; otherwise PreconditionFailed.  Along injective maps a
     class of simplices is nondegenerate exactly when its members are, so
-    the union-find runs over the cores (x, (c, ())) only, and each class is
-    named by its str-least member.  Returns (space, name):
+    the classes are the components (``component_reps``) of the graph the
+    maps draw on the cores (x, (c, ())), each named by its str-least
+    member.  Returns (space, name):
     ``name((n, (x, s)))`` takes an object x and an n-simplex s of
     spaces[x], degenerate or not, and returns the canonical (core, word)
     simplex of the colimit that s lands on.
@@ -288,11 +266,14 @@ def colimit_space(P: PointedPoset, spaces: dict, maps: dict, n_max: int):
     for (x, y), f in maps.items():
         if not _injective_on_cores(f):
             raise PreconditionFailed(f"the map over {x!r} < {y!r} does not send cores to distinct cores")
-    uf = _UnionFind()
+    joined: dict = {}
     for (x, y), f in maps.items():
         for c in spaces[x].cores:
-            uf.union((x, (c, ())), (y, f.on_cores[c]))
-    rep = {(x, c): uf.find((x, (c, ()))) for x in P.objects for c in spaces[x].cores}
+            a, b = (x, (c, ())), (y, f.on_cores[c])
+            joined.setdefault(a, []).append(b)
+            joined.setdefault(b, []).append(a)
+    reps = component_reps([(x, (c, ())) for x in P.objects for c in spaces[x].cores], joined)
+    rep = {(x, c): reps[(x, (c, ()))] for x in P.objects for c in spaces[x].cores}
     cores, faces = {}, {}
     for (x, c), r in rep.items():
         d = spaces[x].cores[c]

@@ -15,9 +15,10 @@ instead of hiding it.
 
 ``quotient_dims`` eliminates only what needs elimination.  The
 identifications x - y, one per collapsible cover, merge generators into
-classes.  These are the classes of ``reduce_poset``'s projection by
-definition, the components of the collapsible covers, and identified
-generators have equal degrees.  Rewritten on the classes, the relations
+classes, the components (``component_reps``) of the graph they draw.  These
+are the classes of ``reduce_poset``'s projection by definition, the
+components of the collapsible covers, and identified generators have equal
+degrees.  Rewritten on the classes, the relations
 with a single term generate a monomial ideal M (the no-upper relations are
 all of this kind), so each degree's basis holds only the standard monomials,
 those no generator of M divides.  Only the multiples of the remaining
@@ -37,7 +38,7 @@ from math import comb
 from .errors import NotPolyhedral, NotSimplicial, PreconditionFailed
 from .linalg import QQ, FieldSpec, rank
 from .polytensor import MorphismCollection, polyhedral_tensor
-from .poset import PointedPoset, _skey, classify, collapsible_covers, reduce_poset
+from .poset import PointedPoset, _skey, classify, collapsible_covers, component_reps, reduce_poset
 
 Monomial = tuple  # tuple of generator names sorted by str, with repetition
 Polynomial = dict  # Monomial -> coefficient
@@ -254,26 +255,22 @@ def quotient_dims(pres: RingPresentation, D: int, field: FieldSpec = QQ):
     if any(pres.degrees[g] < 1 for g in gens):
         raise PreconditionFailed("generator degrees must be >= 1")
     _assert_homogeneous(pres)
-    parent = {g: g for g in gens}
-
-    def find(g):
-        while parent[g] != g:
-            parent[g] = g = parent[parent[g]]
-        return g
-
+    joined: dict = {}
     others = []
     for poly in pres.relations:
         if len(poly) == 2:
             ((a, ca), (b, cb)) = poly.items()
             if len(a) == len(b) == 1 and conv(ca) and not conv(ca + cb):
-                parent[find(a[0])] = find(b[0])
+                joined.setdefault(a[0], []).append(b[0])
+                joined.setdefault(b[0], []).append(a[0])
                 continue
         others.append(poly)
 
-    reps = [g for g in gens if find(g) == g]
+    rep = component_reps(gens, joined)
+    reps = [g for g in gens if rep[g] == g]
     weights = [pres.degrees[g] for g in reps]
     pos = {g: i for i, g in enumerate(reps)}
-    at = {g: pos[find(g)] for g in gens}
+    at = {g: pos[rep[g]] for g in gens}
     monomials, rels = [], []
     for poly in others:
         terms: dict = {}

@@ -10,17 +10,12 @@ contains S.  The result always has boolean down-sets, one for each pair
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import (
-    CycleError,
-    NoSuchRank,
-    NotRegular,
-    OrderNotAntisymmetric,
-    PreconditionFailed,
-)
+from .errors import NoSuchRank, NotRegular, PreconditionFailed
 from .poset import PointedPoset, classify, support_walk
 
 
@@ -78,10 +73,7 @@ def simplicial_transform(P: PointedPoset) -> TransformResult:
             to_class[(x, S)] = name
     # U_S lies in U_{S - v}, so one member of C names every cover below (S, C)
     covers = {(to_class[(members[0], S - {v})], name) for name, (S, members) in classes.items() for v in S}
-    try:
-        SP = PointedPoset(sorted(classes, key=str), P.base, sorted(covers, key=lambda c: tuple(map(str, c))))
-    except CycleError as e:
-        raise OrderNotAntisymmetric(str(e)) from e
+    SP = PointedPoset(sorted(classes, key=str), P.base, sorted(covers, key=lambda c: tuple(map(str, c))))
     embed = {x: to_class[(x, P.vertex_set(x))] for x in P.objects}
     return TransformResult(SP, to_class, embed, classes)
 
@@ -154,12 +146,12 @@ def nu(P: PointedPoset, i: int, n: int, method: str = "direct", _memo=None) -> i
             if not any(fs <= vw for vw in below):
                 val += 1
     elif method == "recursive":
-        Q = P.sub_poset(x, "down-strict")
-        f = f_vector(Q)
-        val = comb(n + 1, i + 1) - (f[i] if i < len(f) else 0)
+        # f(P_{<x}) by vertex count: the objects below x keep their vertex sets there
+        f = Counter(len(P.vertex_set(w)) for w in P.down_set(x) if w != x)
+        val = comb(n + 1, i + 1) - f[i + 1]
         for k in range(i + 1, n):
-            if k < len(f) and f[k]:
-                val -= f[k] * nu(P, i, k, method="recursive", _memo=_memo)
+            if f[k + 1]:
+                val -= f[k + 1] * nu(P, i, k, method="recursive", _memo=_memo)
     else:
         raise ValueError(f"unknown method {method!r}")
     _memo[(i, n)] = val

@@ -14,12 +14,11 @@ in the same order, and the same boundary rows.
 """
 
 from posetprod.errors import PreconditionFailed
-from posetprod.poset import PointedPoset, chains, support_walk
+from posetprod.poset import PointedPoset, chains, component_reps, support_walk
 from posetprod.spaces import (
     FiniteSimplicialSet,
     SimplicialMap,
     _injective_on_cores,
-    _UnionFind,
     pair_spaces,
     point_space,
 )
@@ -93,35 +92,35 @@ def colimit_space(P: PointedPoset, spaces: dict, maps: dict, n_max: int):
     spaces[y].  Returns (space, express) with express keyed by
     (dim, (object, simplex)).
     """
-    uf = _UnionFind()
-    for n in range(n_max + 1):
-        for x in sorted(P.objects, key=str):
-            for s in spaces[x].simplices(n):
-                uf.find((x, s))
+    joined: dict = {}
     for (x, y), f in maps.items():
         for n in range(n_max + 1):
             for s in spaces[x].simplices(n):
-                uf.union((x, s), (y, f.apply(s)))
+                a, b = (x, s), (y, f.apply(s))
+                joined.setdefault(a, []).append(b)
+                joined.setdefault(b, []).append(a)
+    nodes = [(x, s) for n in range(n_max + 1) for x in P.objects for s in spaces[x].simplices(n)]
+    rep = component_reps(nodes, joined)
 
     classes_by_dim = []
     for n in range(n_max + 1):
         reps = set()
         for x in P.objects:
             for s in spaces[x].simplices(n):
-                reps.add(uf.find((x, s)))
+                reps.add(rep[(x, s)])
         classes_by_dim.append(sorted(reps, key=str))
 
-    def face_fn(n, rep, i):
-        x, s = rep
-        return uf.find((x, spaces[x].face(s, i)))
+    def face_fn(n, r, i):
+        x, s = r
+        return rep[(x, spaces[x].face(s, i))]
 
-    def deg_fn(n, rep, i):
-        x, s = rep
-        return uf.find((x, spaces[x].degenerate(s, i)))
+    def deg_fn(n, r, i):
+        x, s = r
+        return rep[(x, spaces[x].degenerate(s, i))]
 
     space, express = _from_operators(classes_by_dim, face_fn, deg_fn, n_max)
     lookup = {
-        (n, (x, s)): express[(n, uf.find((x, s)))]
+        (n, (x, s)): express[(n, rep[(x, s)])]
         for n in range(n_max + 1)
         for x in P.objects
         for s in spaces[x].simplices(n)

@@ -73,3 +73,9 @@ def test_criterion_09_three_sphere():
 def test_criterion_10_invariance():
     res = _run(acceptance.criterion_10)
     assert res.passed, res.details.get("failing", res.details)
+
+
+def test_main_exits_1_when_a_criterion_fails(capsys):
+    # criterion 4 fails by design, so its run must say so in the exit code
+    assert acceptance.main(["4"]) == 1
+    assert capsys.readouterr().out.startswith("criterion  4 [FAIL]")

@@ -464,6 +464,7 @@ def test_number_names_read_as_strings(tmp_path, capsys, argv):
     {"objects": [0, 1], "base": 0, "covers": [[0, 1, 1]]},
     {"objects": [0, 1], "base": None, "covers": [[0, 1]]},
     [0, 1],
+    {"objects": ["*"], "base": "*"},
 ])
 def test_malformed_poset_files_are_typed_refusals(tmp_path, capsys, data):
     path = tmp_path / "poset.json"
@@ -473,6 +474,23 @@ def test_malformed_poset_files_are_typed_refusals(tmp_path, capsys, data):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_a_degree_that_is_not_an_integer_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["hilbert", "fix-c", "--max-degree", "x"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == "" and "--max-degree: invalid int value: 'x'" in captured.err
+
+
+def test_suite_on_the_one_point_poset(tmp_path, capsys):
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"objects": ["*"], "base": "*", "covers": []}))
+    code, rep = run(capsys, "suite", str(path))
+    assert code == 0
+    assert rep["results"]["all_checks_pass"] is True
+    assert rep["results"]["homology_circle_point"]["homology"] == [1, 0, 0, 0]
 
 
 def test_a_large_prime_field_answers_at_once(capsys):

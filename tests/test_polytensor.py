@@ -218,6 +218,8 @@ def test_chain_arguments_are_checked():
     for limits in (polyhedral_tensor, tensor_limits):
         with pytest.raises(IndexMismatch):
             limits(P, empty)
+    with pytest.raises(PreconditionFailed, match="empty collection needs explicit field and truncation"):
+        MorphismCollection({})
 
 
 def test_build_T_shapes_and_basis_order():

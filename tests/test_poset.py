@@ -47,6 +47,8 @@ def test_validation_errors():
         PointedPoset(["*", "a", "b"], "*", [("*", "a"), ("a", "b"), ("b", "a")])
     with pytest.raises(errors.CycleError):
         PointedPoset(["*", "a"], "*", [("a", "a")])
+    with pytest.raises(errors.UnknownObject, match="'zz' is not an object"):
+        fix_c().vertex_set("zz")
 
 
 def test_cover_normalization_drops_redundant_pairs():
@@ -519,18 +521,58 @@ def test_order_queries_match_their_definitions(P, seed):
 def test_components_match_a_union_find_over_the_covers(P, seed):
     rng = random.Random(seed)
     members = set(rng.sample(P.objects, rng.randint(0, len(P.objects))))
-    parent = {m: m for m in members}
+    assert P.components(members) == _union_find_reps(members, P.covers)
+
+
+def _union_find_reps(nodes, edges):
+    """Each node mapped to the str-least node of its class under the edges
+    with both ends in ``nodes``, by a union-find that roots each class at
+    its str-least member."""
+    parent = {m: m for m in nodes}
 
     def find(a):
         while parent[a] != a:
             a = parent[a]
         return a
 
-    for a, b in P.covers:
-        if a in members and b in members:
+    for a, b in edges:
+        if a in parent and b in parent:
             ra, rb = sorted((find(a), find(b)), key=str)
             parent[rb] = ra
-    assert P.components(members) == {m: find(m) for m in members}
+    return {m: find(m) for m in nodes}
+
+
+_mixed_nodes = st.lists(
+    st.one_of(st.integers(-20, 20), st.text("ab1(", max_size=3), st.tuples(st.integers(0, 2), st.text("ab", max_size=1))),
+    max_size=25,
+    unique_by=str,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=_mixed_nodes, data=st.data())
+def test_component_reps_match_a_union_find(values, data):
+    # edges may leave the nodes: those to values[k:] are ignored
+    k = data.draw(st.integers(0, len(values)))
+    index = st.integers(0, len(values) - 1) if values else st.nothing()
+    edges = data.draw(st.lists(st.tuples(index, index), max_size=2 * len(values)))
+    neighbours: dict = {}
+    for i, j in edges:
+        neighbours.setdefault(values[i], []).append(values[j])
+        neighbours.setdefault(values[j], []).append(values[i])
+    nodes = values[:k]
+    assert poset.component_reps(nodes, neighbours) == _union_find_reps(nodes, [(values[i], values[j]) for i, j in edges])
+
+
+def test_component_reps_names_a_long_chain_by_its_least_node():
+    # names sort downwards along the chain, so the search starts at its far
+    # end and walks all 5,000 nodes; a recursive search would hit the limit
+    names = [f"{9999 - i:04d}" for i in range(5000)]
+    neighbours = {n: [] for n in names}
+    for a, b in zip(names, names[1:]):
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    assert poset.component_reps(names, neighbours) == dict.fromkeys(names, names[-1])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

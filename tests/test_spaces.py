@@ -15,11 +15,11 @@ from posetprod.errors import InsufficientTruncation, PreconditionFailed
 from posetprod import spaces
 from posetprod.fixtures import FIXTURES, cube, fix_a, fix_b, fix_c, fix_e, random_pointed_poset, simplex
 from posetprod.linalg import F2, QQ, FieldSpec
-from posetprod.poset import PointedPoset
+from posetprod.polytensor import tensor_limits
+from posetprod.poset import PointedPoset, component_reps
 from posetprod.spaces import (
     FiniteSimplicialSet,
     SimplicialMap,
-    _UnionFind,
     PAIR_NAMES,
     circle_space,
     colimit_cells,
@@ -207,14 +207,14 @@ def test_homology_matches_shifted_limits():
 def _components(S):
     """The component of each vertex of S, numbered in the str order of the
     components' least vertices."""
-    uf = _UnionFind()
-    for v in S.nondegenerate(0):
-        uf.find(v)
+    joined: dict = {}
     for e in S.nondegenerate(1):
         (a, _), (b, _) = S.core_faces[e]
-        uf.union(a, b)
-    roots = sorted({uf.find(v) for v in S.nondegenerate(0)}, key=str)
-    return {v: roots.index(uf.find(v)) for v in S.nondegenerate(0)}
+        joined.setdefault(a, []).append(b)
+        joined.setdefault(b, []).append(a)
+    rep = component_reps(S.nondegenerate(0), joined)
+    roots = sorted(set(rep.values()), key=str)
+    return {v: roots.index(r) for v, r in rep.items()}
 
 
 @pytest.mark.parametrize("D", range(4))
@@ -269,16 +269,28 @@ def test_model_spaces_cut_below_their_top_core_are_incomplete():
     assert not circle_space(0).complete
 
 
-def test_union_find_handles_long_parent_chains():
-    uf = _UnionFind()
-    # names sort downwards, so each union hangs the old root below the new one
-    names = [f"{9999 - i:04d}" for i in range(5000)]
-    for prev, new in zip(names, names[1:]):
-        uf.union(new, prev)
-    assert uf.parent[names[0]] == names[1]
-    assert uf.find(names[0]) == names[-1]
-    assert uf.parent[names[0]] == names[-1]
-    assert {uf.find(n) for n in names} == {names[-1]}
+def test_the_one_point_poset_is_a_point_by_every_route():
+    # no vertices: every block is the empty product, a point
+    P = PointedPoset.from_dict({"objects": ["*"], "base": "*", "covers": []})
+    for pair in PAIR_NAMES:
+        for via in ("colim", "hocolim"):
+            rep = polyprod_homology(P, pair, 3, via=via, check_route=True)
+            assert rep["homology"] == rep["simplicial_homology"] == rep["predicted"] == (1, 0, 0)
+            assert rep["routes_agree"] and rep["agree"]
+        found = tensor_limits(P, induced_collection(P, pair, 2), check_route=True)
+        assert found.routes_agree is True and found.limits == [(1, 0, 0)]
+
+
+def test_simplicial_sets_and_maps_refuse_bad_data():
+    with pytest.raises(PreconditionFailed, match="dimension 2 outside 0..1"):
+        FiniteSimplicialSet({"v": 0, "t": 2}, {"t": [("v", (0,))] * 3}, 1)
+    with pytest.raises(PreconditionFailed, match="vertex 'v' must not list faces"):
+        FiniteSimplicialSet({"v": 0}, {"v": [("v", ())]}, 1)
+    S1 = circle_space(2)
+    with pytest.raises(PreconditionFailed, match="image of 'e' has the wrong dimension"):
+        SimplicialMap(S1, S1, {"v": ("v", ()), "e": ("v", ())})
+    with pytest.raises(PreconditionFailed, match="exceeds a factor truncation"):
+        product_space(S1, circle_space(1), 2)
 
 
 def test_colimit_refuses_a_collapsing_cover_map():

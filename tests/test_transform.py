@@ -123,6 +123,8 @@ def test_nu_guards():
         nu(fix_a(), 1, 1)
     with pytest.raises(ValueError):
         nu(fix_c(), 1, 3, method="sideways")
+    with pytest.raises(NotRegular):
+        f_transform_predict(fix_a())
 
 
 def test_f_transform_prediction_matches_actual():

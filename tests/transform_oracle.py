@@ -8,7 +8,6 @@ str-least object of the component C of U_S, as the library does.
 
 from itertools import combinations
 
-from posetprod.errors import CycleError, OrderNotAntisymmetric
 from posetprod.poset import PointedPoset
 from posetprod.transform import TransformResult
 
@@ -51,9 +50,6 @@ def simplicial_transform(P: PointedPoset) -> TransformResult:
     for (x, fs), name in to_class.items():
         for v in fs:
             covers.add((to_class[(x, fs - {v})], name))
-    try:
-        SP = PointedPoset(sorted(classes, key=str), P.base, sorted(covers))
-    except CycleError as e:
-        raise OrderNotAntisymmetric(str(e)) from e
+    SP = PointedPoset(sorted(classes, key=str), P.base, sorted(covers))
     embed = {x: to_class[(x, frozenset(P.vertex_set(x)))] for x in P.objects}
     return TransformResult(SP, to_class, embed, classes)
