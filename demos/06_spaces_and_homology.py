@@ -69,9 +69,12 @@ print("\nbigon circle-point:", rep2)
 
 # The gluing is a choice: the colimit identifies simplices outright, the
 # homotopy colimit keeps gluing data as prisms.  It has a cellular route
-# too: one cell per strict chain x_0 < ... < x_p of objects and tuple of
-# factor cores of the block at x_0 (the Bousfield-Kan double complex).  For
-# these posets both give the same homology.  Over the square the top face
+# too: the Bousfield-Kan double complex has one cell per strict chain
+# x_0 < ... < x_p of objects and tuple of factor cores of the block at x_0,
+# and a cone matching leaves one critical cell per tuple of cores of X
+# wherever the objects above its support have one minimal object, as here
+# (the 4-torus's 1, 4, 6 and 4 cells).  For these posets both gluings give
+# the same homology.  Over the square the top face
 # contains all four vertices, so the glued space is the 4-torus ((1, 4, 6)
 # through degree 2).
 sq = cube(2)

@@ -24,13 +24,16 @@ pair A <= X without building it, and the same elimination ranks the
 boundaries of its cells.  The colimit's cells are tuples of cores of X, one
 per component of the up-set of their support (``colimit_cells``), walked
 with the split route of the tensor limits (``poset.support_walk``).  The
-homotopy colimit's are a strict chain of objects with a tuple of factor
-cores of the block at its bottom (``hocolim_cells``, the Bousfield-Kan
-double complex).  Cells are named by small integers: the cores of each
-factor space are numbered in str order, a tuple of factor cores is one int
-whose digit k in radix m (the larger core count) is the core of vertex k,
-and a face replaces one digit by the number of a face of its core, so each
-boundary entry is one addition to the code.  ``polyprod_homology`` takes
+homotopy colimit's complex has a cell per strict chain of objects and tuple
+of factor cores of the block at its bottom (the Bousfield-Kan double
+complex), and ``hocolim_cells`` lists only the critical cells of a cone
+matching on it, with their Morse boundary: over the same walk, one cell
+per tuple of cores of X where the up-set of its support has one minimal
+object.  Cells are named by small integers: the cores of the factor spaces
+are numbered in str order, a tuple of factor cores is one int whose digit k
+in radix m (the count of numbers) is the core of vertex k, and a face
+replaces one digit by the number of a face of its core, so each boundary
+entry is one addition to the code.  ``polyprod_homology`` takes
 the cellular route for both gluings, and with ``check_route`` compares it
 with the simplicial one.
 """
@@ -499,45 +502,74 @@ def polyhedral_product_space(P: PointedPoset, pair: str | tuple, n_max: int, via
     return hocolim_space(P, spaces, maps, n_max)
 
 
-def _core_codes(factors, m: int, top: int) -> list:
-    """The codes of the tuples of one core per factor, with their dimensions
-    d <= top summed: (code, d).  ``factors[k]`` lists the (number,
-    dimension) pairs of the cores of factor k, lowest dimension first;
-    factor k is digit k in radix m, and the first factor varies slowest.  A
-    factor with a single core adds the same digit and dimension to every
-    tuple, so only the others are expanded."""
-    offset = fixed = 0
-    several = []
-    stride = 1
-    for cores in factors:
-        if len(cores) == 1:
-            (c, e), = cores
-            offset += c * stride
-            fixed += e
-        else:
-            several.append((cores, stride))
-        stride *= m
-    cells = [(offset, fixed)] if fixed <= top else []
-    for cores, stride in several:
-        cells = [(code + c * stride, d + e) for code, d in cells for c, e in cores if d + e <= top]
-    return cells
-
-
 def _numbered(F: FiniteSimplicialSet) -> dict:
     """Each core of F mapped to its number: its place in str order."""
     return {c: k for k, c in enumerate(F._str_order)}
 
 
-def _digit_tables(F: FiniteSimplicialSet, m: int, n: int, inside=frozenset()) -> list:
-    """``tables[k][c]`` for digits k < n in radix m and the cores c of F by
-    number: the parity of the dimension of c and its merged
-    ``_core_boundary``, each face f as (the code shift (f - c) m^k, its
-    sign, 1 << k when c lies outside ``inside`` and f in it, else 0)."""
-    number = _numbered(F)
-    boundaries = [(F.cores[c] % 2, [(number[f], e) for f, e in _core_boundary(F, c)]) for c in F._str_order]
+def _boundaries(F: FiniteSimplicialSet, number: dict) -> list:
+    """The parity of the dimension and the merged ``_core_boundary``, faces
+    by number, of each core of F in str order."""
+    return [(F.cores[c] % 2, [(number[f], e) for f, e in _core_boundary(F, c)]) for c in F._str_order]
+
+
+def _digit_tables(boundaries: list, m: int, n: int, inside) -> list:
+    """``tables[k][c]`` for digits k < n in radix m and the cores c by
+    number, whose ``boundaries[c]`` are as ``_boundaries`` gives them: the
+    parity of the dimension of c and its boundary, each face f as (the code
+    shift (f - c) m^k, its sign, 1 << k when c lies outside ``inside`` and f
+    in it, else 0)."""
     return [[(odd, [((f - c) * m**k, e, 1 << k if c not in inside and f in inside else 0) for f, e in boundary])
              for c, (odd, boundary) in enumerate(boundaries)]
             for k in range(n)]
+
+
+def _tuple_codes(kinds: list, m: int, n: int, top: int):
+    """``codes(changed)``: the codes, in radix m, of the tuples of one core
+    per digit k < n, with their dimensions d <= top summed: (code, d).
+    ``kinds[j]`` lists the (number, dimension) pairs of the cores a digit of
+    kind j takes, lowest dimension first; ``changed`` maps digits, in
+    increasing order, to their kinds, and every other digit is of kind 0.
+    The first digit varies slowest.  A digit with one core to take adds the
+    same digit and dimension to every tuple, so only the others are
+    expanded; when kind 0 has one core, the code and dimension of the tuple
+    of kind 0 alone are fixed here, and ``codes`` visits only the changed
+    digits."""
+    shifted = [[[(c * m**k, e) for c, e in cores] for k in range(n)] for cores in kinds]
+    fixed = len(kinds[0]) == 1
+    base = (sum(shifted[0][k][0][0] for k in range(n)), kinds[0][0][1] * n) if fixed else (0, 0)
+
+    def codes(changed: dict) -> list:
+        code, d = base
+        factors = []
+        for k in changed if fixed else range(n):
+            if fixed:
+                c, e = shifted[0][k][0]
+                code, d = code - c, d - e
+            options = shifted[changed.get(k, 0)][k]
+            if len(options) == 1:
+                c, e = options[0]
+                code, d = code + c, d + e
+            else:
+                factors.append(options)
+        cells = [(code, d)] if d <= top else []
+        for options in factors:
+            cells = [(x + c, y + e) for x, y in cells for c, e in options if y + e <= top]
+        return cells
+
+    return codes
+
+
+def _sides(X: FiniteSimplicialSet, number: dict, inside, n_max: int) -> list:
+    """The (number, dimension) pairs of the cores of X of dimension at most
+    n_max, lowest dimension first: those in ``inside``, then those outside."""
+    return [[(number[c], d) for d in range(n_max + 1) for c in X.nondegenerate(d) if (number[c] in inside) == side]
+            for side in (True, False)]
+
+
+def _counts(cores: list, n_max: int) -> tuple:
+    """How many of the (number, dimension) pairs have each dimension 0..n_max."""
+    return tuple(sum(d == e for _, d in cores) for e in range(n_max + 1))
 
 
 def colimit_cells(P: PointedPoset, pair: str | tuple, n_max: int):
@@ -568,28 +600,26 @@ def colimit_cells(P: PointedPoset, pair: str | tuple, n_max: int):
     if not _injective_on_cores(inc):
         raise PreconditionFailed("the inclusion of A does not send cores to distinct cores of X")
     verts = P.vertices
+    digit = {v: k for k, v in enumerate(verts)}
     number = _numbered(X)
     m = len(number)
     inside = {number[inc.on_cores[a][0]] for a in A.cores}
-    # by_dim[outside][d]: the numbers of the d-cores of X outside A (or in A), d <= n_max
-    by_dim = {out: [[number[c] for c in X.nondegenerate(d) if (number[c] not in inside) == out]
-                    for d in range(n_max + 1)]
-              for out in (False, True)}
-    N, K = (dict.fromkeys(verts, tuple(map(len, by_dim[out]))) for out in (False, True))
-    cores = {out: [(c, d) for d, cs in enumerate(by_dim[out]) for c in cs] for out in (False, True)}
-    bit = {v: 1 << k for k, v in enumerate(verts)}
+    low, high = _sides(X, number, inside, n_max)
+    N, K = (dict.fromkeys(verts, _counts(cores, n_max)) for cores in (low, high))
+    codes = _tuple_codes([low, high], m, len(verts), n_max)
 
     # rep_of[mask][x]: the str-least object of the component of U_S holding x
     rep_of: dict = {}
     bases = [[] for _ in range(n_max + 1)]
     for support, _, _, up, _ in support_walk(P, N, K, n_max):
-        mask = sum(bit[v] for v in support)
+        ks = [digit[v] for v in support]
+        mask = sum(1 << k for k in ks)
         rep = rep_of[mask] = P.components(up)
         reps = sorted(set(rep.values()), key=str)
-        for code, d in _core_codes([cores[v in support] for v in verts], m, n_max):
+        for code, d in codes(dict.fromkeys(ks, 1)):
             bases[d].extend((code, mask, r) for r in reps)
 
-    tables = _digit_tables(X, m, len(verts), inside)
+    tables = _digit_tables(_boundaries(X, number), m, len(verts), inside)
 
     def faces(cell):
         code, mask, r = cell
@@ -610,88 +640,151 @@ def colimit_cells(P: PointedPoset, pair: str | tuple, n_max: int):
 
 
 def hocolim_cells(P: PointedPoset, pair: str | tuple, n_max: int):
-    """The cellular chain complex of the homotopy colimit of the block
-    diagram, in dimensions 0..n_max; returns (bases, faces) as ``_betti``
-    reads them.
+    """The critical cells of the cellular chain complex of the homotopy
+    colimit of the block diagram under the cone matching, in dimensions
+    0..n_max, with their Morse boundary; returns (bases, faces) as
+    ``_betti`` reads them.
 
-    It is the total complex of the normalized double complex of the
-    simplicial replacement (Bousfield and Kan 1972, LNM 304, ch. XII),
+    The complex is the total complex of the normalized double complex of
+    the simplicial replacement (Bousfield and Kan 1972, LNM 304, ch. XII),
     whose diagonal ``hocolim_space`` builds, with each block's chains
     replaced by the tensor product of its factors' chains (Eilenberg-Zilber
     again, natural in the blocks).  A cell is a strict chain
     c = (x_0 < ... < x_p) and a tuple s of cores of the block at x_0, one
     per vertex in str order: a core of X on V(x_0), of A elsewhere; its
     dimension is p plus those of s.  Its boundary is sum_(i>=1) (-1)^i
-    (c minus x_i, s), plus (c minus x_0, s pushed into the block at x_1,
-    the inclusion applied on V(x_1) - V(x_0)) unless a pushed core turns
-    degenerate, plus (-1)^p times the tensor boundary of s, from the merged
-    core boundaries (``_core_boundary``).  No injectivity is needed.
+    (c minus x_i, s), plus the hop (c minus x_0, s pushed into the block at
+    x_1, the inclusion applied on V(x_1) - V(x_0)) unless a pushed core
+    turns degenerate, plus (-1)^p times the tensor boundary of s, from the
+    merged core boundaries (``_core_boundary``).
 
-    The chains are numbered in the order ``chains`` lists them, and the
-    cores of X and of A each in str order; s is coded as one int in radix
-    m, the larger core count, with vertex k's core as digit k.  A cell is
-    (chain number, code).  Each chain keeps its deletion faces and its hop
-    to c minus x_0, with the digits that the inclusion moves, from A-core
-    numbers to X-core numbers.
+    The matching.  When the inclusion sends the cores of A to distinct cores
+    of X, s pushed into X is a tuple t of cores of X, and the cells with one
+    t form its fibre: the strict chains of U_S = {x : S <= V(x)}, S the
+    vertices whose core of t lies outside A, each with t pulled back to its
+    bottom.  Inside a fibre the boundary is that of the order complex
+    Delta(U_S), the hop being its zeroth face with coefficient +1.  Where
+    U_S has one minimal object a, Delta(U_S) is the cone on a: each (c, t)
+    with x_0 != a is matched with ((a) + c, t), whose hop it is.  Inside a
+    fibre this is the cone's matching, which is acyclic: the faces of
+    (a) + c other than c all start at a.  The tensor boundary sends t to
+    faces of t, so it never raises the fibre, and a matching that is
+    acyclic on each fibre of such an order-preserving map is acyclic on the
+    whole complex (the patchwork theorem; Kozlov 2008, Combinatorial
+    Algebraic Topology, ch. 11).  By algebraic discrete Morse theory
+    (Skoldberg 2006, "Morse theory from an algebraic viewpoint", Trans. AMS
+    358; Jollenbeck and Welker 2009, Mem. AMS 923) the critical cells, with
+    the Morse boundary, span a complex with the same homology over any
+    field, since every matched coefficient is +1.  They are (a, t) for each
+    t of a cone fibre, and every cell of a fibre whose U_S has several
+    minimal objects.  An inclusion that sends two cores of A to one core of
+    X, or one to a degenerate simplex, gets no matching: every cell is
+    critical.
+
+    The cells are listed per support from ``support_walk``, as in
+    ``colimit_cells``.  The cores of X are numbered in str order, and those
+    of A by the numbers of their images or, without the matching, after
+    those of X; s is coded as one int in radix m, the count of numbers, with
+    vertex k's core as digit k.  A cell is (c, code, mask), with bit k of
+    mask set when vertex k is in S.  ``faces`` gives the Morse boundary: the
+    boundary, with each cell matched upward replaced by minus the rest of
+    the boundary of its partner, until only critical cells are left (a cell
+    matched downward drops out); faces are merged and zeros dropped.
     """
     X, A, inc = pair_spaces(pair, n_max) if isinstance(pair, str) else pair
+    matched = _injective_on_cores(inc)
     verts = P.vertices
-    number = {F: _numbered(F) for F in (X, A)}
-    m = max(len(number[X]), len(number[A]))
-    # into[a]: the number of the X-core that A-core a goes to, None if degenerate
-    into = [None if word else number[X][x] for x, word in (inc.on_cores[a] for a in A._str_order)]
-    cores = {F: [(number[F][c], d) for d in range(n_max + 1) for c in F.nondegenerate(d)] for F in (X, A)}
-    shifted = {F: _digit_tables(F, m, len(verts)) for F in (X, A)}
-    tables, block = {}, {}
-    for x in P.objects:
-        factors = [X if v in P.vertex_set(x) else A for v in verts]
-        tables[x] = [shifted[F][k] for k, F in enumerate(factors)]
-        # the core codes of the block at x, lowest dimension first
-        block[x] = sorted(_core_codes([cores[F] for F in factors], m, n_max), key=lambda cd: cd[1])
+    n = len(verts)
+    digit = {v: k for k, v in enumerate(verts)}
+    number = _numbered(X)
+    inside = {number[x] for x, word in inc.on_cores.values() if not word}
+    low, high = _sides(X, number, inside, n_max)
+    boundaries = _boundaries(X, number)
+    kinds = [low, high]
+    if not matched:
+        # A's cores keep their own numbers, and a hop moves the digits it grows into X
+        own = {a: len(number) + k for a, k in _numbered(A).items()}
+        boundaries += _boundaries(A, own)
+        into = {own[a]: None if word else number[x] for a, (x, word) in inc.on_cores.items()}
+        inside |= set(own.values())
+        kinds = [[(own[c], d) for d in range(n_max + 1) for c in A.nondegenerate(d)], high, low]
+        vmask = {x: sum(1 << digit[v] for v in P.vertex_set(x)) for x in P.objects}
+    m = len(boundaries)
+    N, K = (dict.fromkeys(verts, _counts(cores, n_max)) for cores in (low, high))
+    codes = _tuple_codes(kinds, m, n, n_max)
 
-    # moved[(x, y)]: the strides of the digits that go through the inclusion
-    # from the block at x to the one at y
-    moved = {(x, y): [m**k for k, v in enumerate(verts) if v in P.vertex_set(y) and v not in P.vertex_set(x)]
-             for x in P.objects for y in P.up_set(x) if y != x}
+    # apex[mask]: the one minimal object of U_S when its fibres are matched, else None
+    apex: dict = {}
     bases = [[] for _ in range(n_max + 1)]
-    # chain[i]: (the parity of p, the deletion faces (i >= 1) with their signs,
-    # the hop's chain and strides, the factor tables at x_0)
-    chain, index = [], {}
-    for p, level in enumerate(chains(P, n_max)):
-        for c in level:
-            i = index[c] = len(chain)
-            deleted = [(index[c[:j] + c[j + 1:]], -1 if j % 2 else 1) for j in range(1, p + 1)]
-            hop = (index[c[1:]], moved[c[:2]]) if p else None
-            chain.append((p % 2, deleted, hop, tables[c[0]]))
-            for code, d in block[c[0]]:
-                if p + d > n_max:
-                    break
-                bases[p + d].append((i, code))
+    for support, _, series, up, _ in support_walk(P, N, K, n_max):
+        ks = [digit[v] for v in support]
+        mask = sum(1 << k for k in ks)
+        bottoms = P.minimal(up)
+        apex[mask] = bottoms[0] if matched and len(bottoms) == 1 else None
+        lowest = next(d for d, x in enumerate(series) if x)
+        levels = [[bottoms]] if apex[mask] is not None else chains(P, n_max - lowest, objects=up)
+        # block[x]: the support's tuples in the block at the bottom x, the same at every x when matched
+        block = {}
+        for p, level in enumerate(levels):
+            for c in level:
+                x = None if matched else c[0]
+                if x not in block:
+                    block[x] = codes(dict.fromkeys(ks, 1) if matched else
+                                     {k: 1 if mask >> k & 1 else 2 for k in range(n) if (mask | vmask[x]) >> k & 1})
+                for code, d in block[x]:
+                    if p + d <= n_max:
+                        bases[p + d].append((c, code, mask))
 
-    def faces(cell):
-        i, code = cell
-        odd_p, deleted, hop, table = chain[i]
-        out = [((j, code), e) for j, e in deleted]
-        if hop is not None:
-            j, strides = hop
+    tables = _digit_tables(boundaries, m, n, inside)
+
+    def boundary(cell):
+        c, code, mask = cell
+        p = len(c) - 1
+        out = [((c[:j] + c[j + 1:], code, mask), -1 if j % 2 else 1) for j in range(1, p + 1)]
+        if p:
+            # matched, A's cores carry their images' numbers, so the hop keeps the code
             pushed = code
-            for stride in strides:
-                a = pushed // stride % m
+            for k in () if matched else (k for k in range(n) if (vmask[c[1]] & ~vmask[c[0]]) >> k & 1):
+                a = pushed // m**k % m
                 if (x := into[a]) is None:
                     break
-                pushed += (x - a) * stride
+                pushed += (x - a) * m**k
             else:
-                out.append(((j, pushed), 1))
-        sign = -1 if odd_p else 1
+                out.append(((c[1:], pushed, mask), 1))
+        sign = -1 if p % 2 else 1
         rest = code
-        for factor in table:
-            rest, c = divmod(rest, m)
-            odd, boundary = factor[c]
-            for shift, e, _ in boundary:
-                out.append(((i, code + shift), sign * e))
+        for table in tables:
+            rest, s = divmod(rest, m)
+            odd, core_boundary = table[s]
+            for shift, e, cleared in core_boundary:
+                out.append(((c, code + shift, mask ^ cleared), sign * e))
             if odd:
                 sign = -sign
         return out
+
+    # reduced[cell], for a cell matched upward: minus the rest of its partner's
+    # boundary, itself reduced to critical cells (a cell matched downward adds nothing)
+    reduced: dict = {}
+
+    def collect(cell, coefficient, out):
+        c, code, mask = cell
+        a = apex[mask]
+        if a is None or c == (a,):
+            out[cell] = out.get(cell, 0) + coefficient
+        elif c[0] != a:
+            if (rest := reduced.get(cell)) is None:
+                rest = reduced[cell] = {}
+                for f, e in boundary(((a,) + c, code, mask)):
+                    if f != cell:
+                        collect(f, -e, rest)
+            for f, e in rest.items():
+                out[f] = out.get(f, 0) + coefficient * e
+
+    def faces(cell):
+        out: dict = {}
+        for f, e in boundary(cell):
+            collect(f, e, out)
+        return [(f, e) for f, e in out.items() if e]
 
     return bases, faces
 
@@ -727,7 +820,9 @@ def polyprod_homology(
     """Homology of the polyhedral-product space in degrees below n_max,
     optionally compared against the higher limits of the induced cohomology
     collection: the predicted k-th dimension sums lim^n in internal degree
-    k - n.
+    k - n.  The comparison reads the restriction H^*(X) -> H^*(A) from the
+    table of built-in pairs, so it needs ``pair`` to be one of their names;
+    a pair given as (X, A, inclusion) needs ``compare=False``.
 
     Both gluings are answered by their cellular chains (``colimit_cells``,
     ``hocolim_cells``); ``route`` names the route and ``cells`` counts its
@@ -737,6 +832,8 @@ def polyprod_homology(
     """
     if via not in _CELLS:
         raise PreconditionFailed(f"via must be colim or hocolim, not {via!r}")
+    if compare and not isinstance(pair, str):
+        raise PreconditionFailed("the limit comparison needs a built-in pair name; pass compare=False for a pair of spaces")
     upto = n_max - 1
     bases, faces = _CELLS[via](P, pair, n_max)
     h = _betti(bases, faces, upto, field)

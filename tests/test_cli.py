@@ -207,7 +207,8 @@ def test_homology_results_keep_their_keys_and_name_the_route(capsys):
     code, rep = run(capsys, "homology", "fix-e", "--max-dim", "1", "--no-compare", "--via", "hocolim")
     assert code == 0
     assert set(rep["results"]) == {"homology"}
-    assert rep["route"] == {"name": "cellular", "cells": [3, 4, 0]}
+    # the critical cells of the hocolim: one per tuple of cores, as the colimit has
+    assert rep["route"] == {"name": "cellular", "cells": [1, 2, 0]}
 
 
 def test_homology_check_route(capsys, monkeypatch):

@@ -343,6 +343,15 @@ def test_colimit_refuses_a_pair_whose_inclusion_is_not_injective():
     assert rep["homology"] == rep["simplicial_homology"] == (1, 1, 0)
 
 
+def test_the_limit_comparison_refuses_a_pair_of_spaces_before_building(monkeypatch):
+    # the comparison reads the pair table by name; a (X, A, inclusion) pair
+    # is refused before any cell is listed
+    monkeypatch.setattr(spaces, "_CELLS", {"colim": None, "hocolim": None})
+    for via in ("colim", "hocolim"):
+        with pytest.raises(PreconditionFailed, match="the limit comparison needs a built-in pair name"):
+            polyprod_homology(fix_b(), _cone_pair(3), 3, via=via)
+
+
 def test_product_express_holds_exactly_the_simplex_pairs():
     S1 = circle_space(3)
     _, name = product_space(S1, S1, 3)
@@ -433,20 +442,55 @@ def test_the_faces_of_a_cell_are_distinct(seed, n_max):
                     assert len(listed) == len(faces(cell)) == len(set(listed)), cell
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    poset=st.one_of(st.sampled_from(["fix-c", "fix-d", "fix-e"]), st.integers(0, 10**6)),
+    pair=st.sampled_from(PAIR_NAMES + ("cone",)),
+    n_max=st.integers(1, 4),
+)
+def test_over_cones_the_critical_cells_are_the_colimit_cells(poset, pair, n_max):
+    # where every U_S has one minimal object a, the critical cells are (a, t)
+    # and a path through a matched cell comes back with the sign it left
+    # with, so the Morse complex is the colimit's cellular complex, cell for
+    # cell and sign for sign; the library computes the two independently
+    P = FIXTURES[poset]() if isinstance(poset, str) else random_pointed_poset(random.Random(poset), max_objects=7)
+    if pair == "cone":
+        pair = _cone_pair(n_max)
+    hoco_bases, hoco_faces = hocolim_cells(P, pair, n_max)
+    if any(len(c) > 1 for level in hoco_bases for c, _, _ in level):
+        return
+    bases, faces = colimit_cells(P, pair, n_max)
+    assert [[(code, mask) for _, code, mask in level] for level in hoco_bases] == \
+        [[(code, mask) for code, mask, _ in level] for level in bases]
+    for hoco_level, level in zip(hoco_bases, bases):
+        for hoco_cell, cell in zip(hoco_level, level):
+            assert sorted((f[1:], e) for f, e in hoco_faces(hoco_cell)) == sorted((f[:2], e) for f, e in faces(cell))
+
+
 def test_cell_counts_of_the_cellular_route():
     bases, _ = colimit_cells(fix_c(), "disk2-circle", 3)
     assert tuple(map(len, bases)) == (1, 4, 10, 16)
+    # the hocolim ranks the critical cells of the cone matching: where every
+    # U_S is a cone, one per tuple of cores of X, as many as the colimit has
+    # (the full complex has 28, 349, 2066 and 7580 cells here)
     rep = polyprod_homology(cube(3), "disk2-circle", 3, via="hocolim", compare=False)
-    assert rep["cells"] == (28, 349, 2066, 7580) and rep["homology"] == (1, 0, 0)
+    assert rep["cells"] == (1, 8, 36, 112) and rep["homology"] == (1, 0, 0)
+    assert rep["cells"] == polyprod_homology(cube(3), "disk2-circle", 3, compare=False)["cells"]
     rep = polyprod_homology(cube(3), "circle-point", 4)
     assert rep["route"] == "cellular" and rep["cells"] == (1, 8, 28, 56, 70)
     assert rep["homology"] == (1, 8, 28, 56) and rep["agree"]
-    # the hocolim's cells: a strict chain and a core tuple of the block at its bottom
+    # the full complex has (3, 4, 0) and (16, 97, 210, 194, 65, 0) cells here
     rep = polyprod_homology(fix_e(), "circle-point", 2, via="hocolim", compare=False)
-    assert rep["route"] == "cellular" and rep["cells"] == (3, 4, 0)
+    assert rep["route"] == "cellular" and rep["cells"] == (1, 2, 0)
     rep = polyprod_homology(simplex(3), "circle-point", 5, via="hocolim", compare=False)
-    assert rep["cells"] == (16, 97, 210, 194, 65, 0)
+    assert rep["cells"] == (1, 4, 6, 4, 1, 0)
     assert rep["homology"] == (1, 4, 6, 4, 1)
+    # on fix-a, U_S for S both vertices is {3, 4, 5, 6} with minimal objects
+    # 3 and 4, so its four objects and four covers stay critical with the
+    # tuple (e, e): the cells of dimensions 2 and 3 (the full complex has
+    # 7, 28, 40 and 20 cells through dimension 3)
+    rep = polyprod_homology(fix_a(), "circle-point", 4, via="hocolim", compare=False)
+    assert rep["cells"] == (1, 2, 4, 4, 0) and rep["homology"] == (1, 2, 1, 1)
 
 
 def test_cellular_route_drops_degenerate_faces():

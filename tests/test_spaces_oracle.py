@@ -5,8 +5,11 @@ simplex and searches for the degenerate ones.  Both must give spaces with
 the same number of cores in each dimension and the same homology, and
 2-factor products must agree name for name.  The library's homology, which
 clears rows, is checked against sympy ranks of the full dense boundary
-matrices.  The cellular routes, which name cells by integer codes, must give
-the tuple-named oracle's cells in the same order and the same boundaries.
+matrices.  The cellular colimit and the full Bousfield-Kan complex of the
+hocolim (``hocolim_reference.py``), which name cells by integer codes, must
+give the tuple-named oracle's cells in the same order and the same
+boundaries; the library's hocolim, which ranks only the critical cells of
+the cone matching, must give the reference's homology.
 """
 
 import random
@@ -19,8 +22,9 @@ from sympy import GF
 from sympy import QQ as SYMPY_QQ
 from sympy.polys.matrices import DomainMatrix
 
+import hocolim_reference as reference
 import spaces_oracle as oracle
-from test_spaces import _collapse_pair, _cone_pair, _glue_pair
+from test_spaces import _EXTRA_PAIRS, _assert_boundary_squares_to_zero, _collapse_pair, _cone_pair, _glue_pair
 from posetprod import spaces
 from posetprod.fixtures import fix_a, fix_b, fix_c, fix_d, fix_e, random_pointed_poset
 from posetprod.linalg import F2, QQ, FieldSpec
@@ -175,9 +179,32 @@ def test_cell_codes_match_the_tuple_named_cells(seed, n_max):
     routes = (
         (spaces.colimit_cells, oracle.colimit_cells, PAIR_NAMES + (cone,)),
         # glue and collapse are not injective on cores, which only the hocolim allows
-        (spaces.hocolim_cells, oracle.hocolim_cells, PAIR_NAMES + (cone, _glue_pair(n_max), _collapse_pair(n_max))),
+        (reference.hocolim_cells, oracle.hocolim_cells, PAIR_NAMES + (cone, _glue_pair(n_max), _collapse_pair(n_max))),
     )
     for new, old, pairs in routes:
         for pair in pairs:
             for field in (QQ, F2):
                 assert _traced_cells(new, P, pair, n_max, field) == _traced_cells(old, P, pair, n_max, field)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    poset=st.one_of(st.sampled_from(["fix-a", "fix-b"]), st.integers(0, 10**6)),
+    pair=st.sampled_from(PAIR_NAMES + tuple(_EXTRA_PAIRS)),
+    n_max=st.integers(1, 4),
+)
+# fix-a and fix-b have supports whose U_S has two minimal objects, so their
+# fibres keep every chain critical
+@example(poset="fix-a", pair="circle-point", n_max=4)
+@example(poset="fix-b", pair="disk2-circle", n_max=3)
+def test_critical_cells_give_the_homology_of_the_full_hocolim_complex(poset, pair, n_max):
+    P = POSETS[poset]() if isinstance(poset, str) else random_pointed_poset(random.Random(poset), max_objects=7)
+    # the cone has three cores outside A; glue and collapse get no matching
+    if pair in _EXTRA_PAIRS:
+        pair = _EXTRA_PAIRS[pair](n_max)
+    bases, faces = spaces.hocolim_cells(P, pair, n_max)
+    for field in (QQ, F2):
+        counts, betti, _, _ = _traced_cells(reference.hocolim_cells, P, pair, n_max, field)
+        assert spaces._betti(bases, faces, n_max - 1, field) == betti
+    assert sum(map(len, bases)) <= sum(counts)
+    _assert_boundary_squares_to_zero(P, pair, n_max, spaces.hocolim_cells)
