@@ -21,21 +21,22 @@ Homology of a polyhedral product has two routes.  The simplicial route
 builds the colimit or homotopy colimit of the blocks as a simplicial set
 and takes ``homology``.  The cellular route answers either gluing of a
 pair A <= X without building it, and the same elimination ranks the
-boundaries of its cells.  The colimit's cells are tuples of cores of X, one
-per component of the up-set of their support (``colimit_cells``), walked
-with the split route of the tensor limits (``poset.support_walk``).  The
-homotopy colimit's complex has a cell per strict chain of objects and tuple
-of factor cores of the block at its bottom (the Bousfield-Kan double
-complex), and ``hocolim_cells`` lists only the critical cells of a cone
-matching on it, with their Morse boundary: over the same walk, one cell
-per tuple of cores of X where the up-set of its support has one minimal
-object.  Cells are named by small integers: the cores of the factor spaces
-are numbered in str order, a tuple of factor cores is one int whose digit k
-in radix m (the count of numbers) is the core of vertex k, and a face
-replaces one digit by the number of a face of its core, so each boundary
-entry is one addition to the code.  ``polyprod_homology`` takes
-the cellular route for both gluings, and with ``check_route`` compares it
-with the simplicial one.
+boundaries of its cells.  Both gluings read the pair once as numbered
+cells (``_pair_cells``) and share one support walk and one Koszul-signed
+tensor boundary (``_cell_walk``): a tuple of cells, one per vertex, is one
+int whose digit k in radix m (the count of cells) is the cell of vertex k,
+so each boundary entry is one addition to the code.  The homotopy colimit
+depends only on the homotopy type of the pair, so it reads an inclusion
+that is not injective on cores through its mapping cylinder; the colimit
+refuses one.  The colimit's cells are such tuples, one per component of
+the up-set of their support (``colimit_cells``).  The homotopy colimit's
+complex has a cell per strict chain of objects and tuple of factor cells
+of the block at its bottom (the Bousfield-Kan double complex), and
+``hocolim_cells`` lists only the critical cells of a cone matching on it,
+with their Morse boundary: one cell per tuple where the up-set of its
+support has one minimal object.  ``polyprod_homology`` takes the cellular
+route for both gluings, and with ``check_route`` compares it with the
+simplicial one.
 """
 
 from __future__ import annotations
@@ -465,6 +466,19 @@ def pair_spaces(name: str, n_max: int):
     return X, A, SimplicialMap(A, X, {a: (x, ()) for a, x in on_cores.items()})
 
 
+def _read_pair(pair: str | tuple, n_max: int):
+    """The pair (X, A, inclusion): a built-in pair by name, built at n_max,
+    or one given as spaces.  A given space truncated below n_max that is
+    not complete is refused (InsufficientTruncation), since the cores it
+    lacks would change the answer."""
+    if isinstance(pair, str):
+        return pair_spaces(pair, n_max)
+    for F in pair[:2]:
+        if F.n_max < n_max and not F.complete:
+            raise InsufficientTruncation(f"a space of the pair is truncated at {F.n_max}, below {n_max}")
+    return pair
+
+
 def polyhedral_product_space(P: PointedPoset, pair: str | tuple, n_max: int, via: str = "colim"):
     """The colimit (or homotopy colimit) of the block diagram of a pair.
 
@@ -479,7 +493,7 @@ def polyhedral_product_space(P: PointedPoset, pair: str | tuple, n_max: int, via
     """
     if via not in ("colim", "hocolim"):
         raise PreconditionFailed(f"via must be colim or hocolim, not {via!r}")
-    X, A, inc = pair_spaces(pair, n_max) if isinstance(pair, str) else pair
+    X, A, inc = _read_pair(pair, n_max)
     verts = P.vertices
     spaces = {}
     for x in P.objects:
@@ -502,74 +516,108 @@ def polyhedral_product_space(P: PointedPoset, pair: str | tuple, n_max: int, via
     return hocolim_space(P, spaces, maps, n_max)
 
 
-def _numbered(F: FiniteSimplicialSet) -> dict:
-    """Each core of F mapped to its number: its place in str order."""
-    return {c: k for k, c in enumerate(F._str_order)}
+def _pair_cells(X: FiniteSimplicialSet, A: FiniteSimplicialSet, inc: SimplicialMap) -> tuple:
+    """The pair as numbered cells: (cells, inside), where cells[c] is the
+    dimension of cell c and its boundary, faces by number, and inside holds
+    the numbers of A's cells.
+
+    The cores of X are numbered in str order, each with its merged
+    ``_core_boundary``.  When the inclusion f sends A's cores to distinct
+    cores of X, A's cells are their images.  Otherwise X becomes the mapping
+    cylinder of f, in which A sits injectively and onto which X deforms:
+    A's cores follow X's, in str order, and then, in the same order, a cell
+    a x I for each d-core a of A, with boundary (d a) x I + (-1)^d (f(a) - a),
+    f(a) left out when it is degenerate.
+    """
+    number = {c: k for k, c in enumerate(X._str_order)}
+    cells = [(X.cores[c], [(number[f], e) for f, e in _core_boundary(X, c)]) for c in X._str_order]
+    if _injective_on_cores(inc):
+        return cells, {number[inc.on_cores[a][0]] for a in A.cores}
+    own = {a: len(cells) + k for k, a in enumerate(A._str_order)}
+    boundary = {a: [(own[b], e) for b, e in _core_boundary(A, a)] for a in A._str_order}
+    cells += [(A.cores[a], boundary[a]) for a in A._str_order]
+    for a in A._str_order:
+        d, (x, word) = A.cores[a], inc.on_cores[a]
+        e = -1 if d % 2 else 1
+        # (d a) x I, then f(a) unless it is degenerate, then a
+        cylinder = [(b + len(own), s) for b, s in boundary[a]] + ([] if word else [(number[x], e)])
+        cells.append((d + 1, cylinder + [(own[a], -e)]))
+    return cells, set(own.values())
 
 
-def _boundaries(F: FiniteSimplicialSet, number: dict) -> list:
-    """The parity of the dimension and the merged ``_core_boundary``, faces
-    by number, of each core of F in str order."""
-    return [(F.cores[c] % 2, [(number[f], e) for f, e in _core_boundary(F, c)]) for c in F._str_order]
+def _cell_walk(P: PointedPoset, pair: tuple, n_max: int):
+    """What both cellular routes read of a pair (X, A, inclusion) over P,
+    as (walk, tensor), its cells numbered by ``_pair_cells``.
 
+    A tuple of cells, one per vertex in str order, is coded as one int in
+    radix m, the number of cells, with vertex k's cell as digit k.  Its
+    support S is the set of vertices whose cell lies outside A, and its
+    mask has bit k set for each vertex k in S.  ``walk`` yields (mask, U_S,
+    tuples) for each support from ``support_walk`` on the cell counts of A
+    and of X outside A, with tuples the (code, dimension) pairs of the
+    tuples of that support of dimension at most n_max; the first digit
+    varies slowest.  ``tensor(code)`` is the Koszul-signed tensor boundary
+    of the merged cell boundaries, (shift, sign, cleared) per face:
+    replacing the cell c of vertex k by its face f adds the shift
+    (f - c) m^k to the code, and cleared is 1 << k when c lies outside A
+    and f inside it, else 0.
+    """
+    cells, inside = _pair_cells(*pair)
+    verts = P.vertices
+    n, m = len(verts), len(cells)
+    digit = {v: k for k, v in enumerate(verts)}
+    # sides[j]: the (number, dimension) pairs of the cells in A (j = 0) or outside it, lowest dimension first
+    sides = [sorted(((c, d) for c, (d, _) in enumerate(cells) if d <= n_max and (c in inside) != out),
+                    key=lambda cd: cd[1]) for out in (False, True)]
+    N, K = (dict.fromkeys(verts, tuple(sum(d == e for _, d in side) for e in range(n_max + 1))) for side in sides)
+    shifted = [[[(c * m**k, d) for c, d in side] for k in range(n)] for side in sides]
+    # with one cell in A, a support changes only its own digits of the all-A tuple
+    fixed = len(sides[0]) == 1
+    base = (sum(shifted[0][k][0][0] for k in range(n)), sides[0][0][1] * n) if fixed else (0, 0)
 
-def _digit_tables(boundaries: list, m: int, n: int, inside) -> list:
-    """``tables[k][c]`` for digits k < n in radix m and the cores c by
-    number, whose ``boundaries[c]`` are as ``_boundaries`` gives them: the
-    parity of the dimension of c and its boundary, each face f as (the code
-    shift (f - c) m^k, its sign, 1 << k when c lies outside ``inside`` and f
-    in it, else 0)."""
-    return [[(odd, [((f - c) * m**k, e, 1 << k if c not in inside and f in inside else 0) for f, e in boundary])
-             for c, (odd, boundary) in enumerate(boundaries)]
-            for k in range(n)]
+    def walk():
+        for support, _, _, up, _ in support_walk(P, N, K, n_max):
+            ks = [digit[v] for v in support]
+            mask = sum(1 << k for k in ks)
+            code, d = base
+            factors = []
+            for k in ks if fixed else range(n):
+                if fixed:
+                    c, e = shifted[0][k][0]
+                    code, d = code - c, d - e
+                options = shifted[mask >> k & 1][k]
+                if len(options) == 1:
+                    c, e = options[0]
+                    code, d = code + c, d + e
+                else:
+                    factors.append(options)
+            tuples = [(code, d)] if d <= n_max else []
+            for options in factors:
+                tuples = [(x + c, y + e) for x, y in tuples for c, e in options if y + e <= n_max]
+            yield mask, up, tuples
 
+    # faces[k][c]: the parity of the dimension of cell c, and its faces as digit k, signed + and -
+    faces = []
+    for k in range(n):
+        row = []
+        for c, (d, boundary) in enumerate(cells):
+            plus = [((f - c) * m**k, e, 1 << k if c not in inside and f in inside else 0) for f, e in boundary]
+            row.append((d % 2, (plus, [(shift, -e, cleared) for shift, e, cleared in plus])))
+        faces.append(row)
+    bounded = any(boundary for _, boundary in cells)
 
-def _tuple_codes(kinds: list, m: int, n: int, top: int):
-    """``codes(changed)``: the codes, in radix m, of the tuples of one core
-    per digit k < n, with their dimensions d <= top summed: (code, d).
-    ``kinds[j]`` lists the (number, dimension) pairs of the cores a digit of
-    kind j takes, lowest dimension first; ``changed`` maps digits, in
-    increasing order, to their kinds, and every other digit is of kind 0.
-    The first digit varies slowest.  A digit with one core to take adds the
-    same digit and dimension to every tuple, so only the others are
-    expanded; when kind 0 has one core, the code and dimension of the tuple
-    of kind 0 alone are fixed here, and ``codes`` visits only the changed
-    digits."""
-    shifted = [[[(c * m**k, e) for c, e in cores] for k in range(n)] for cores in kinds]
-    fixed = len(kinds[0]) == 1
-    base = (sum(shifted[0][k][0][0] for k in range(n)), kinds[0][0][1] * n) if fixed else (0, 0)
+    def tensor(code: int) -> list:
+        out = []
+        if bounded:
+            odd = 0
+            for row in faces:
+                code, c = divmod(code, m)
+                flips, signed = row[c]
+                out.extend(signed[odd])
+                odd ^= flips
+        return out
 
-    def codes(changed: dict) -> list:
-        code, d = base
-        factors = []
-        for k in changed if fixed else range(n):
-            if fixed:
-                c, e = shifted[0][k][0]
-                code, d = code - c, d - e
-            options = shifted[changed.get(k, 0)][k]
-            if len(options) == 1:
-                c, e = options[0]
-                code, d = code + c, d + e
-            else:
-                factors.append(options)
-        cells = [(code, d)] if d <= top else []
-        for options in factors:
-            cells = [(x + c, y + e) for x, y in cells for c, e in options if y + e <= top]
-        return cells
-
-    return codes
-
-
-def _sides(X: FiniteSimplicialSet, number: dict, inside, n_max: int) -> list:
-    """The (number, dimension) pairs of the cores of X of dimension at most
-    n_max, lowest dimension first: those in ``inside``, then those outside."""
-    return [[(number[c], d) for d in range(n_max + 1) for c in X.nondegenerate(d) if (number[c] in inside) == side]
-            for side in (True, False)]
-
-
-def _counts(cores: list, n_max: int) -> tuple:
-    """How many of the (number, dimension) pairs have each dimension 0..n_max."""
-    return tuple(sum(d == e for _, d in cores) for e in range(n_max + 1))
+    return walk(), tensor
 
 
 def colimit_cells(P: PointedPoset, pair: str | tuple, n_max: int):
@@ -577,64 +625,38 @@ def colimit_cells(P: PointedPoset, pair: str | tuple, n_max: int):
     dimensions 0..n_max; returns (bases, faces) as ``_betti`` reads them.
 
     The pair's A must sit in X as a sub-complex, with its cores sent to
-    distinct cores.  By Eilenberg-Zilber (May 1967) a block's chains are
-    the tensor product of its factors' chains, so a cell of the colimit is
-    a tuple s of cores of X, one per vertex in str order, taken once per
-    connected component of U_S = {x : S <= V(x)}, where the support S is
-    the set of vertices whose core lies outside A (the cellular chains of
-    Bahri, Bendersky, Cohen and Gitler 2010, over a poset).  The supports
-    come from ``support_walk`` on the core counts of A and of X outside A.
+    distinct cores: the colimit, unlike the homotopy colimit, changes when
+    X is replaced by a mapping cylinder.  By Eilenberg-Zilber (May 1967) a
+    block's chains are the tensor product of its factors' chains, so a cell
+    of the colimit is a tuple s of cores of X, one per vertex in str order,
+    taken once per connected component of U_S = {x : S <= V(x)}, where the
+    support S is the set of vertices whose core lies outside A (the
+    cellular chains of Bahri, Bendersky, Cohen and Gitler 2010, over a
+    poset).  The supports and tuples come from ``_cell_walk``.
 
-    The cores of X are numbered in str order, and s is coded as one int in
-    radix m, the number of cores, with vertex k's core as digit k.  A cell
-    is (code, mask, r): mask has bit k set when vertex k is in S, and r is
-    the str-least object of the component, so the order of the cells does
-    not depend on the hash seed.  Its boundary is the Koszul-signed tensor
-    boundary of the merged core boundaries (``_core_boundary``): replacing
-    the core c of vertex k by its face f adds (f - c) m^k to the code and
-    clears bit k of the mask when c lies outside A and f inside it; the
-    face lies in the component of U_S(f), an up-set containing U_S, that
-    holds r.
+    A cell is (code, mask, r), with s coded and masked as ``_cell_walk``
+    does, and r the str-least object of the component, so the order of the
+    cells does not depend on the hash seed.  Its boundary is the tensor
+    boundary of s, each face in the component of U_S(f), an up-set
+    containing U_S, that holds r.
     """
-    X, A, inc = pair_spaces(pair, n_max) if isinstance(pair, str) else pair
-    if not _injective_on_cores(inc):
+    pair = _read_pair(pair, n_max)
+    if not _injective_on_cores(pair[2]):
         raise PreconditionFailed("the inclusion of A does not send cores to distinct cores of X")
-    verts = P.vertices
-    digit = {v: k for k, v in enumerate(verts)}
-    number = _numbered(X)
-    m = len(number)
-    inside = {number[inc.on_cores[a][0]] for a in A.cores}
-    low, high = _sides(X, number, inside, n_max)
-    N, K = (dict.fromkeys(verts, _counts(cores, n_max)) for cores in (low, high))
-    codes = _tuple_codes([low, high], m, len(verts), n_max)
+    walk, tensor = _cell_walk(P, pair, n_max)
 
     # rep_of[mask][x]: the str-least object of the component of U_S holding x
     rep_of: dict = {}
     bases = [[] for _ in range(n_max + 1)]
-    for support, _, _, up, _ in support_walk(P, N, K, n_max):
-        ks = [digit[v] for v in support]
-        mask = sum(1 << k for k in ks)
+    for mask, up, tuples in walk:
         rep = rep_of[mask] = P.components(up)
         reps = sorted(set(rep.values()), key=str)
-        for code, d in codes(dict.fromkeys(ks, 1)):
+        for code, d in tuples:
             bases[d].extend((code, mask, r) for r in reps)
-
-    tables = _digit_tables(_boundaries(X, number), m, len(verts), inside)
 
     def faces(cell):
         code, mask, r = cell
-        out = []
-        sign = 1
-        rest = code
-        for table in tables:
-            rest, c = divmod(rest, m)
-            odd, boundary = table[c]
-            for shift, e, cleared in boundary:
-                face_mask = mask ^ cleared
-                out.append(((code + shift, face_mask, rep_of[face_mask][r]), sign * e))
-            if odd:
-                sign = -sign
-        return out
+        return [((code + shift, mask ^ cleared, rep_of[mask ^ cleared][r]), e) for shift, e, cleared in tensor(code)]
 
     return bases, faces
 
@@ -645,121 +667,71 @@ def hocolim_cells(P: PointedPoset, pair: str | tuple, n_max: int):
     0..n_max, with their Morse boundary; returns (bases, faces) as
     ``_betti`` reads them.
 
-    The complex is the total complex of the normalized double complex of
-    the simplicial replacement (Bousfield and Kan 1972, LNM 304, ch. XII),
-    whose diagonal ``hocolim_space`` builds, with each block's chains
-    replaced by the tensor product of its factors' chains (Eilenberg-Zilber
-    again, natural in the blocks).  A cell is a strict chain
-    c = (x_0 < ... < x_p) and a tuple s of cores of the block at x_0, one
-    per vertex in str order: a core of X on V(x_0), of A elsewhere; its
+    The pair is read as cells by ``_cell_walk``: an inclusion that is not
+    injective on cores is replaced by its mapping cylinder, which leaves
+    the homotopy colimit's homotopy type as it is, so A's cells are always
+    cells of X, under their own numbers.  The complex is the total complex
+    of the normalized double complex of the simplicial replacement
+    (Bousfield and Kan 1972, LNM 304, ch. XII), whose diagonal
+    ``hocolim_space`` builds, with each block's chains replaced by the
+    tensor product of its factors' chains (Eilenberg-Zilber again, natural
+    in the blocks).  A cell is a strict
+    chain c = (x_0 < ... < x_p) and a tuple s of cells of the block at x_0,
+    one per vertex in str order: a cell of X on V(x_0), of A elsewhere; its
     dimension is p plus those of s.  Its boundary is sum_(i>=1) (-1)^i
     (c minus x_i, s), plus the hop (c minus x_0, s pushed into the block at
-    x_1, the inclusion applied on V(x_1) - V(x_0)) unless a pushed core
-    turns degenerate, plus (-1)^p times the tensor boundary of s, from the
-    merged core boundaries (``_core_boundary``).
+    x_1), plus (-1)^p times the tensor boundary of s.
 
-    The matching.  When the inclusion sends the cores of A to distinct cores
-    of X, s pushed into X is a tuple t of cores of X, and the cells with one
-    t form its fibre: the strict chains of U_S = {x : S <= V(x)}, S the
-    vertices whose core of t lies outside A, each with t pulled back to its
-    bottom.  Inside a fibre the boundary is that of the order complex
-    Delta(U_S), the hop being its zeroth face with coefficient +1.  Where
-    U_S has one minimal object a, Delta(U_S) is the cone on a: each (c, t)
-    with x_0 != a is matched with ((a) + c, t), whose hop it is.  Inside a
-    fibre this is the cone's matching, which is acyclic: the faces of
-    (a) + c other than c all start at a.  The tensor boundary sends t to
-    faces of t, so it never raises the fibre, and a matching that is
-    acyclic on each fibre of such an order-preserving map is acyclic on the
-    whole complex (the patchwork theorem; Kozlov 2008, Combinatorial
-    Algebraic Topology, ch. 11).  By algebraic discrete Morse theory
-    (Skoldberg 2006, "Morse theory from an algebraic viewpoint", Trans. AMS
-    358; Jollenbeck and Welker 2009, Mem. AMS 923) the critical cells, with
-    the Morse boundary, span a complex with the same homology over any
-    field, since every matched coefficient is +1.  They are (a, t) for each
-    t of a cone fibre, and every cell of a fibre whose U_S has several
-    minimal objects.  An inclusion that sends two cores of A to one core of
-    X, or one to a degenerate simplex, gets no matching: every cell is
-    critical.
+    The matching.  s pushed into X is a tuple t of cells of X, and the
+    cells with one t form its fibre: the strict chains of U_S =
+    {x : S <= V(x)}, S the vertices whose cell of t lies outside A, each
+    with t pulled back to its bottom.  Inside a fibre the boundary is that
+    of the order complex Delta(U_S), the hop being its zeroth face with
+    coefficient +1.  Where U_S has one minimal object a, Delta(U_S) is the
+    cone on a: each (c, t) with x_0 != a is matched with ((a) + c, t),
+    whose hop it is.  Inside a fibre this is the cone's matching, which is
+    acyclic: the faces of (a) + c other than c all start at a.  The tensor
+    boundary sends t to faces of t, so it never raises the fibre, and a
+    matching that is acyclic on each fibre of such an order-preserving map
+    is acyclic on the whole complex (the patchwork theorem; Kozlov 2008,
+    Combinatorial Algebraic Topology, ch. 11).  By algebraic discrete Morse
+    theory (Skoldberg 2006, "Morse theory from an algebraic viewpoint",
+    Trans. AMS 358; Jollenbeck and Welker 2009, Mem. AMS 923) the critical
+    cells, with the Morse boundary, span a complex with the same homology
+    over any field, since every matched coefficient is +1.  They are (a, t)
+    for each t of a cone fibre, and every cell of a fibre whose U_S has
+    several minimal objects.
 
-    The cells are listed per support from ``support_walk``, as in
-    ``colimit_cells``.  The cores of X are numbered in str order, and those
-    of A by the numbers of their images or, without the matching, after
-    those of X; s is coded as one int in radix m, the count of numbers, with
-    vertex k's core as digit k.  A cell is (c, code, mask), with bit k of
-    mask set when vertex k is in S.  ``faces`` gives the Morse boundary: the
+    The cells are listed per support, with the tuples of ``_cell_walk``.  A
+    cell is (c, code, mask), s coded and masked as ``_cell_walk`` does, so
+    the hop keeps the code.  ``faces`` gives the Morse boundary: the
     boundary, with each cell matched upward replaced by minus the rest of
-    the boundary of its partner, until only critical cells are left (a cell
-    matched downward drops out); faces are merged and zeros dropped.
+    the boundary of its partner, until only critical cells are left (a
+    cell matched downward drops out); faces are merged and zeros dropped.
     """
-    X, A, inc = pair_spaces(pair, n_max) if isinstance(pair, str) else pair
-    matched = _injective_on_cores(inc)
-    verts = P.vertices
-    n = len(verts)
-    digit = {v: k for k, v in enumerate(verts)}
-    number = _numbered(X)
-    inside = {number[x] for x, word in inc.on_cores.values() if not word}
-    low, high = _sides(X, number, inside, n_max)
-    boundaries = _boundaries(X, number)
-    kinds = [low, high]
-    if not matched:
-        # A's cores keep their own numbers, and a hop moves the digits it grows into X
-        own = {a: len(number) + k for a, k in _numbered(A).items()}
-        boundaries += _boundaries(A, own)
-        into = {own[a]: None if word else number[x] for a, (x, word) in inc.on_cores.items()}
-        inside |= set(own.values())
-        kinds = [[(own[c], d) for d in range(n_max + 1) for c in A.nondegenerate(d)], high, low]
-        vmask = {x: sum(1 << digit[v] for v in P.vertex_set(x)) for x in P.objects}
-    m = len(boundaries)
-    N, K = (dict.fromkeys(verts, _counts(cores, n_max)) for cores in (low, high))
-    codes = _tuple_codes(kinds, m, n, n_max)
+    walk, tensor = _cell_walk(P, _read_pair(pair, n_max), n_max)
 
-    # apex[mask]: the one minimal object of U_S when its fibres are matched, else None
+    # apex[mask]: the one minimal object of U_S, else None
     apex: dict = {}
     bases = [[] for _ in range(n_max + 1)]
-    for support, _, series, up, _ in support_walk(P, N, K, n_max):
-        ks = [digit[v] for v in support]
-        mask = sum(1 << k for k in ks)
+    for mask, up, tuples in walk:
         bottoms = P.minimal(up)
-        apex[mask] = bottoms[0] if matched and len(bottoms) == 1 else None
-        lowest = next(d for d, x in enumerate(series) if x)
-        levels = [[bottoms]] if apex[mask] is not None else chains(P, n_max - lowest, objects=up)
-        # block[x]: the support's tuples in the block at the bottom x, the same at every x when matched
-        block = {}
+        apex[mask] = bottoms[0] if len(bottoms) == 1 else None
+        levels = [[bottoms]] if apex[mask] is not None else chains(P, n_max - min(d for _, d in tuples), objects=up)
         for p, level in enumerate(levels):
             for c in level:
-                x = None if matched else c[0]
-                if x not in block:
-                    block[x] = codes(dict.fromkeys(ks, 1) if matched else
-                                     {k: 1 if mask >> k & 1 else 2 for k in range(n) if (mask | vmask[x]) >> k & 1})
-                for code, d in block[x]:
+                for code, d in tuples:
                     if p + d <= n_max:
                         bases[p + d].append((c, code, mask))
-
-    tables = _digit_tables(boundaries, m, n, inside)
 
     def boundary(cell):
         c, code, mask = cell
         p = len(c) - 1
         out = [((c[:j] + c[j + 1:], code, mask), -1 if j % 2 else 1) for j in range(1, p + 1)]
         if p:
-            # matched, A's cores carry their images' numbers, so the hop keeps the code
-            pushed = code
-            for k in () if matched else (k for k in range(n) if (vmask[c[1]] & ~vmask[c[0]]) >> k & 1):
-                a = pushed // m**k % m
-                if (x := into[a]) is None:
-                    break
-                pushed += (x - a) * m**k
-            else:
-                out.append(((c[1:], pushed, mask), 1))
+            out.append(((c[1:], code, mask), 1))
         sign = -1 if p % 2 else 1
-        rest = code
-        for table in tables:
-            rest, s = divmod(rest, m)
-            odd, core_boundary = table[s]
-            for shift, e, cleared in core_boundary:
-                out.append(((c, code + shift, mask ^ cleared), sign * e))
-            if odd:
-                sign = -sign
+        out.extend(((c, code + shift, mask ^ cleared), sign * e) for shift, e, cleared in tensor(code))
         return out
 
     # reduced[cell], for a cell matched upward: minus the rest of its partner's

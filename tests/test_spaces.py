@@ -258,6 +258,21 @@ def test_insufficient_truncation_on_colimits():
         homology(space, 2)
 
 
+def test_a_pair_of_spaces_truncated_below_n_max_is_refused():
+    # the disk cut at 1 is the circle: glued over fix-e's two vertices it
+    # gives the torus's homology where the disk pair gives S^3
+    assert polyprod_homology(fix_e(), "disk2-circle", 4, compare=False)["homology"] == (1, 0, 0, 1)
+    short = pair_spaces("disk2-circle", 1)
+    for via in ("colim", "hocolim"):
+        with pytest.raises(InsufficientTruncation, match="truncated at 1, below 4"):
+            polyprod_homology(fix_e(), short, 4, via=via, compare=False)
+        with pytest.raises(InsufficientTruncation):
+            polyhedral_product_space(fix_e(), short, 4, via=via)
+    # complete spaces answer above their truncation: the circle and the point have no 2-cores
+    rep = polyprod_homology(fix_e(), pair_spaces("circle-point", 1), 4, compare=False, check_route=True)
+    assert rep["homology"] == rep["simplicial_homology"] == polyprod_homology(fix_e(), "circle-point", 4)["homology"]
+
+
 def test_model_spaces_cut_below_their_top_core_are_incomplete():
     D1 = disk_space(1)
     assert set(D1.cores) == {"v", "e"} and not D1.complete
@@ -341,6 +356,59 @@ def test_colimit_refuses_a_pair_whose_inclusion_is_not_injective():
     assert homology(space, 2) == (1, 1, 0)
     rep = polyprod_homology(fix_e(), (X, A, glue), 3, via="hocolim", compare=False, check_route=True)
     assert rep["homology"] == rep["simplicial_homology"] == (1, 1, 0)
+
+
+def _wrap_pair(n_max):
+    """The interval wrapped around the circle: both its ends go to the one
+    vertex.  Unlike glue and collapse, A has a core with a non-zero merged
+    boundary whose image is not degenerate."""
+    X, A = circle_space(n_max), interval_space(n_max)
+    return X, A, SimplicialMap(A, X, {"v0": ("v", ()), "v1": ("v", ()), "e01": ("e", ())})
+
+
+_CYLINDER_PAIRS = dict(_EXTRA_PAIRS, wrap=_wrap_pair)
+
+
+@pytest.mark.parametrize("pair", PAIR_NAMES + tuple(_CYLINDER_PAIRS))
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+def test_the_pair_read_as_cells_has_the_homology_of_x(pair, n_max):
+    # glue, collapse and wrap become the mapping cylinder of their
+    # inclusion, which deforms onto X; the other pairs are X's cores as they are
+    X, A, inc = pair_spaces(pair, n_max) if pair in PAIR_NAMES else _CYLINDER_PAIRS[pair](n_max)
+    cells, inside = spaces._pair_cells(X, A, inc)
+    bases = [[c for c, (d, _) in enumerate(cells) if d == n] for n in range(n_max + 1)]
+    for c, (d, boundary) in enumerate(cells):
+        assert all(cells[f][0] == d - 1 for f, _ in boundary)
+        twice = Counter()
+        for f, a in boundary:
+            for g, b in cells[f][1]:
+                twice[g] += a * b
+        assert not any(twice.values()), c
+    for field in (QQ, F2):
+        assert spaces._betti(bases, lambda c: cells[c][1], n_max - 1, field) == homology(X, n_max - 1, field)
+    # A's cells span a sub-complex with A's homology
+    assert all(f in inside for c in inside for f, _ in cells[c][1])
+    A_bases = [[c for c in level if c in inside] for level in bases]
+    assert spaces._betti(A_bases, lambda c: cells[c][1], n_max - 1, QQ) == homology(A, n_max - 1, QQ)
+    if pair in ("glue", "collapse", "wrap"):
+        assert len(cells) == len(X.cores) + 2 * len(A.cores)
+    else:
+        # the cores of X in str order, with A's images inside
+        order = sorted(X.cores, key=str)
+        assert cells == [(X.cores[c], [(order.index(f), e) for f, e in spaces._core_boundary(X, c)]) for c in order]
+        assert inside == {order.index(inc.on_cores[a][0]) for a in A.cores}
+
+
+def test_critical_cells_of_pairs_that_are_not_injective():
+    # the mapping cylinder of the glue pair sits A injectively, so its
+    # fibres are matched like any other pair's: 88 critical cells where the
+    # full complex of the original pair has 152
+    rep = polyprod_homology(fix_a(), _glue_pair(4), 4, via="hocolim", compare=False, check_route=True)
+    assert rep["cells"] == (12, 28, 32, 16, 0)
+    assert rep["homology"] == rep["simplicial_homology"] == (1, 0, 0, 1)
+    for P in (fix_a(), fix_b(), fix_e()):
+        rep = polyprod_homology(P, _wrap_pair(3), 3, via="hocolim", compare=False, check_route=True)
+        assert rep["routes_agree"], P
 
 
 def test_the_limit_comparison_refuses_a_pair_of_spaces_before_building(monkeypatch):
