@@ -392,8 +392,12 @@ def main(argv=None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(prog="posetprod-acceptance")
-    parser.add_argument("numbers", nargs="*", type=int, help="criteria to run (default all)")
+    parser.add_argument("numbers", nargs="*", type=int, help=f"criteria to run, 1 to {len(CRITERIA)} (default all)")
     args = parser.parse_args(argv)
+    # checked here, not by choices=, which Python 3.11 also applies to an empty "*" list
+    unknown = [k for k in args.numbers if not 1 <= k <= len(CRITERIA)]
+    if unknown:
+        parser.error(f"argument numbers: no criterion {unknown[0]} (choose from 1 to {len(CRITERIA)})")
     results = run_all(set(args.numbers) or None)
     for res in results:
         print(res.line())

@@ -1,5 +1,8 @@
 """Command line front end: every subcommand reads a poset (a JSON file or a
-built-in fixture name) and prints one JSON report to stdout.
+built-in fixture name) and prints one JSON report to stdout, whose
+``parameters`` echo the parsed arguments.  ``suite`` runs ``hilbert``,
+``tensor`` and ``homology`` with their cross-checks on; each of their results
+is one section of its report.
 
 Exit codes: 0 on success, 1 when a requested verification disagrees, 2 on
 bad input.
@@ -57,7 +60,7 @@ def _cmd_check(P, field, args):
     results["objects"] = len(P.objects)
     results["vertices"] = list(map(str, P.vertices))
     code = 0 if all(results.get(e, False) for e in args.expect or ()) else 1
-    return results, {"expect": args.expect}, code, {}
+    return results, code, {}
 
 
 def _cmd_reduce(P, field, args):
@@ -68,11 +71,11 @@ def _cmd_reduce(P, field, args):
         "objects_before": len(P.objects),
         "objects_after": len(R.objects),
     }
-    return results, {}, 0, {}
+    return results, 0, {}
 
 
 def _cmd_fvector(P, field, args):
-    return {"f_vector": list(f_vector(P)), "norm": P.norm}, {}, 0, {}
+    return {"f_vector": list(f_vector(P)), "norm": P.norm}, 0, {}
 
 
 def _cmd_stransform(P, field, args):
@@ -86,18 +89,13 @@ def _cmd_stransform(P, field, args):
     }
     if classify(P).regular:
         results["f_vector_predicted"] = list(f_transform_predict(P))
-    return results, {}, 0, {}
+    return results, 0, {}
 
 
 def _cmd_hilbert(P, field, args):
-    params = {
-        "max_degree": args.max_degree,
-        "grading": args.grading,
-        "method": args.method,
-    }
     if args.method == "fvector":
         dims = hilbert_from_fvector(transform_f_vector(P), args.max_degree, scale=args.grading)
-        return {"dims": list(dims)}, params, 0, {}
+        return {"dims": list(dims)}, 0, {}
     rep = presentation_report(P, D=args.max_degree, scale=args.grading, field=field)
     results = {
         "dims": list(rep["limit_dims"] if args.method == "limit" else rep["quotient_dims"]),
@@ -107,7 +105,7 @@ def _cmd_hilbert(P, field, args):
         "relations_skipped": rep["skipped_unsound"],
         "bound_used": rep["bound_used"],
     }
-    return results, params, 0 if rep["agree"] else 1, {}
+    return results, 0 if rep["agree"] else 1, {}
 
 
 def _cmd_limits(P, field, args):
@@ -118,16 +116,11 @@ def _cmd_limits(P, field, args):
         diagram = PosetDiagram.constant(P, GradedVectorSpace(field, (1,)))
         kind = "constant"
     results = {"diagram": kind, "higher_limits": [list(l) for l in higher_limits(diagram)]}
-    return results, {"upset": args.upset}, 0, {}
+    return results, 0, {}
 
 
 def _cmd_tensor(P, field, args):
     coll = _parse_collection(args.collection, P, args.max_degree, field)
-    params = {
-        "collection": args.collection,
-        "max_degree": args.max_degree,
-        "check_reduction": args.check_reduction,
-    }
     found = tensor_limits(P, coll, check_route=args.check_route)
     results = {"higher_limits": [list(l) for l in found.limits]}
     checks = []
@@ -145,23 +138,17 @@ def _cmd_tensor(P, field, args):
          "dims": list(t.dims), "betti": list(t.betti)}
         for t in found.non_acyclic_terms()
     ]
-    return results, params, 0 if all(checks) else 1, {"non_acyclic_supports": supports}
+    return results, 0 if all(checks) else 1, {"non_acyclic_supports": supports}
 
 
 def _cmd_homology(P, field, args):
     rep = polyprod_homology(
-        P, args.pair, args.max_dim + 1, via=args.via, field=field, compare=not args.no_compare,
+        P, args.pair, args.max_dim + 1, via=args.via, field=field, compare=args.compare,
         check_route=args.check_route,
     )
-    params = {
-        "pair": args.pair,
-        "max_dim": args.max_dim,
-        "via": args.via,
-        "compare": not args.no_compare,
-    }
     results = {"homology": list(rep["homology"])}
     checks = []
-    if not args.no_compare:
+    if args.compare:
         results["predicted_from_limits"] = list(rep["predicted"])
         results["higher_limits"] = [list(l) for l in rep["limits"]]
         results["agree"] = rep["agree"]
@@ -171,32 +158,29 @@ def _cmd_homology(P, field, args):
         results["routes_agree"] = rep["routes_agree"]
         checks.append(rep["routes_agree"])
     route = {"name": rep["route"], "cells": list(rep["cells"])}
-    return results, params, 0 if all(checks) else 1, {"route": route}
+    return results, 0 if all(checks) else 1, {"route": route}
+
+
+# suite also builds the simplicial colimit, to check its homology, on posets
+# with at most this many objects
+_SUITE_SPACE_LIMIT = 12
 
 
 def _cmd_suite(P, field, args):
     D = args.max_degree
     rep = classify(P)
     results: dict = {"classification": rep.to_dict(), "f_vector": list(f_vector(P))}
+
+    def run(key, fn, **options):
+        results[key], code, _ = fn(P, field, argparse.Namespace(**options))
+        return code == 0
+
     checks = []
     if rep.polyhedral:
-        pres = presentation_report(P, D=D, field=field)
-        results["hilbert"] = {
-            "quotient_dims": list(pres["quotient_dims"]),
-            "limit_dims": list(pres["limit_dims"]),
-            "agree": pres["agree"],
-            "relations_skipped": pres["skipped_unsound"],
-        }
-        checks.append(pres["agree"])
-        coll = induced_collection(P, "circle-point", D, field=field)
-        found = tensor_limits(P, coll, check_route=True)
-        _, _, equal = reduction_invariance(P, coll, found.limits)
-        results["tensor_circle"] = {
-            "higher_limits": [list(l) for l in found.limits],
-            "reduction_invariant": equal,
-            "routes_agree": found.routes_agree,
-        }
-        checks += [equal, found.routes_agree]
+        checks.append(run("hilbert", _cmd_hilbert, max_degree=D, method="presentation", grading=1))
+        checks.append(run(
+            "tensor_circle", _cmd_tensor, collection="circle", max_degree=D, check_route=True, check_reduction=True,
+        ))
     if rep.regular:
         actual = transform_f_vector(P)
         predicted = f_transform_predict(P)
@@ -206,19 +190,12 @@ def _cmd_suite(P, field, args):
             "agree": actual == predicted,
         }
         checks.append(actual == predicted)
-    cross_check = len(P.objects) <= args.space_limit
-    hom = polyprod_homology(P, "circle-point", min(D, 3) + 1, via="colim", field=field, check_route=cross_check)
-    results["homology_circle_point"] = {
-        "homology": list(hom["homology"]),
-        "predicted_from_limits": list(hom["predicted"]),
-        "agree": hom["agree"],
-    }
-    checks.append(hom["agree"])
-    if cross_check:
-        results["homology_circle_point"]["routes_agree"] = hom["routes_agree"]
-        checks.append(hom["routes_agree"])
+    checks.append(run(
+        "homology_circle_point", _cmd_homology, pair="circle-point", max_dim=min(D, 3), via="colim", compare=True,
+        check_route=len(P.objects) <= _SUITE_SPACE_LIMIT,
+    ))
     results["all_checks_pass"] = all(checks)
-    return results, {"max_degree": D}, 0 if results["all_checks_pass"] else 1, {}
+    return results, 0 if results["all_checks_pass"] else 1, {}
 
 
 def _int_at_least(minimum: int):
@@ -296,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", choices=list(PAIR_NAMES), default="circle-point")
     p.add_argument("--max-dim", type=_non_negative, default=2)
     p.add_argument("--via", choices=["colim", "hocolim"], default="colim")
-    p.add_argument("--no-compare", action="store_true", help="skip the higher-limit comparison")
+    p.add_argument("--no-compare", dest="compare", action="store_false", help="skip the higher-limit comparison")
     p.add_argument(
         "--check-route",
         action="store_true",
@@ -305,12 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("suite", _cmd_suite, "run every applicable computation with cross-checks", field=True)
     p.add_argument("--max-degree", type=_non_negative, default=4)
-    p.add_argument(
-        "--space-limit",
-        type=_non_negative,
-        default=12,
-        help="cross-check homology against the simplicial colimit only up to this many objects",
-    )
 
     return parser
 
@@ -325,20 +296,21 @@ def main(argv=None) -> int:
     """Run one command: print its JSON report and return its exit code, or
     print the error and return 2 on bad input or when memory runs out.  Each
     ``_cmd_*`` takes the poset, the field (None without ``--field``) and the
-    arguments, and returns results, parameters, exit code and any extra
-    top-level report keys."""
+    arguments, and returns results, exit code and any extra top-level report
+    keys; the report's parameters are the parsed arguments."""
     args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         P, info = _load_poset(args.poset)
         field = FieldSpec.parse(args.field) if "field" in args else None
-        results, parameters, code, extra = args.fn(P, field, args)
+        results, code, extra = args.fn(P, field, args)
     except (PosetProdError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
+    parameters = {k: v for k, v in vars(args).items() if k not in ("command", "fn", "poset", "pretty", "field")}
     if field is not None:
         parameters["field"] = str(field)
     report = {

@@ -5,6 +5,8 @@ and asserts the criterion outcome.  Expected values are frozen in
 posetprod.acceptance next to their counting oracles.
 """
 
+import pytest
+
 from posetprod import acceptance
 
 
@@ -79,3 +81,14 @@ def test_main_exits_1_when_a_criterion_fails(capsys):
     # criterion 4 fails by design, so its run must say so in the exit code
     assert acceptance.main(["4"]) == 1
     assert capsys.readouterr().out.startswith("criterion  4 [FAIL]")
+
+
+@pytest.mark.parametrize("argv", [["11"], ["0", "-3"], ["4", "0"]])
+def test_main_refuses_a_criterion_that_does_not_exist(capsys, argv):
+    # a mistyped number used to run nothing, print nothing and exit 0
+    with pytest.raises(SystemExit) as exc:
+        acceptance.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "no criterion" in captured.err

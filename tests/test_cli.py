@@ -253,7 +253,8 @@ def test_suite_at_degree_zero(capsys):
     assert res["all_checks_pass"]
     assert res["tensor_circle"]["higher_limits"] == [[1]]
     assert res["homology_circle_point"] == {
-        "homology": [1], "predicted_from_limits": [1], "agree": True, "routes_agree": True,
+        "homology": [1], "predicted_from_limits": [1], "higher_limits": [[1]], "agree": True,
+        "simplicial_homology": [1], "routes_agree": True,
     }
 
 
@@ -304,10 +305,29 @@ def test_stransform_refuses_faces_that_would_share_a_name(tmp_path, capsys):
 
 
 def test_suite_reports_homology_beyond_the_space_limit(capsys):
-    code, rep = run(capsys, "suite", "fix-c", "--max-degree", "3", "--space-limit", "0")
+    # simplex-3 has 16 objects, more than suite builds the colimit for
+    code, rep = run(capsys, "suite", "simplex-3", "--max-degree", "3")
     assert code == 0
     hom = rep["results"]["homology_circle_point"]
-    assert hom == {"homology": [1, 4, 6, 4], "predicted_from_limits": [1, 4, 6, 4], "agree": True}
+    assert hom == {
+        "homology": [1, 4, 6, 4], "predicted_from_limits": [1, 4, 6, 4], "higher_limits": [[1, 4, 6, 4]], "agree": True,
+    }
+
+
+def test_parameters_echo_every_parsed_argument(capsys):
+    code, rep = run(capsys, "tensor", "fix-a", "--check-route")
+    assert code == 0
+    assert rep["parameters"] == {
+        "collection": "aug:1", "max_degree": 4, "check_reduction": False, "check_route": True, "field": "q",
+    }
+    code, rep = run(capsys, "homology", "fix-b", "--no-compare", "--check-route", "--via", "hocolim")
+    assert code == 0
+    assert rep["parameters"] == {
+        "pair": "circle-point", "max_dim": 2, "via": "hocolim", "compare": False, "check_route": True, "field": "q",
+    }
+    code, rep = run(capsys, "suite", "fix-c")
+    assert code == 0
+    assert rep["parameters"] == {"max_degree": 4, "field": "q"}
 
 
 def test_repeated_calls_do_not_share_state(capsys):
@@ -373,7 +393,6 @@ def test_aug_with_and_without_a_degree(capsys):
     ["tensor", "fix-a", "--max-degree", "-1"],
     ["hilbert", "fix-b", "--max-degree", "-1"],
     ["suite", "fix-b", "--max-degree", "-1"],
-    ["suite", "fix-b", "--space-limit", "-1"],
 ])
 def test_negative_degree_flags_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:
