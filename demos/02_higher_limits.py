@@ -39,7 +39,7 @@ print("\nindicator on up-set of {3,4}:")
 print("chain counts:", [len(c) for c in cx.chains])
 print("level-0 differential, internal degree 0:")
 for row in cx.deltas[0].mats[0]:
-    print("  ", [int(v) for v in row])
+    print("  ", row)
 
 # The limit sees one compatible family (3 and 4 must agree after mapping
 # into 5 and 6), and a 1-dimensional obstruction survives in level 1.
@@ -51,7 +51,7 @@ assert lims == [(1,), (1,)]
 # (x, i), basis element i of the space at object x, so the compatible family
 # is visible: equal coefficients on 3 and 4.
 names, vecs = lim0_basis(ind)[0]
-print("lim^0 basis over", names, "->", [[int(v) for v in vec] for vec in vecs])
+print("lim^0 basis over", names, "->", vecs)
 
 # Everything works verbatim over a finite field.
 F5 = FieldSpec.parse("5")

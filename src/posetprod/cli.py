@@ -190,10 +190,13 @@ def _cmd_suite(P, field, args):
             "agree": actual == predicted,
         }
         checks.append(actual == predicted)
-    checks.append(run(
-        "homology_circle_point", _cmd_homology, pair="circle-point", max_dim=min(D, 3), via="colim", compare=True,
-        check_route=len(P.objects) <= _SUITE_SPACE_LIMIT,
-    ))
+    # the colimit has the homology its limits predict only over a lower
+    # saturated poset; the classification names the witness otherwise
+    if rep.lower_saturated:
+        checks.append(run(
+            "homology_circle_point", _cmd_homology, pair="circle-point", max_dim=min(D, 3), via="colim", compare=True,
+            check_route=len(P.objects) <= _SUITE_SPACE_LIMIT,
+        ))
     results["all_checks_pass"] = all(checks)
     return results, 0 if results["all_checks_pass"] else 1, {}
 

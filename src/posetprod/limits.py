@@ -188,8 +188,6 @@ def cochain_complex(
         offsets.append(offs)
 
     composites: dict = {}
-    one = field.one()
-    minus_one = field.neg(one)
     deltas = []
     for n in range(len(levels) - 1):
         rows = [[] for _ in range(D + 1)]
@@ -207,7 +205,7 @@ def cochain_complex(
                             for j, v in nz:
                                 acc[c0 + j] = acc.get(c0 + j, 0) + v
                 else:
-                    sign = one if k % 2 == 0 else minus_one
+                    sign = 1 if k % 2 == 0 else -1
                     for acc_d, c0 in zip(accs, coffs):
                         for i, acc in enumerate(acc_d, c0):
                             acc[i] = acc.get(i, 0) + sign

@@ -5,9 +5,10 @@ its field and its dimensions: basis elements are numbered per degree, not
 named.  Maps are degree-preserving and stored as sparse rows (rows index
 the target basis): per degree, one list per target row of its non-zero
 (column, value) pairs, sorted by column (``GradedLinearMap.nonzero_rows``).
-All arithmetic is exact: Fraction entries over Q, canonical
-representatives 0..p-1 over F_p.  A dense view (``GradedLinearMap.mats``)
-is built only when asked for.
+All arithmetic is exact, and ``FieldSpec.conv`` alone decides how a value
+is stored: over Q an int when integral and a Fraction otherwise, over F_p
+an int in 0..p-1.  A dense view (``GradedLinearMap.mats``) is built only
+when asked for.
 
 One sparse product on such rows, ``_product``, serves composition and the
 d^2 = 0 check of cochain complexes, and a tensor of maps takes each row as
@@ -25,7 +26,7 @@ kernel or a section is asked for.  Its forward phase is int arithmetic in
 both fields: mod p over F_p, and over Q on primitive integer rows, each
 scaled by the lcm of its denominators, reduced by cross-multiplication and
 divided by its content (the gcd of its entries), so that no Fraction is
-made.  Only the reduced form is built from Fractions.  ``rank`` can report
+made.  Only the reduced form makes Fractions.  ``rank`` can report
 its pivot columns, which lets a caller clear rows of the next matrix of a
 complex.
 """
@@ -108,33 +109,25 @@ class FieldSpec:
     def conv(self, x):
         """Coerce an int, Fraction or 'a/b' string into the field.
 
-        A canonical element (a Fraction over Q, an int in 0..p-1 over F_p)
-        comes back unchanged, so re-converting the library's own matrices
-        costs one type check per entry.
+        A canonical element comes back unchanged, so re-converting the
+        library's own matrices costs a type check per entry.  Over Q it is
+        an int when integral and a Fraction otherwise; over F_p, an int in
+        0..p-1.
         """
         if self.kind == "Q":
-            if type(x) is Fraction:
+            if type(x) is int or type(x) is Fraction and x.denominator != 1:
                 return x
-        elif type(x) is int and 0 <= x < self.p:
+            x = Fraction(x)
+            return x.numerator if x.denominator == 1 else x
+        if type(x) is int and 0 <= x < self.p:
             return x
         if isinstance(x, str):
             x = Fraction(x)
-        if self.kind == "Q":
-            return Fraction(x)
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
             return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
         return int(x) % self.p
-
-    def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
-
-    def one(self):
-        return Fraction(1) if self.kind == "Q" else 1
-
-    def neg(self, a):
-        return -a if self.kind == "Q" else (-a) % self.p
 
 
 QQ = FieldSpec.Q()
@@ -172,12 +165,11 @@ def _product(a_rows, b_rows, field: FieldSpec) -> list[dict]:
     return out
 
 
-def _dense(rows, ncols: int, field: FieldSpec) -> list:
+def _dense(rows, ncols: int) -> list:
     """The dense matrix of sparse rows, each of length ``ncols``."""
-    z = field.zero()
     out = []
     for r in rows:
-        row = [z] * ncols
+        row = [0] * ncols
         for j, v in r:
             row[j] = v
         out.append(row)
@@ -210,20 +202,18 @@ def _integral(row) -> dict:
     """A row of (column, value) pairs over Q as a primitive integer row
     {column: int} without zeros, spanning the same line: the row times the
     lcm of its denominators, divided by its content.  Values may be ints,
-    Fractions or 'a/b' strings; ints are never made Fractions, and a row of
-    ints and integral Fractions is read in one pass."""
+    Fractions or 'a/b' strings; a row of ints, as every canonical integral
+    row is, is read in one pass."""
     r = {}
     for j, x in row:
         if type(x) is not int:
-            if type(x) is not Fraction or x.denominator != 1:
-                break
-            x = x.numerator
+            break
         if x:
             r[j] = x
     else:
         return _primitive(r)
-    # a proper fraction or a string: clear the denominators of the whole row
-    q = {j: (x if type(x) is Fraction else QQ.conv(x)).as_integer_ratio() for j, x in row if x}
+    # a fraction or a string: clear the denominators of the whole row
+    q = {j: QQ.conv(x).as_integer_ratio() for j, x in row if x}
     m = lcm(*[d for _, d in q.values()])
     return _primitive({j: n * (m // d) for j, (n, d) in q.items() if n})
 
@@ -241,7 +231,7 @@ def _echelon(rows, ncols: int, field: FieldSpec, reduced: bool = False) -> dict:
     its content again, so every row stays a primitive integer vector; such
     a row is a multiple of a vector of maximal minors of the input rows, so
     its entries are bounded by those minors.  Returns {pivot column: pivot row}.  With
-    ``reduced`` the pivot rows are made monic (Fractions over Q) and each
+    ``reduced`` the pivot rows are made monic, with canonical entries, and each
     pivot column is also cleared from the other pivot rows, which gives the
     reduced row echelon form; that form is unique, so it does not depend on
     the choice of pivot rows.
@@ -278,7 +268,7 @@ def _echelon(rows, ncols: int, field: FieldSpec, reduced: bool = False) -> dict:
             a = r[c]
             inv = None if p is None else pow(a, -1, p)
             for k, v in r.items():
-                r[k] = Fraction(v, a) if p is None else v * inv % p
+                r[k] = QQ.conv(Fraction(v, a)) if p is None else v * inv % p
         for c in sorted(pivots, reverse=True):
             r = pivots[c]
             for k in [k for k in r if k != c and k in pivots]:
@@ -302,13 +292,13 @@ def kernel_basis(rows, ncols: int, field: FieldSpec):
     a list of length-ncols vectors, one per free column of the reduced row
     echelon form, in column order."""
     R = _echelon(rows, ncols, field, reduced=True)
-    basis = {j: [field.zero()] * ncols for j in range(ncols) if j not in R}
+    basis = {j: [0] * ncols for j in range(ncols) if j not in R}
     for j, v in basis.items():
-        v[j] = field.one()
+        v[j] = 1
     for c, r in R.items():
         for j, x in r.items():
             if j != c:
-                basis[j][c] = field.neg(x)
+                basis[j][c] = field.conv(-x)
     return list(basis.values())
 
 
@@ -396,8 +386,7 @@ class GradedLinearMap:
 
     @classmethod
     def identity(cls, space: GradedVectorSpace) -> "GradedLinearMap":
-        one = space.field.one()
-        return cls(space, space, [[[(i, one)] for i in range(n)] for n in space.dims])
+        return cls(space, space, [[[(i, 1)] for i in range(n)] for n in space.dims])
 
     @classmethod
     def zero(cls, source: GradedVectorSpace, target: GradedVectorSpace) -> "GradedLinearMap":
@@ -406,7 +395,7 @@ class GradedLinearMap:
     @property
     def mats(self) -> list:
         """A dense copy of each degree's matrix, built on every access."""
-        return [_dense(m, n, self.field) for m, n in zip(self.nonzero_rows, self.source.dims)]
+        return [_dense(m, n) for m, n in zip(self.nonzero_rows, self.source.dims)]
 
     def compose(self, other: "GradedLinearMap") -> "GradedLinearMap":
         """self after other."""

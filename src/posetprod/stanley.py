@@ -250,7 +250,7 @@ def quotient_dims(pres: RingPresentation, D: int, field: FieldSpec = QQ):
     basis of k[X/~]/M.  Coefficients are tested in the field: a
     coefficient that vanishes mod p is no term.
     """
-    conv = field.conv if field.p is not None else (lambda c: c)
+    conv = field.conv
     gens = sorted(pres.generators, key=_skey)
     if any(pres.degrees[g] < 1 for g in gens):
         raise PreconditionFailed("generator degrees must be >= 1")

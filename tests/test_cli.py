@@ -314,6 +314,19 @@ def test_suite_reports_homology_beyond_the_space_limit(capsys):
     }
 
 
+def test_suite_leaves_out_the_homology_comparison_off_its_hypothesis(capsys):
+    # fix-a is not lower saturated, so its colimit need not have the
+    # homology its limits predict (lim^1 != 0 there): suite does not compare
+    # them, and the classification names the witness
+    code, rep = run(capsys, "suite", "fix-a", "--max-degree", "4")
+    assert code == 0
+    res = rep["results"]
+    assert res["all_checks_pass"] is True
+    assert "homology_circle_point" not in res
+    assert res["classification"]["lower_saturated"] is False
+    assert res["classification"]["witnesses"]["lower_saturated"]
+
+
 def test_parameters_echo_every_parsed_argument(capsys):
     code, rep = run(capsys, "tensor", "fix-a", "--check-route")
     assert code == 0

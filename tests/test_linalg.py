@@ -73,13 +73,18 @@ def test_conv_returns_canonical_elements():
         assert f5.conv(y) is y
     assert [f5.conv(x) for x in (-7, -1, 12, 5)] == [3, 4, 2, 0]
     assert f5.conv(Fraction(-3, 2)) == 1
-    for x in (-7, 3, Fraction(2, 3), "-5/4"):
+    # over Q an integral value is an int and any other a Fraction
+    for x in (-7, 0, 3, 10**30, Fraction(12, 4), Fraction(0), "-6/2", "0/5", 2.0):
         y = QQ.conv(x)
-        assert type(y) is Fraction
+        assert type(y) is int and y == Fraction(x)
+        assert QQ.conv(y) is y
+    for x in (Fraction(2, 3), "-5/4", 0.5):
+        y = QQ.conv(x)
+        assert type(y) is Fraction and y.denominator != 1 and y == Fraction(x)
         assert QQ.conv(y) is y
     # bool is an int subclass but not a canonical element
     assert type(f5.conv(True)) is int and f5.conv(True) == 1
-    assert type(QQ.conv(True)) is Fraction and QQ.conv(True) == 1
+    assert type(QQ.conv(True)) is int and QQ.conv(True) == 1
 
 
 def test_rref_and_rank_known_matrix():
@@ -169,10 +174,10 @@ def _sympy_kernel_basis(rows, ncols: int, field: FieldSpec):
     for free in range(ncols):
         if free in pivots:
             continue
-        v = [field.zero()] * ncols
-        v[free] = field.one()
+        v = [0] * ncols
+        v[free] = 1
         for i, p in enumerate(pivots):
-            v[p] = field.neg(_from_sympy(R[i][free], field))
+            v[p] = field.conv(-_from_sympy(R[i][free], field))
         basis.append(v)
     return basis
 
@@ -275,18 +280,20 @@ def test_forward_rows_over_q_are_integers_for_fraction_and_string_input():
 
 
 def test_integral_fraction_rows_skip_the_denominators(monkeypatch):
-    # the rows of a GradedLinearMap over Q hold Fractions, mostly integral:
-    # they are read as their numerators, with no lcm of denominators taken
+    # a GradedLinearMap over Q stores integral values as ints, so a map
+    # built from integral Fractions hands _echelon rows of ints, read in
+    # one pass with no lcm of denominators taken
     def slow(*args):
         raise AssertionError("the denominators were read")
 
-    monkeypatch.setattr(linalg, "lcm", slow)
-    row = [(0, Fraction(6)), (2, Fraction(-4)), (3, Fraction(0)), (5, 10)]
-    assert _integral(row) == {0: 3, 2: -2, 5: 5}
-    assert all(type(v) is int for v in _integral(row).values())
-    assert _integral([(4, Fraction(-1))]) == {4: -1}
     a = GradedVectorSpace(QQ, (3,))
-    assert rank(GradedLinearMap(a, a, [[[(0, 2)], [(1, -3), (2, 6)], [(0, 4)]]]).nonzero_rows[0], 3, QQ) == 2
+    f = GradedLinearMap(a, a, [[[(0, Fraction(2))], [(1, Fraction(-3)), (2, Fraction(12, 2))], [(0, "4/1")]]])
+    assert f.nonzero_rows == [[[(0, 2)], [(1, -3), (2, 6)], [(0, 4)]]]
+    assert all(type(v) is int for row in f.nonzero_rows[0] for _, v in row)
+    monkeypatch.setattr(linalg, "lcm", slow)
+    assert [_integral(row) for row in f.nonzero_rows[0]] == [{0: 1}, {1: -1, 2: 2}, {0: 1}]
+    assert rank(f.nonzero_rows[0], 3, QQ) == 2
+    assert _echelon(f.nonzero_rows[0], 3, QQ) == {0: {0: 1}, 1: {1: -1, 2: 2}}
     monkeypatch.undo()
     # a proper fraction anywhere in the row scales the whole row
     assert _integral([(0, Fraction(3)), (1, Fraction(1, 2)), (2, "0"), (3, "-2/3")]) == {0: 18, 1: 3, 3: -4}
@@ -316,7 +323,7 @@ def test_non_canonical_entries_are_converted_first():
         kernel_basis(_pair_rows([[-1, 2]]), 2, f5) + kernel_basis(_pair_rows([[Fraction(1, 2), 1]]), 2, f5), f5
     )
     assert _canonical(section(-1, f5).mats[0] + section(Fraction(1, 2), f5).mats[0], f5)
-    # plain ints over Q come back as Fractions
+    # over Q integral values come back as ints and the others as Fractions
     assert rank(_pair_rows([[2, 4], [1, 2]]), 2, QQ) == 1
     kb = kernel_basis(_pair_rows([[2, 4]]), 2, QQ)
     assert kb == [[-2, 1]] and _canonical(kb, QQ)
@@ -427,6 +434,67 @@ def test_sparse_storage_matches_dense_construction(case):
     for c, row in zip(cx.chains[2], rows):
         if c[0] == c[1] != c[2]:
             assert column[(c[0], c[2])] not in dict(row)
+
+
+def _is_canonical(x, field: FieldSpec) -> bool:
+    """Over Q an int when integral and a Fraction otherwise, over F_p an int
+    in 0..p-1; either way conv gives it back as the same object."""
+    if field.p is None:
+        stored = type(x) is int or type(x) is Fraction and x.denominator != 1
+    else:
+        stored = type(x) is int and 0 <= x < field.p
+    return stored and field.conv(x) is x
+
+
+@st.composite
+def _mixed_maps(draw):
+    """A map f: U -> V over one field from ints, Fractions (integral ones
+    included) and 'a/b' strings, the map [f | c] onto V with a unit c_i
+    added at a new column per row, and maps h: W -> U and g: X -> Y."""
+    field = draw(st.sampled_from([QQ, F2, FieldSpec.Fp(7), FieldSpec.Fp(101)]))
+    D = draw(st.integers(0, 2))
+    # no denominator may vanish in the field
+    den = st.sampled_from([d for d in (1, 2, 3, 4, 6) if field.p is None or d % field.p])
+    num = st.integers(-8, 8)
+    entry = st.one_of(num, st.builds(Fraction, num, den), st.builds("{}/{}".format, num, den))
+    unit = st.sampled_from([1, -1, Fraction(1, 3), Fraction(6, 2), "-5/1"])
+
+    def space():
+        return GradedVectorSpace(field, draw(st.lists(st.integers(0, 3), min_size=D + 1, max_size=D + 1)))
+
+    def dense(src, tgt):
+        return [[[draw(entry) for _ in range(n)] for _ in range(m)] for n, m in zip(src.dims, tgt.dims)]
+
+    U, V, W, X, Y = (space() for _ in range(5))
+    mats = dense(U, V)
+    f = _from_dense(U, V, mats)
+    wide = GradedVectorSpace(field, [m + n for m, n in zip(U.dims, V.dims)])
+    onto = GradedLinearMap(wide, V, [
+        [list(enumerate(row)) + [(m + i, draw(unit))] for i, row in enumerate(A)]
+        for m, A in zip(U.dims, mats)
+    ])
+    return field, mats, f, onto, _from_dense(W, U, dense(W, U)), _from_dense(X, Y, dense(X, Y))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_mixed_maps())
+def test_every_value_the_library_makes_is_canonical(maps):
+    field, mats, f, onto, h, g = maps
+    # the stored value is the input's value in the field
+    for A, B in zip(mats, f.mats):
+        for row, out in zip(A, B):
+            assert out == [field.conv(Fraction(x)) if field.p else Fraction(x) for x in row]
+    s = find_section(onto)
+    assert s is not None and onto.compose(s).is_identity()
+    made = [f, onto, h, g, f.compose(h), tensor_maps([f, g]), tensor_maps([g, onto]), s]
+    if (s_f := find_section(f)) is not None:
+        made.append(s_f)
+    for m in made:
+        assert all(_is_canonical(v, field) for rows in m.nonzero_rows for row in rows for _, v in row)
+        assert all(_is_canonical(v, field) for mat in m.mats for row in mat for v in row)
+    for m in (f, onto):
+        for rows, n in zip(m.nonzero_rows, m.source.dims):
+            assert all(_is_canonical(v, field) for vec in kernel_basis(rows, n, field) for v in vec)
 
 
 def test_constructor_checks_row_shapes():

@@ -197,20 +197,25 @@ def test_cell_codes_match_the_tuple_named_cells(seed, n_max):
 # fibres keep every chain critical
 @example(poset="fix-a", pair="circle-point", n_max=4)
 @example(poset="fix-b", pair="disk2-circle", n_max=3)
+# glue and collapse have more critical cells than the full complex here
+# (125 against 89, and 48 against 31)
+@example(poset=50, pair="glue", n_max=3)
+@example(poset=135, pair="collapse", n_max=1)
 def test_critical_cells_give_the_homology_of_the_full_hocolim_complex(poset, pair, n_max):
     P = POSETS[poset]() if isinstance(poset, str) else random_pointed_poset(random.Random(poset), max_objects=7)
     # the cone has three cores outside A; glue and collapse are not injective
     # on cores, so they are matched through the mapping cylinder of their
-    # inclusion, which has five cells where X has one core. For those two the
-    # bound below is not a theorem: it holds on the examples drawn here, but
-    # the glue pair at n_max 3 has 125 critical cells against 89 in the full
-    # complex over random_pointed_poset(random.Random(50), max_objects=7),
-    # and 232,065 against 94,401 over cube-3
+    # inclusion, which has five cells where X has one core. The critical
+    # cells are no more than the full complex only for a pair injective on
+    # cores: glue and collapse can have more (232,065 against 94,401 for
+    # glue over cube-3)
+    injective = pair not in ("glue", "collapse")
     if pair in _EXTRA_PAIRS:
         pair = _EXTRA_PAIRS[pair](n_max)
     bases, faces = spaces.hocolim_cells(P, pair, n_max)
     for field in (QQ, F2):
         counts, betti, _, _ = _traced_cells(reference.hocolim_cells, P, pair, n_max, field)
         assert spaces._betti(bases, faces, n_max - 1, field) == betti
-    assert sum(map(len, bases)) <= sum(counts)
+    if injective:
+        assert sum(map(len, bases)) <= sum(counts)
     _assert_boundary_squares_to_zero(P, pair, n_max, spaces.hocolim_cells)
