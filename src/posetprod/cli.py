@@ -161,6 +161,13 @@ def _cmd_homology(P, field, args):
     return results, 0 if all(checks) else 1, {"route": route}
 
 
+def _transform_check(P, field, args):
+    """The f-vector of s(P), counted, against its prediction from P."""
+    actual, predicted = transform_f_vector(P), f_transform_predict(P)
+    results = {"actual": list(actual), "predicted": list(predicted), "agree": actual == predicted}
+    return results, 0 if actual == predicted else 1, {}
+
+
 # suite also builds the simplicial colimit, to check its homology, on posets
 # with at most this many objects
 _SUITE_SPACE_LIMIT = 12
@@ -170,33 +177,26 @@ def _cmd_suite(P, field, args):
     D = args.max_degree
     rep = classify(P)
     results: dict = {"classification": rep.to_dict(), "f_vector": list(f_vector(P))}
-
-    def run(key, fn, **options):
-        results[key], code, _ = fn(P, field, argparse.Namespace(**options))
-        return code == 0
-
-    checks = []
-    if rep.polyhedral:
-        checks.append(run("hilbert", _cmd_hilbert, max_degree=D, method="presentation", grading=1))
-        checks.append(run(
-            "tensor_circle", _cmd_tensor, collection="circle", max_degree=D, check_route=True, check_reduction=True,
-        ))
-    if rep.regular:
-        actual = transform_f_vector(P)
-        predicted = f_transform_predict(P)
-        results["transform_f_vector"] = {
-            "actual": list(actual),
-            "predicted": list(predicted),
-            "agree": actual == predicted,
-        }
-        checks.append(actual == predicted)
-    # the colimit has the homology its limits predict only over a lower
-    # saturated poset; the classification names the witness otherwise
-    if rep.lower_saturated:
-        checks.append(run(
-            "homology_circle_point", _cmd_homology, pair="circle-point", max_dim=min(D, 3), via="colim", compare=True,
-            check_route=len(P.objects) <= _SUITE_SPACE_LIMIT,
-        ))
+    # each section with the hypothesis it needs: the colimit has the
+    # homology its limits predict only over a lower saturated poset
+    sections = [
+        ("hilbert", "polyhedral", _cmd_hilbert, dict(max_degree=D, method="presentation", grading=1)),
+        ("tensor_circle", "polyhedral", _cmd_tensor,
+         dict(collection="circle", max_degree=D, check_route=True, check_reduction=True)),
+        ("transform_f_vector", "regular", _transform_check, {}),
+        ("homology_circle_point", "lower_saturated", _cmd_homology,
+         dict(pair="circle-point", max_dim=min(D, 3), via="colim", compare=True,
+              check_route=len(P.objects) <= _SUITE_SPACE_LIMIT)),
+    ]
+    checks, skipped = [], {}
+    for key, hypothesis, command, options in sections:
+        if getattr(rep, hypothesis):
+            results[key], code, _ = command(P, field, argparse.Namespace(**options))
+            checks.append(code == 0)
+        else:
+            skipped[key] = {"hypothesis": hypothesis, "witness": str(rep.witnesses[hypothesis])}
+    results["skipped_checks"] = skipped
+    results["checks_run"] = len(checks)
     results["all_checks_pass"] = all(checks)
     return results, 0 if results["all_checks_pass"] else 1, {}
 

@@ -202,11 +202,24 @@ def _relative_betti(P: PointedPoset, up, below, field: FieldSpec) -> tuple[int, 
 
     When U has one minimal object, Delta(U) is a cone, so H^n(U, B) is the
     reduced H^(n-1)(B): those of a point when B is empty, and otherwise
-    read from the chains of B, far fewer than the chains of U whose bottom
-    lies outside B (they include every chain of U above its minimum).
-    Otherwise they come from those relative chains, with the signed
-    deletion faces that stay outside B (only deleting the bottom can land
-    in B), ranked by ``spaces._betti``.
+    those of B alone, by this same routine with nothing below.
+
+    Otherwise the pair first loses beat points (``PointedPoset.core``):
+    every up beat point of U, and every down beat point x of U unless x is
+    in B and its one lower cover c is not.  Each removal keeps the relative
+    homology, by the five lemma on the two long exact sequences, because
+    x is a beat point of B too whenever it is in B.  An up beat point x in B
+    has all of U above x inside B, as B is an up-set, so its one upper
+    cover in U is one in B; a down beat point x in B with c in B has the
+    objects of B below x all at most c.  Both Delta(U minus x) and
+    Delta(B minus x) are thus deformation retracts, and B minus x is still
+    an up-set of U minus x.  With nothing below, as for B itself past the
+    cone test, U reduces to its core, and a one-point core has the Betti
+    numbers of a point with no chain ranked.
+
+    The rest come from the chains of the reduced U whose bottom lies outside
+    the reduced B, with the signed deletion faces that stay outside B (only
+    deleting the bottom can land in B), ranked by ``spaces._betti``.
     """
     if len(P.minimal(up)) == 1:
         if not below:
@@ -214,9 +227,13 @@ def _relative_betti(P: PointedPoset, up, below, field: FieldSpec) -> tuple[int, 
         b = _relative_betti(P, below, frozenset(), field)
         betti = [0, b[0] - 1, *b[1:]]
     else:
+        up = P.core(up, below)
+        below = below & up
+        if len(up) == 1:
+            return (0,) if below else _CONE
         levels = chains(P, len(up), objects=up, bottoms=up - below)
         faces = lambda c: [(c[:i] + c[i + 1:], (-1) ** i) for i in range(len(c)) if i or c[1] not in below]
-        betti = list(_betti(levels, faces, len(levels) - 1, field))
+        betti = list(_betti(levels, faces, len(levels) - 1, field)) or [0]
     while len(betti) > 1 and betti[-1] == 0:
         betti.pop()
     return tuple(betti)

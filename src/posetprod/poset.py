@@ -22,6 +22,7 @@ simplicial colimit and of the presentation's identifications.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from operator import lshift
 from types import MappingProxyType
@@ -211,6 +212,66 @@ class PointedPoset:
         """The maximal elements of a set of objects, in str order."""
         elems = frozenset(elems)
         return tuple(sorted((u for u in elems if len(self._up[u] & elems) == 1), key=_skey))
+
+    def core(self, elems: Iterable[Obj], below: Iterable[Obj] = ()) -> frozenset:
+        """The objects left of a set once its beat points are gone, relative
+        to an up-set ``below`` of it.
+
+        A beat point of X has exactly one upper cover (up) or exactly one
+        lower cover (down) in the order of X.  Removing one keeps the
+        homotopy type of Delta(X): sending x to its one cover c and every
+        other object to itself preserves the order and is comparable to the
+        identity, so Delta(X minus x) is a deformation retract of Delta(X)
+        (Stong 1966; Barmak 2011, ch. 1).  Repeated, this reaches the core,
+        unique up to isomorphism, and one point exactly when X is
+        contractible as a finite space.  With ``below`` = B, a down beat
+        point x is kept when x is in B and its lower cover is not; every
+        other beat point goes (see ``polytensor._relative_betti`` for why
+        the pair keeps its relative homology).
+
+        The covers of X are those of P between its members, found afresh
+        only for an object with a cover of P outside X that has a member of
+        X above it.  Removing x makes a cover a < b of the lower covers a
+        and upper covers b of x that have nothing else between them, so
+        only those objects are queued again; the rest of X is never
+        rescanned.  The queue starts in str order.
+        """
+        keep = set(elems)
+        below = frozenset(below)
+        order = sorted(keep, key=_skey)
+        upper, lower = {}, {x: [] for x in order}
+        for x in order:
+            ups = [y for y in self._upper[x] if y in keep]
+            if len(ups) < len(self._upper[x]) and any(
+                not self._up[y].isdisjoint(keep) for y in self._upper[x] if y not in keep
+            ):
+                ups = list(self.minimal(self._up[x] & keep - {x}))
+            upper[x] = ups
+            for y in ups:
+                lower[y].append(x)
+        queue, queued = deque(order), set(order)
+        while queue:
+            x = queue.popleft()
+            queued.discard(x)
+            ups, downs = upper[x], lower[x]
+            if len(ups) != 1 and (len(downs) != 1 or (x in below and downs[0] not in below)):
+                continue
+            del upper[x], lower[x]
+            for b in ups:
+                lower[b].remove(x)
+            for a in downs:
+                upper[a].remove(x)
+            for b in ups:
+                others = lower[b][:]
+                for a in downs:
+                    if not any(w in self._up[a] for w in others):
+                        lower[b].append(a)
+                        upper[a].append(b)
+            for y in downs + ups:
+                if y not in queued:
+                    queued.add(y)
+                    queue.append(y)
+        return frozenset(upper)
 
     def lower_covers(self, x: Obj) -> tuple[Obj, ...]:
         """The objects x covers, in str order."""

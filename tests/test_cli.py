@@ -327,6 +327,28 @@ def test_suite_leaves_out_the_homology_comparison_off_its_hypothesis(capsys):
     assert res["classification"]["witnesses"]["lower_saturated"]
 
 
+def test_suite_names_every_check_it_skipped(capsys):
+    # fix-a is neither polyhedral, regular nor lower saturated: suite runs
+    # no check, and says so, though it still exits 0
+    code, rep = run(capsys, "suite", "fix-a", "--max-degree", "4")
+    assert code == 0
+    res = rep["results"]
+    assert res["all_checks_pass"] is True and res["checks_run"] == 0
+    witnesses = res["classification"]["witnesses"]
+    assert res["skipped_checks"] == {
+        key: {"hypothesis": hypothesis, "witness": witnesses[hypothesis]}
+        for key, hypothesis in [("hilbert", "polyhedral"), ("tensor_circle", "polyhedral"),
+                                ("transform_f_vector", "regular"), ("homology_circle_point", "lower_saturated")]
+    }
+    assert not {"hilbert", "tensor_circle", "transform_f_vector", "homology_circle_point"} & set(res)
+    # fix-c satisfies every hypothesis, so all four sections run
+    code, rep = run(capsys, "suite", "fix-c", "--max-degree", "2")
+    assert code == 0
+    res = rep["results"]
+    assert res["skipped_checks"] == {} and res["checks_run"] == 4
+    assert {"hilbert", "tensor_circle", "transform_f_vector", "homology_circle_point"} <= set(res)
+
+
 def test_parameters_echo_every_parsed_argument(capsys):
     code, rep = run(capsys, "tensor", "fix-a", "--check-route")
     assert code == 0

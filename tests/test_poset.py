@@ -487,6 +487,63 @@ def _brute_maximal(P, S):
     return tuple(sorted((u for u in S if not any(P.lt(u, v) for v in S)), key=str))
 
 
+def _circle_with_a_whisker() -> PointedPoset:
+    """The four-point circle c, d < y, w with x above c alone."""
+    covers = [("*", "c"), ("*", "d"), ("c", "y"), ("c", "w"), ("d", "y"), ("d", "w"), ("c", "x")]
+    return PointedPoset(["*", "c", "d", "w", "x", "y"], "*", covers)
+
+
+def test_core_collapses_a_cone_to_one_point():
+    P = cube(3)
+    assert len(P.core(P.objects)) == 1
+    for v in P.vertices:
+        assert len(P.core(P.up_set(v))) == 1
+    # {*, uuu} is not convex: its one cover skips every face between them
+    assert len(P.core({P.base, "uuu"})) == 1
+    assert P.core(P.vertices) == frozenset(P.vertices)
+
+
+def test_core_keeps_the_four_point_circle():
+    P = _circle_with_a_whisker()
+    circle = frozenset({"c", "d", "w", "y"})
+    assert P.core(circle) == circle
+    # the whisker x has one lower cover, so it goes
+    assert P.core(circle | {"x"}) == circle
+
+
+def test_core_keeps_a_down_beat_point_of_b_whose_cover_lies_outside_b():
+    # relative to B = {x}, dropping x would leave B empty and the pair
+    # (circle, point) would become the circle alone
+    P = _circle_with_a_whisker()
+    U = frozenset({"c", "d", "w", "x", "y"})
+    assert P.core(U, below={"x"}) == U
+    # with c in B as well, x is a beat point of B too, and goes
+    assert P.core(U, below={"c", "w", "x", "y"}) == U - {"x"}
+
+
+def _beat_points(P, X, below):
+    """The beat points of X by the definition, relative to ``below``."""
+    out = set()
+    for x in X:
+        ups = [b for b in X if P.lt(x, b) and not any(P.lt(x, z) and P.lt(z, b) for z in X)]
+        downs = [a for a in X if P.lt(a, x) and not any(P.lt(a, z) and P.lt(z, x) for z in X)]
+        if len(ups) == 1 or (len(downs) == 1 and not (x in below and downs[0] not in below)):
+            out.add(x)
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(P=_random_posets, seed=st.integers(0, 10**6))
+def test_core_leaves_no_beat_point(P, seed):
+    # random subsets need not be convex, so their covers are not those of P
+    rng = random.Random(seed)
+    X = frozenset(rng.sample(P.objects, rng.randint(1, len(P.objects))))
+    below = frozenset().union(*(P.up_set(x) & X for x in rng.sample(sorted(X, key=str), rng.randint(0, min(2, len(X))))))
+    kept = P.core(X, below)
+    assert kept and kept <= X
+    assert _beat_points(P, kept, below) == set()
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(P=_random_posets, seed=st.integers(0, 10**6))
 def test_order_queries_match_their_definitions(P, seed):
