@@ -32,6 +32,7 @@ I and C, and the relative Betti numbers come from the chains of the pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import IndexMismatch, MissingSection, PreconditionFailed
 from .limits import PosetDiagram, higher_limits
@@ -150,8 +151,7 @@ def build_section_S(P: PointedPoset, collection: MorphismCollection) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class SplitTerm:
+class SplitTerm(NamedTuple):
     """One summand W_{S,Q} (x) H^*(Delta(U_S), Delta(B)) of the split route.
 
     ``support`` is S and ``cokernel`` is Q, both in vertex order, ``dims``
@@ -200,9 +200,10 @@ def _relative_betti(P: PointedPoset, up, below, field: FieldSpec) -> tuple[int, 
     ``higher_limits``.  Over a field the cohomology of the pair has the same
     Betti numbers as its homology.
 
-    When U has one minimal object, Delta(U) is a cone, so H^n(U, B) is the
-    reduced H^(n-1)(B): those of a point when B is empty, and otherwise
-    those of B alone, by this same routine with nothing below.
+    When U is a cone up(a) (``PointedPoset.apex``), so is Delta(U), and
+    H^n(U, B) is the reduced H^(n-1)(B): those of a point when B is empty,
+    and otherwise those of B alone, by this same routine with nothing
+    below.
 
     Otherwise the pair first loses beat points (``PointedPoset.core``):
     every up beat point of U, and every down beat point x of U unless x is
@@ -221,7 +222,7 @@ def _relative_betti(P: PointedPoset, up, below, field: FieldSpec) -> tuple[int, 
     the reduced B, with the signed deletion faces that stay outside B (only
     deleting the bottom can land in B), ranked by ``spaces._betti``.
     """
-    if len(P.minimal(up)) == 1:
+    if P.apex(up) is not None:
         if not below:
             return _CONE
         b = _relative_betti(P, below, frozenset(), field)
@@ -243,20 +244,24 @@ def _split_terms(P: PointedPoset, collection: MorphismCollection) -> tuple[Split
     """Every summand of the split with W_{S,Q} != 0 and non-zero relative
     cohomology.
 
-    The ranks of the a_v give the Hilbert series of I_v, K_v and C_v, and
-    ``support_walk`` the pairs (S, Q) in vertex order, with the up-sets
-    U_S and B that key the memo of their Betti numbers.  On a miss
-    ``_relative_betti`` gives them; a single minimal object of U_S and B
+    The ranks of the a_v give the Hilbert series of I_v, K_v and C_v; they
+    are taken once per map object, as a collection may share one map
+    across its vertices.  ``support_walk`` gives the pairs (S, Q) in vertex
+    order, with the up-sets U_S and B that key the memo of their Betti
+    numbers.  On a miss ``_relative_betti`` gives them; U_S a cone and B
     empty, the common case, give those of a point.
     """
     _check_index(P, collection)
     field, D = collection.field, collection.truncation
     I, K, C = {}, {}, {}
+    series_of: dict = {}  # keyed by id, as maps compare by value and do not hash
     for v in P.vertices:
         a = collection.maps[v]
-        I[v] = tuple(rank(a.nonzero_rows[d], a.source.dims[d], field) for d in range(D + 1))
-        K[v] = tuple(m - r for m, r in zip(a.source.dims, I[v]))
-        C[v] = tuple(n - r for n, r in zip(a.target.dims, I[v]))
+        if (series := series_of.get(id(a))) is None:
+            im = tuple(rank(a.nonzero_rows[d], a.source.dims[d], field) for d in range(D + 1))
+            ker = tuple(m - r for m, r in zip(a.source.dims, im))
+            series = series_of[id(a)] = im, ker, tuple(n - r for n, r in zip(a.target.dims, im))
+        I[v], K[v], C[v] = series
     betti_of: dict = {}
     terms = []
     for support, cokernel, dims, up, below in support_walk(P, I, K, D, C):

@@ -208,6 +208,22 @@ class PointedPoset:
         elems = frozenset(elems)
         return tuple(sorted((u for u in elems if len(self._down[u] & elems) == 1), key=_skey))
 
+    def apex(self, elems: Iterable[Obj]) -> Obj | None:
+        """The object a with up(a) equal to the set, or None.
+
+        Every other member of up(a) has a smaller up-set, so a member is
+        compared only when its up-set has the set's size.  On an up-set U
+        that size alone decides, as up(x) <= U for every x in U, and the
+        answer is U's minimal object when it has exactly one; the
+        comparison keeps a set that is not an up-set from passing.
+        """
+        elems = frozenset(elems)
+        n, up = len(elems), self._up
+        for a in elems:
+            if len(up[a]) == n and up[a] <= elems:
+                return a
+        return None
+
     def maximal(self, elems: Iterable[Obj]) -> tuple[Obj, ...]:
         """The maximal elements of a set of objects, in str order."""
         elems = frozenset(elems)

@@ -34,9 +34,9 @@ complex has a cell per strict chain of objects and tuple of factor cells
 of the block at its bottom (the Bousfield-Kan double complex), and
 ``hocolim_cells`` lists only the critical cells of a cone matching on it,
 with their Morse boundary: one cell per tuple where the up-set of its
-support has one minimal object.  ``polyprod_homology`` takes the cellular
-route for both gluings, and with ``check_route`` compares it with the
-simplicial one.
+support is a cone.  ``polyprod_homology`` takes the cellular route for
+both gluings, and with ``check_route`` compares it with the simplicial
+one.
 """
 
 from __future__ import annotations
@@ -638,19 +638,25 @@ def colimit_cells(P: PointedPoset, pair: str | tuple, n_max: int):
     does, and r the str-least object of the component, so the order of the
     cells does not depend on the hash seed.  Its boundary is the tensor
     boundary of s, each face in the component of U_S(f), an up-set
-    containing U_S, that holds r.
+    containing U_S, that holds r.  A cone U_S = up(a)
+    (``PointedPoset.apex``) is one component, named with no search.
     """
     pair = _read_pair(pair, n_max)
     if not _injective_on_cores(pair[2]):
         raise PreconditionFailed("the inclusion of A does not send cores to distinct cores of X")
     walk, tensor = _cell_walk(P, pair, n_max)
 
-    # rep_of[mask][x]: the str-least object of the component of U_S holding x
+    # rep_of[mask][x]: the str-least object of the component of U_S holding
+    # x; a cone is one component, found with no search
     rep_of: dict = {}
     bases = [[] for _ in range(n_max + 1)]
     for mask, up, tuples in walk:
-        rep = rep_of[mask] = P.components(up)
-        reps = sorted(set(rep.values()), key=str)
+        if P.apex(up) is not None:
+            reps = [min(up, key=str)]
+            rep_of[mask] = dict.fromkeys(up, reps[0])
+        else:
+            rep = rep_of[mask] = P.components(up)
+            reps = sorted(set(rep.values()), key=str)
         for code, d in tuples:
             bases[d].extend((code, mask, r) for r in reps)
 
@@ -687,20 +693,20 @@ def hocolim_cells(P: PointedPoset, pair: str | tuple, n_max: int):
     {x : S <= V(x)}, S the vertices whose cell of t lies outside A, each
     with t pulled back to its bottom.  Inside a fibre the boundary is that
     of the order complex Delta(U_S), the hop being its zeroth face with
-    coefficient +1.  Where U_S has one minimal object a, Delta(U_S) is the
-    cone on a: each (c, t) with x_0 != a is matched with ((a) + c, t),
-    whose hop it is.  Inside a fibre this is the cone's matching, which is
-    acyclic: the faces of (a) + c other than c all start at a.  The tensor
-    boundary sends t to faces of t, so it never raises the fibre, and a
-    matching that is acyclic on each fibre of such an order-preserving map
-    is acyclic on the whole complex (the patchwork theorem; Kozlov 2008,
-    Combinatorial Algebraic Topology, ch. 11).  By algebraic discrete Morse
+    coefficient +1.  Where U_S is a cone up(a) (``PointedPoset.apex``),
+    Delta(U_S) is the cone on a: each (c, t) with x_0 != a is matched with
+    ((a) + c, t), whose hop it is.  Inside a fibre this is the cone's
+    matching, which is acyclic: the faces of (a) + c other than c all start
+    at a.  The tensor boundary sends t to faces of t, so it never raises
+    the fibre, and a matching that is acyclic on each fibre of such an
+    order-preserving map is acyclic on the whole complex (the patchwork
+    theorem; Kozlov 2008, Combinatorial Algebraic Topology, ch. 11).  By algebraic discrete Morse
     theory (Skoldberg 2006, "Morse theory from an algebraic viewpoint",
     Trans. AMS 358; Jollenbeck and Welker 2009, Mem. AMS 923) the critical
     cells, with the Morse boundary, span a complex with the same homology
     over any field, since every matched coefficient is +1.  They are (a, t)
-    for each t of a cone fibre, and every cell of a fibre whose U_S has
-    several minimal objects.
+    for each t of a cone fibre, and every cell of a fibre whose U_S is not
+    a cone.
 
     The cells are listed per support, with the tuples of ``_cell_walk``.  A
     cell is (c, code, mask), s coded and masked as ``_cell_walk`` does, so
@@ -711,13 +717,12 @@ def hocolim_cells(P: PointedPoset, pair: str | tuple, n_max: int):
     """
     walk, tensor = _cell_walk(P, _read_pair(pair, n_max), n_max)
 
-    # apex[mask]: the one minimal object of U_S, else None
+    # apex[mask]: the a with U_S = up(a), else None
     apex: dict = {}
     bases = [[] for _ in range(n_max + 1)]
     for mask, up, tuples in walk:
-        bottoms = P.minimal(up)
-        apex[mask] = bottoms[0] if len(bottoms) == 1 else None
-        levels = [[bottoms]] if apex[mask] is not None else chains(P, n_max - min(d for _, d in tuples), objects=up)
+        a = apex[mask] = P.apex(up)
+        levels = [[(a,)]] if a is not None else chains(P, n_max - min(d for _, d in tuples), objects=up)
         for p, level in enumerate(levels):
             for c in level:
                 for code, d in tuples:

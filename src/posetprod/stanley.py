@@ -367,10 +367,17 @@ def presentation_report(P: PointedPoset, D: int = 4, scale: int = 1, field: Fiel
     disagreement reporting.
 
     On mismatch the subset-size bound is raised step by step from
-    ``_FIRST_BOUND`` (up to the number of generators) before giving up; the returned dict records both
-    dimension vectors, the bound that was used, and how many subsets were
-    skipped as unsound.  A non-polyhedral P is refused before any limit is
-    built.
+    ``_FIRST_BOUND`` (up to the number of generators) before giving up; the
+    returned dict records both dimension vectors, the bound that was used,
+    and how many subsets were skipped as unsound.  A non-polyhedral P is
+    refused before any limit is built.
+
+    Past D // scale raising the bound cannot change the quotient through
+    degree D: the relation of a set S of more generators holds the product
+    of S, of degree scale * sum |V(w)| > D, and relations are homogeneous.
+    So once the bound reaches D // scale with the sides still apart, it
+    jumps to the number of generators, and only the relations are listed
+    there, for the count of skipped subsets.
     """
     _require_polyhedral(P)
     col = MorphismCollection.augmentation(P.vertices, D=D, gen_degree=scale, field=field)
@@ -383,6 +390,10 @@ def presentation_report(P: PointedPoset, D: int = 4, scale: int = 1, field: Fiel
         qdims = quotient_dims(pres, D, field=field)
         agree = qdims == limit_dims
         if agree or b >= n_gens:
+            break
+        if b >= D // scale:
+            b = n_gens
+            pres = ideal_generators(P, scale=scale, bound=b)
             break
         b += 1
     return {

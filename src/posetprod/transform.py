@@ -43,13 +43,17 @@ def _faces(P: PointedPoset):
     """Yield (S, members) for each face (S, C) of the transform: S a support
     with U_S = {x : S <= V(x)} non-empty, read from ``support_walk``, and
     members the objects of a component C of U_S, in str order.  S = {} has
-    the one component U_S = P."""
+    the one component U_S = P, and so has every cone U_S = up(a)
+    (``PointedPoset.apex``), with no search."""
     ones = {v: (1,) for v in P.vertices}
     for support, _, _, up, _ in support_walk(P, ones, ones, 0):
+        S = frozenset(support)
+        if P.apex(up) is not None:
+            yield S, tuple(sorted(up, key=str))
+            continue
         groups: dict = {}
         for x, rep in P.components(up).items():
             groups.setdefault(rep, []).append(x)
-        S = frozenset(support)
         for members in groups.values():
             yield S, tuple(sorted(members, key=str))
 

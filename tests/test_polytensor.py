@@ -177,18 +177,63 @@ def test_tensor_limits_builds_no_diagram_without_check_route(monkeypatch):
     ]
 
 
-def test_split_terms_finds_minimal_objects_once_per_up_set(monkeypatch):
-    # the Betti memo is keyed by the up-sets (U_S, B) themselves: minimal
-    # objects are found only for the cone test on a miss
+def test_split_terms_asks_apex_once_per_up_set(monkeypatch):
+    # the Betti memo is keyed by the up-sets (U_S, B) themselves: the cone
+    # test runs only on a miss
     P = cube(3)
     collection = MorphismCollection.augmentation(P.vertices, 4)
     image, kernel = (dict.fromkeys(P.vertices, s) for s in [(1, 0, 0, 0, 0), (0, 1, 1, 1, 1)])
     walked = list(support_walk(P, image, kernel, 4))
     calls = []
-    minimal = PointedPoset.minimal
-    monkeypatch.setattr(PointedPoset, "minimal", lambda self, elems: calls.append(elems) or minimal(self, elems))
+    apex = PointedPoset.apex
+    monkeypatch.setattr(PointedPoset, "apex", lambda self, elems: calls.append(elems) or apex(self, elems))
     polytensor._split_terms(P, collection)
     assert 0 < len(calls) <= len({up for *_, up, _ in walked})
+
+
+def test_split_terms_rank_each_shared_map_once(monkeypatch):
+    # augmentation shares one map across the eight vertices: one rank per degree
+    P = cube(3)
+    calls = []
+    library_rank = polytensor.rank
+    monkeypatch.setattr(polytensor, "rank", lambda *args: calls.append(args) or library_rank(*args))
+    polytensor._split_terms(P, MorphismCollection.augmentation(P.vertices, 4))
+    assert len(calls) == 5
+    calls.clear()
+    col = random_surjective_collection(random.Random(3), P.vertices, 2)
+    polytensor._split_terms(P, col)
+    assert len(calls) == 3 * len(P.vertices)
+
+
+@pytest.mark.parametrize("P", [fix_a(), fix_b(), fix_c(), cube(3)], ids=["fix-a", "fix-b", "fix-c", "cube-3"])
+def test_cone_test_finds_minimal_objects_only_inside_the_core(monkeypatch, P):
+    # the core recomputes covers with minimal where a set is not convex;
+    # every other search for minimal objects would be the cone test's
+    inside = []
+    core, minimal = PointedPoset.core, PointedPoset.minimal
+
+    def tracked_core(self, elems, below=()):
+        inside.append(elems)
+        try:
+            return core(self, elems, below)
+        finally:
+            inside.pop()
+
+    def guarded_minimal(self, elems):
+        assert inside, "minimal objects searched outside the core"
+        return minimal(self, elems)
+
+    cores = []
+    monkeypatch.setattr(PointedPoset, "core", lambda self, elems, below=(): cores.append(elems) or tracked_core(self, elems, below))
+    monkeypatch.setattr(PointedPoset, "minimal", guarded_minimal)
+    for pair in ("disk2-circle", "interval-endpoints"):
+        polytensor._split_terms(P, induced_collection(P, pair, 3))
+    cores.clear()
+    polytensor._split_terms(P, MorphismCollection.augmentation(P.vertices, 4))
+    # with B empty the core is reached only for a U_S that is not a cone
+    assert all(P.apex(up) is None for up in cores)
+    if P == cube(3):
+        assert not cores
 
 
 def _oracle_terms(P, collection):

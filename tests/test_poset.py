@@ -24,6 +24,7 @@ from posetprod.fixtures import (
 )
 from posetprod.poset import PointedPoset, classify, down_isomorphism, reduce_poset, support_walk
 from posetprod.stanley import ideal_generators
+from posetprod.transform import simplicial_transform
 
 
 def test_validation_errors():
@@ -579,6 +580,33 @@ def test_components_match_a_union_find_over_the_covers(P, seed):
     rng = random.Random(seed)
     members = set(rng.sample(P.objects, rng.randint(0, len(P.objects))))
     assert P.components(members) == _union_find_reps(members, P.covers)
+
+
+def _transform_of_a_polyhedral_poset(seed):
+    return simplicial_transform(random_poset_with(seed, "polyhedral", 1, max_objects=6)[0]).poset
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    P=st.one_of(_random_posets, st.integers(0, 10**6).map(_transform_of_a_polyhedral_poset)),
+    kind=st.sampled_from(["walk", "union", "subset"]),
+    seed=st.integers(0, 10**6),
+)
+def test_apex_is_the_object_whose_up_set_is_the_set(P, kind, seed):
+    rng = random.Random(seed)
+    if kind == "walk":
+        S = set(rng.sample(P.vertices, rng.randint(0, len(P.vertices))))
+        U = frozenset(x for x in P.objects if S <= P.vertex_set(x))
+    elif kind == "union":
+        U = frozenset().union(*(P.up_set(x) for x in rng.sample(P.objects, rng.randint(0, min(3, len(P.objects))))))
+    else:
+        U = frozenset(rng.sample(P.objects, rng.randint(0, len(P.objects))))
+    a = P.apex(U)
+    assert [x for x in P.objects if P.up_set(x) == U] == ([] if a is None else [a])
+    if kind != "subset":
+        # on an up-set, a cone exactly when it has one minimal object
+        bottoms = P.minimal(U)
+        assert a == (bottoms[0] if len(bottoms) == 1 else None)
 
 
 def _union_find_reps(nodes, edges):

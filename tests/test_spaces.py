@@ -36,6 +36,7 @@ from posetprod.spaces import (
     product_space,
     two_point_space,
 )
+from posetprod.transform import simplicial_transform
 
 F101 = FieldSpec.Fp(101)
 
@@ -624,3 +625,26 @@ def test_cell_order_does_not_depend_on_the_hash_seed():
         runs.append(json.loads(proc.stdout))
     assert runs[0] == runs[1]
     assert runs[0][1]  # the route ranked some boundary rows
+
+
+@pytest.mark.parametrize("name", ["fix-a", "fix-b", "cube-3", "s(fix-c)"])
+def test_cellular_routes_search_only_up_sets_that_are_not_cones(monkeypatch, name):
+    # a cone U_S = up(a) is one component with apex a: the colimit names it
+    # and the hocolim matches on it without a search
+    P = simplicial_transform(fix_c()).poset if name == "s(fix-c)" else FIXTURES[name]()
+    pair, n_max = "circle-point", 3
+    walk, _ = spaces._cell_walk(P, spaces._read_pair(pair, n_max), n_max)
+    not_cones = [up for _, up, _ in walk if P.apex(up) is None]
+    assert bool(not_cones) == (name in ("fix-a", "fix-b"))
+    searched = []
+    components = PointedPoset.components
+
+    def refuse(self, elems):
+        raise AssertionError("minimal objects searched")
+
+    monkeypatch.setattr(PointedPoset, "components", lambda self, members: searched.append(members) or components(self, members))
+    monkeypatch.setattr(PointedPoset, "minimal", refuse)
+    colimit_cells(P, pair, n_max)
+    assert searched == not_cones
+    hocolim_cells(P, pair, n_max)
+    assert searched == not_cones

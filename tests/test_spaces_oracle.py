@@ -26,7 +26,7 @@ import hocolim_reference as reference
 import spaces_oracle as oracle
 from test_spaces import _EXTRA_PAIRS, _assert_boundary_squares_to_zero, _collapse_pair, _cone_pair, _glue_pair
 from posetprod import spaces
-from posetprod.fixtures import fix_a, fix_b, fix_c, fix_d, fix_e, random_pointed_poset
+from posetprod.fixtures import FIXTURES, fix_a, fix_b, fix_c, fix_d, fix_e, random_pointed_poset
 from posetprod.linalg import F2, QQ, FieldSpec
 from posetprod.spaces import (
     PAIR_NAMES,
@@ -39,6 +39,7 @@ from posetprod.spaces import (
     product_space,
     two_point_space,
 )
+from posetprod.transform import simplicial_transform
 
 # fix-c is cube(2) and fix-d is simplex(2)
 POSETS = {"fix-a": fix_a, "fix-b": fix_b, "fix-c": fix_c, "fix-d": fix_d, "fix-e": fix_e}
@@ -219,3 +220,14 @@ def test_critical_cells_give_the_homology_of_the_full_hocolim_complex(poset, pai
     if injective:
         assert sum(map(len, bases)) <= sum(counts)
     _assert_boundary_squares_to_zero(P, pair, n_max, spaces.hocolim_cells)
+
+
+@pytest.mark.parametrize("name", ["fix-a", "fix-b", "cube-3", "s(fix-c)"])
+@pytest.mark.parametrize("pair", ["circle-point", "interval-endpoints"])
+def test_colimit_cells_over_cones_and_other_up_sets_match_the_oracle(name, pair):
+    # fix-a and fix-b have U_S that are not cones, cube-3 and s(fix-c) only
+    # cones, which the library names without a component search
+    P = simplicial_transform(fix_c()).poset if name == "s(fix-c)" else FIXTURES[name]()
+    for field in (QQ, F2):
+        new = _traced_cells(spaces.colimit_cells, P, pair, 3, field)
+        assert new == _traced_cells(oracle.colimit_cells, P, pair, 3, field)

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from posetprod import stanley
 from posetprod.errors import NotPolyhedral, NotSimplicial, PreconditionFailed
+from posetprod.acceptance import POLYHEDRAL_SEED
 from posetprod.fixtures import fix_a, fix_b, fix_c, fix_e, random_pointed_poset, random_poset_with, simplex
 from posetprod.poset import PointedPoset
 from posetprod.linalg import QQ, FieldSpec
+from posetprod.polytensor import MorphismCollection, polyhedral_tensor
 from posetprod.stanley import (
     RingPresentation,
     hilbert_from_fvector,
@@ -179,6 +181,56 @@ def test_presentation_vs_limit_on_seeded_polyhedral_posets():
     # most small draws avoid the counterexample pattern; all draws must at
     # least report honestly, and the bulk should agree
     assert agree_count >= 7
+
+
+def _report_raising_every_bound(P, D, scale=1, field=QQ):
+    """``presentation_report`` with its bound raised one step at a time up
+    to the number of generators, the quotient recomputed at each."""
+    col = MorphismCollection.augmentation(P.vertices, D=D, gen_degree=scale, field=field)
+    lims = polyhedral_tensor(P, col)
+    limit_dims = tuple(lims[0]) if lims else (0,) * (D + 1)
+    n_gens = len(P.objects) - 1
+    b = stanley._FIRST_BOUND
+    while True:
+        pres = ideal_generators(P, scale=scale, bound=b)
+        qdims = quotient_dims(pres, D, field=field)
+        agree = qdims == limit_dims
+        if agree or b >= n_gens:
+            break
+        b += 1
+    return {
+        "quotient_dims": list(qdims),
+        "limit_dims": list(limit_dims),
+        "agree": agree,
+        "bound_used": b,
+        "skipped_unsound": pres.skipped_unsound,
+        "higher_limits_vanish": all(all(v == 0 for v in l) for l in lims[1:]),
+    }
+
+
+def two_branch_beside_a_six_vertex_top():
+    # every set of two to six of the w's lies under u alone, which carries
+    # all six, so bounds past 4 still skip more sets
+    ws = [f"w{i}" for i in range(1, 7)]
+    P = two_branch()
+    return PointedPoset(P.objects + ("u", *ws), "*", P.covers + tuple(("*", w) for w in ws) + tuple((w, "u") for w in ws))
+
+
+@pytest.mark.parametrize("D, scale", [(4, 1), (2, 1), (5, 1), (4, 2)])
+def test_report_past_the_degree_bound_equals_raising_every_bound(D, scale):
+    # criterion 4's three disagreeing draws and the two-branch poset of
+    # demos/04 all disagree past D // scale, where the loop stops raising
+    # the bound
+    drawn = random_poset_with(POLYHEDRAL_SEED, "polyhedral", 50, max_objects=8)
+    posets = [drawn[0], drawn[9], drawn[41], two_branch(), three_branch(), two_branch_beside_a_six_vertex_top()]
+    for P in posets:
+        expected = _report_raising_every_bound(P, D, scale)
+        assert presentation_report(P, D=D, scale=scale) == expected
+    if (D, scale) == (4, 1):
+        assert all(not presentation_report(P, D=4)["agree"] for P in posets)
+        # only the last bound lists the sets of five w's
+        P = posets[-1]
+        assert ideal_generators(P, bound=4).skipped_unsound < presentation_report(P, D=4)["skipped_unsound"]
 
 
 def test_report_with_prime_field():

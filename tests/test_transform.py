@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from posetprod.errors import NoSuchRank, NotRegular, PreconditionFailed
 from posetprod.fixtures import FIXTURES, cube, fix_a, fix_b, fix_c, fix_e, random_pointed_poset, random_poset_with, simplex
 from posetprod.polytensor import MorphismCollection, polyhedral_tensor
-from posetprod.poset import PointedPoset, classify, down_isomorphism
+from posetprod.poset import PointedPoset, classify, down_isomorphism, support_walk
 from posetprod.stanley import hilbert_from_fvector
 from posetprod.transform import (
     check_embedding,
@@ -203,3 +203,18 @@ def test_transform_f_vector_gives_the_level_zero_limit(P, grading):
     D = 4
     col = MorphismCollection.augmentation(P.vertices, D, gen_degree=grading)
     assert hilbert_from_fvector(f, D, scale=grading) == polyhedral_tensor(P, col)[0]
+
+
+@pytest.mark.parametrize("name", ["fix-a", "fix-b", "cube-3", "s(fix-c)"])
+def test_faces_search_only_up_sets_that_are_not_cones(monkeypatch, name):
+    # fix-a and fix-b have U_S that are not cones, cube-3 and s(fix-c) only cones
+    P = simplicial_transform(fix_c()).poset if name == "s(fix-c)" else FIXTURES[name]()
+    ones = dict.fromkeys(P.vertices, (1,))
+    not_cones = [up for *_, up, _ in support_walk(P, ones, ones, 0) if P.apex(up) is None]
+    assert bool(not_cones) == (name in ("fix-a", "fix-b"))
+    expected = f_vector(oracle.simplicial_transform(P).poset)
+    searched = []
+    components = PointedPoset.components
+    monkeypatch.setattr(PointedPoset, "components", lambda self, members: searched.append(members) or components(self, members))
+    assert transform_f_vector(P) == expected
+    assert searched == not_cones
